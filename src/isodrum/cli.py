@@ -334,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify group triples and isospectral drums.",
     )
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomized internals")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="cap on worker threads (the computational core is serial; "
-                         "accepted for interface stability)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check AC/EC/FF/MAX/PAIR/INV on a triple spec")

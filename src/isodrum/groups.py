@@ -21,7 +21,8 @@ from .permutations import Permutation
 class _Level:
     """One level of a stabilizer chain: a base point with its Schreier tree."""
 
-    __slots__ = ("point", "gens", "sv", "_trans", "_trans_inv", "pending", "processed")
+    __slots__ = ("point", "gens", "sv", "_trans", "_trans_inv", "_orbit_rows",
+                 "pending", "processed")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -30,10 +31,12 @@ class _Level:
         self.sv: dict[int, tuple] = {point: None}
         self._trans = {point: Permutation.identity(degree)}
         self._trans_inv = {point: self._trans[point]}
+        self._orbit_rows = None
         self.pending: deque = deque()
         self.processed: set = set()
 
     def add_gen(self, g: Permutation):
+        self._orbit_rows = None
         gi = len(self.gens)
         self.gens.append(g)
         new_points = []
@@ -73,6 +76,14 @@ class _Level:
             u = u * self.gens[gi]
             self._trans[r] = u
         return self._trans[p]
+
+    def orbit_rows(self):
+        """Orbit points (sorted) and the image rows of their transversals."""
+        if self._orbit_rows is None:
+            pts = sorted(self.sv)
+            self._orbit_rows = (np.array(pts, dtype=np.intp),
+                                np.stack([self.transversal(p).images for p in pts]))
+        return self._orbit_rows
 
     def transversal_inv(self, p: int) -> Permutation:
         cached = self._trans_inv.get(p)
@@ -399,55 +410,98 @@ def cached_classes(G: PermGroup, bound=None) -> ConjugacyClasses:
 
 @dataclass
 class CosetTable:
-    """Cosets of a subgroup, keyed canonically.
+    """Right cosets Hg of a subgroup H of G, keyed canonically.
+
+    Products apply the left factor first, so the coset of g is
+    Hg = {h * g : h in H} and G acts on the cosets by right translation,
+    Hr -> Hrg.  H is the stabilizer of coset 0.
 
     ``representatives[i]`` lies in coset i; representative 0 is the identity,
-    so coset 0 is the subgroup itself.  ``index_of`` maps the canonical
-    signature of a coset (the image key of its canonical representative) to
-    its index.
+    so coset 0 is the subgroup itself.  Indices follow the breadth-first
+    search from coset 0 over G's generators (the Schreier graph), in the
+    order cosets are first found.  ``index_of`` maps the canonical signature
+    of a coset (the image key of its canonical representative) to its index.
+    ``generator_actions[j]`` is the action of ``parent.generators[j]``, read
+    off the search; ``action_of`` returns it for a generator and otherwise
+    canonicalizes the translates of all representatives in one batch.
     """
 
     parent: PermGroup
     subgroup: PermGroup
     representatives: list
     index_of: dict = field(repr=False)
+    generator_actions: tuple = field(repr=False)
+    rows: np.ndarray = field(repr=False)  # representative image rows, (index, degree)
+
+    def __post_init__(self):
+        self._by_generator = {g.key(): a for g, a in
+                              zip(self.parent.generators, self.generator_actions)}
+        self._subgroup_image = None
 
     def __len__(self):
         return len(self.representatives)
 
     def signature(self, g: Permutation) -> bytes:
-        return _coset_canonical(self.subgroup, g).key()
+        return _row_keys(_canonical_rows(self.subgroup, g.images[None, :]))[0]
 
     def index_of_element(self, g: Permutation) -> int:
         return self.index_of[self.signature(g)]
 
     def action_of(self, g: Permutation) -> Permutation:
         """The permutation induced on coset indices by translation."""
-        images = [self.index_of[self.signature(r * g)] for r in self.representatives]
-        return Permutation(images)
+        act = self._by_generator.get(g.key())
+        if act is None:
+            keys = _row_keys(_canonical_rows(self.subgroup, g.images[self.rows]))
+            act = Permutation([self.index_of[k] for k in keys])
+        return act
+
+    def subgroup_image(self) -> PermGroup:
+        """H's image on the cosets; its chain gives the order |H| / |core|."""
+        if self._subgroup_image is None:
+            self._subgroup_image = PermGroup(
+                len(self), [self.action_of(h) for h in self.subgroup.generators])
+        return self._subgroup_image
+
+    def is_faithful(self) -> bool:
+        """Whether G acts faithfully on the cosets, i.e. core(G, H) is trivial.
+
+        The kernel lies inside H, the stabilizer of coset 0, so it is the
+        kernel of H's action and the action is faithful exactly when H's
+        image has order |H|.
+        """
+        return self.subgroup_image().order == self.subgroup.order
 
 
-def _coset_canonical(H: PermGroup, g: Permutation) -> Permutation:
-    """Canonical representative of the coset of g modulo H.
+def _canonical_rows(H: PermGroup, rows: np.ndarray) -> np.ndarray:
+    """Canonical representatives of the cosets Hu, one per row u of ``rows``.
 
-    Minimizes the image tuple of H's base over the coset, level by level; the
-    minimizing element is unique, which makes coset keys deterministic.
+    Minimizes the images of H's base over each coset, level by level: at
+    each level the orbit point with the least image is carried to the base
+    point by its transversal element.  The minimizing element is unique,
+    which makes coset keys deterministic.
     """
-    chain = H.chain()
-    u = g
-    for lvl in chain.levels:
-        img = u.images
-        p_star = min(lvl.sv, key=lambda p: img[p])
-        if p_star != lvl.point:
-            u = lvl.transversal(p_star) * u
-    return u
+    for lvl in H.chain().levels:
+        points, trans = lvl.orbit_rows()
+        choice = rows[:, points].argmin(axis=1)
+        rows = np.take_along_axis(rows, trans[choice], axis=1)
+    return rows
+
+
+def _row_keys(rows: np.ndarray) -> list:
+    """``Permutation.key()`` of every row."""
+    width = 4 * rows.shape[1]
+    data = rows.astype(">i4").tobytes()
+    return [data[i:i + width] for i in range(0, len(data), width)] if width else [b""] * len(rows)
 
 
 def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
-    """Coset table of H in G (translation action on the coset space).
+    """Coset table of H in G, built breadth first over G's generators.
 
-    Tables are cached per (G, H) object pair; groups are immutable, so the
-    cache never goes stale.
+    Each step translates the whole frontier by every generator and
+    canonicalizes the translates in one batch; the generators' actions are
+    recorded on the way.  ``bound`` caps the number of cosets (default
+    ``index_bound()``).  Tables are cached per (G, H) object pair; groups
+    are immutable, so the cache never goes stale.
     """
     cache = getattr(G, "_coset_tables", None)
     if cache is None:
@@ -459,23 +513,30 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
     if not is_subgroup(H, G):
         raise ValueError("H is not a subgroup of G")
     cap = index_bound(bound)
-    ident = G.identity
-    reps = [ident]
-    index_of = {_coset_canonical(H, ident).key(): 0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        r = reps[i]
-        for g in G.generators:
-            r2 = r * g
-            k = _coset_canonical(H, r2).key()
-            if k not in index_of:
-                if len(reps) >= cap:
+    n, s = G.degree, len(G.generators)
+    gens = np.array([g.images for g in G.generators], dtype=np.int32).reshape(s, n)
+    rows = np.arange(n, dtype=np.int32)[None, :]
+    index_of = {_row_keys(_canonical_rows(H, rows))[0]: 0}
+    targets = []  # targets[i * s + j]: coset of representative i times generator j
+    start = 0
+    while start < len(rows):
+        # translates[i, j] = rows[start + i] * generator j
+        translates = gens[:, rows[start:]].transpose(1, 0, 2).reshape(-1, n)
+        found = []
+        for k, key in enumerate(_row_keys(_canonical_rows(H, translates))):
+            c = index_of.get(key)
+            if c is None:
+                c = len(index_of)
+                if c >= cap:
                     raise BoundExceeded(f"coset count exceeds index bound {cap}")
-                index_of[k] = len(reps)
-                reps.append(r2)
-                queue.append(len(reps) - 1)
-    table = CosetTable(G, H, reps, index_of)
+                index_of[key] = c
+                found.append(k)
+            targets.append(c)
+        start = len(rows)
+        rows = np.concatenate([rows, translates[found]])
+    actions = np.ascontiguousarray(np.array(targets, dtype=np.int32).reshape(len(rows), s).T)
+    table = CosetTable(G, H, [Permutation._wrap(r) for r in rows], index_of,
+                       tuple(Permutation._wrap(a) for a in actions), rows)
     cache[id(H)] = table
     return table
 
@@ -488,42 +549,76 @@ def coset_action(G: PermGroup, H: PermGroup, bound=None):
     core(G, H).
     """
     table = left_cosets(G, H, bound)
-    mapping = {}
-    images = []
-    for g in G.generators:
-        pi = table.action_of(g)
-        mapping[g] = pi
-        images.append(pi)
-    image = PermGroup(len(table), images)
+    mapping = dict(zip(G.generators, table.generator_actions))
+    image = PermGroup(len(table), table.generator_actions)
     return image, mapping
 
 
 def core(G: PermGroup, H: PermGroup, bound=None) -> PermGroup:
     """Largest normal subgroup of G inside H.
 
-    Computed as the kernel of the coset action: the combined action on
-    original points plus coset indices is stabilized pointwise over the coset
-    block, and the surviving generators are restricted back.
+    This is the kernel of G's action on the cosets of H, and the kernel lies
+    inside H, the stabilizer of coset 0.  A faithful action (``is_faithful``)
+    gives the trivial group at once.  Otherwise H acts on the original
+    points and the coset indices together, generated by its Schreier
+    generators (``_schreier_generators``); the remaining coset points are
+    stabilized one by one, and the surviving generators are restricted back
+    to the points.  ``bound`` caps the coset count.
     """
     table = left_cosets(G, H, bound)
-    m = len(table)
-    n = G.degree
+    n, m = G.degree, len(table)
+    if m == 1:
+        return PermGroup(n, G.generators)
+    if table.is_faithful():
+        return PermGroup(n, [])
     combined = PermGroup(
         n + m,
-        [Permutation(np.concatenate([g.images, table.action_of(g).images + n]))
-         for g in G.generators],
+        [Permutation._wrap(np.concatenate([s.images, table.action_of(s).images + n]))
+         for s in _schreier_generators(table)],
     )
-    for c in range(n, n + m):
+    for c in range(n + 1, n + m):
         if all(int(g.images[c]) == c for g in combined.generators):
             continue
         combined = combined.stabilizer(c)
-    kernel_gens = [Permutation(g.images[:n]) for g in combined.generators]
-    return PermGroup(n, kernel_gens)
+    return PermGroup(n, [Permutation(g.images[:n]) for g in combined.generators])
 
 
-def _minimal_block(gens, n, a, b):
-    """Block size of the finest congruence merging points a and b (Atkinson)."""
-    parent = list(range(n))
+def _schreier_generators(table: CosetTable) -> list:
+    """Generators of H by Schreier's lemma on the coset table.
+
+    The candidates r_i * g * r_j^-1 (j the coset of r_i * g) run over cosets
+    i in index order and G's generators g in order; a candidate is kept when
+    it extends the stabilizer chain of those kept so far, until the chain
+    reaches |H|.  The result depends on G's generators and on H as a set,
+    not on how H's generators were written.
+    """
+    order = table.subgroup.order
+    chain = _Chain(table.parent.degree)
+    kept = []
+    inverses = {}
+    for i, r in enumerate(table.representatives):
+        for g, act in zip(table.parent.generators, table.generator_actions):
+            j = int(act.images[i])
+            if j not in inverses:
+                inverses[j] = table.representatives[j].inverse()
+            s = r * g * inverses[j]
+            if not s.is_identity() and chain.add_generator(s):
+                chain.complete()
+                kept.append(s)
+                if chain.order() == order:
+                    return kept
+    return kept
+
+
+def _minimal_block(gens, m: int, beta: int):
+    """Sorted points of the finest block containing 0 and beta (Atkinson).
+
+    ``gens`` are the generator actions as lists.  Union-find closure of the
+    pair under the generators; stops once the class of 0 holds more than
+    half the points, since a block's size divides m.
+    """
+    parent = list(range(m))
+    size = [1] * m
 
     def find(x):
         root = x
@@ -540,50 +635,64 @@ def _minimal_block(gens, n, a, b):
         if rx > ry:
             rx, ry = ry, rx
         parent[ry] = rx
+        size[rx] += size[ry]
         return True
 
-    queue = deque()
-    if union(a, b):
-        queue.append((a, b))
-    while queue:
+    union(0, beta)
+    queue = deque([(0, beta)])
+    while queue and size[0] * 2 <= m:
         x, y = queue.popleft()
         for g in gens:
-            gx, gy = int(g.images[x]), int(g.images[y])
+            gx, gy = g[x], g[y]
             if union(gx, gy):
                 queue.append((gx, gy))
-    root = find(a)
-    return sum(1 for x in range(n) if find(x) == root)
+    if size[0] * 2 > m:
+        return list(range(m))
+    return [x for x in range(m) if find(x) == 0]
+
+
+def _intermediate_block(table: CosetTable):
+    """A block of G's action on the cosets that lies strictly between {0}
+    and the whole coset space, or None when there is none.
+
+    Such blocks are exactly the subgroups strictly between H and G (the
+    union of the block's cosets).  The finest block through 0 and beta only
+    depends on the H-orbit of beta, so the least coset of each H-orbit
+    (suborbit) seeds one closure, in increasing order; the first proper
+    block found is returned as a sorted list of coset indices.
+    """
+    m = len(table)
+    gens = [a.images.tolist() for a in table.generator_actions]
+    h_gens = [a.images.tolist() for a in table.subgroup_image().generators]
+    seen = [False] * m
+    seen[0] = True
+    for beta in range(1, m):
+        if seen[beta]:
+            continue
+        seen[beta] = True
+        stack = [beta]
+        while stack:
+            x = stack.pop()
+            for h in h_gens:
+                y = h[x]
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        block = _minimal_block(gens, m, beta)
+        if len(block) < m:
+            return block
+    return None
 
 
 def is_maximal(G: PermGroup, H: PermGroup, bound=None) -> bool:
-    """Whether H is maximal in G.
-
-    Equivalent to primitivity of the coset action: a subgroup strictly
-    between H and G is exactly a nontrivial proper block containing the
-    trivial coset.  Representatives of H-orbits on the cosets suffice as
-    block seeds.
-    """
+    """Whether H is maximal in G: the coset action has no block strictly
+    between {0} and everything (it is primitive).  ``bound`` caps the coset
+    count."""
     if not is_subgroup(H, G):
         raise ValueError("H is not a subgroup of G")
     if H.order == G.order:
         raise ValueError("H equals G; maximality undefined")
-    table = left_cosets(G, H, bound)
-    m = len(table)
-    image_gens = [table.action_of(g) for g in G.generators]
-    h_image = PermGroup(m, [table.action_of(h) for h in H.generators])
-    seen = {0}
-    reps = []
-    for x in range(1, m):
-        if x in seen:
-            continue
-        orb = h_image.orbit(x)
-        seen |= orb
-        reps.append(min(orb))
-    for beta in reps:
-        size = _minimal_block(image_gens, m, 0, beta)
-        if 1 < size < m:
-            return False
-    return True
+    return _intermediate_block(left_cosets(G, H, bound)) is None
 
 
 def normal_closure(G: PermGroup, S, bound=None) -> PermGroup:

@@ -13,12 +13,13 @@ identity (r-2)*tiles == sum(Fix) - 2, with a tree gluing graph on demand.
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BoundExceeded
 from .groups import (
     PermGroup,
+    _intermediate_block,
     cached_classes,
     core,
     is_conjugate,
@@ -147,16 +148,19 @@ def _conjugacy_clusters(t: Triple, cap):
 
 
 def check_ff(t: Triple, bound=None) -> bool:
-    """Faithful coset actions: both cores trivial."""
-    return ff_witness(t, bound) is None
+    """Faithful coset actions: both cores trivial.
+
+    Decided by the order of each subgroup's image on its cosets; no elements
+    are enumerated, so only the index bound applies.
+    """
+    return all(left_cosets(t.G, sub).is_faithful() for sub in (t.H, t.K))
 
 
 def ff_witness(t: Triple, bound=None):
     """The offending normal subgroup (with its side) when FF fails."""
     for name, sub in (("H", t.H), ("K", t.K)):
-        c = core(t.G, sub, bound)
-        if c.order > 1:
-            return name, c
+        if not left_cosets(t.G, sub).is_faithful():
+            return name, core(t.G, sub)
     return None
 
 
@@ -166,53 +170,20 @@ def check_max(t: Triple, bound=None) -> bool:
 
 
 def max_witness(t: Triple, bound=None):
-    """An intermediate subgroup strictly between G and a side, when one exists."""
+    """An intermediate subgroup strictly between G and a side, when one exists.
+
+    The subgroup is generated by the side and the representatives of the
+    first proper block of the coset action.  Only the index bound applies.
+    """
     for name, sub in (("H", t.H), ("K", t.K)):
         if sub.order == t.G.order:
             return name, t.G
-        table = left_cosets(t.G, sub, bound)
-        m = len(table)
-        image_gens = [table.action_of(g) for g in t.G.generators]
-        h_image = PermGroup(m, [table.action_of(h) for h in sub.generators])
-        seen = {0}
-        for x in range(1, m):
-            if x in seen:
-                continue
-            orb = h_image.orbit(x)
-            seen |= orb
-            beta = min(orb)
-            block = _block_of(image_gens, m, 0, beta)
-            if 1 < len(block) < m:
-                gens = list(sub.generators) + [table.representatives[i] for i in sorted(block)]
-                return name, PermGroup(t.G.degree, gens)
+        table = left_cosets(t.G, sub)
+        block = _intermediate_block(table)
+        if block is not None:
+            gens = list(sub.generators) + [table.representatives[i] for i in block]
+            return name, PermGroup(t.G.degree, gens)
     return None
-
-
-def _block_of(gens, n, a, b):
-    """Points of the minimal block containing {a, b} (union-find closure)."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = deque()
-    ra, rb = find(a), find(b)
-    if ra != rb:
-        parent[max(ra, rb)] = min(ra, rb)
-        queue.append((a, b))
-    while queue:
-        x, y = queue.popleft()
-        for g in gens:
-            gx, gy = int(g.images[x]), int(g.images[y])
-            rx, ry = find(gx), find(gy)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-                queue.append((gx, gy))
-    root = find(a)
-    return {x for x in range(n) if find(x) == root}
 
 
 def compress(t: Triple, bound=None) -> Triple:
@@ -222,12 +193,11 @@ def compress(t: Triple, bound=None) -> Triple:
     isomorphic to the original and all properties carry over; the degree
     drops to the index [G:H].
     """
-    c = core(t.G, t.H, bound)
-    if c.order != 1:
+    table = left_cosets(t.G, t.H)
+    if not table.is_faithful():
         raise ValueError("coset action is unfaithful; cannot compress")
-    table = left_cosets(t.G, t.H, bound)
-    G2 = PermGroup(len(table), [table.action_of(g) for g in t.G.generators])
-    H2 = PermGroup(len(table), [table.action_of(h) for h in t.H.generators])
+    G2 = PermGroup(len(table), table.generator_actions)
+    H2 = table.subgroup_image()
     K2 = PermGroup(len(table), [table.action_of(k) for k in t.K.generators])
     return Triple(G2, H2, K2, label=f"{t.label or 'triple'} (coset action)")
 
@@ -358,7 +328,7 @@ def inv_witnesses(t: Triple, r: int = 3, tree_required: bool = True,
     lam = len(table)
     target = (r - 2) * lam + 2
     acted = []
-    if core(t.G, t.H).order == 1:
+    if table.is_faithful():
         for g in involutions_of(t.G, cap):
             img = table.action_of(g)
             acted.append((g, img, img.fixed_point_count()))

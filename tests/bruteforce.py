@@ -98,3 +98,35 @@ def all_subgroups(G_elements):
                 seen.add(bigger)
                 queue.append(bigger)
     return seen
+
+
+def brute_coset_table(G_gens, H_elements, base):
+    """Cosets Hg by breadth-first search over G's generators, one element
+    at a time.
+
+    The canonical member of a coset Hu is found by scanning all of H for the
+    element h * u with the least images of ``base``.  Returns the
+    representatives, the map from canonical image key to coset index, and
+    each generator's action as a list.
+    """
+    degree = G_gens[0].degree if G_gens else len(base)
+    H_elements = list(H_elements) or [Permutation.identity(degree)]
+
+    def key(u):
+        best = min((h * u for h in H_elements), key=lambda x: [int(x.images[b]) for b in base])
+        return best.key()
+
+    reps = [Permutation.identity(degree)]
+    index_of = {key(reps[0]): 0}
+    actions = [[] for _ in G_gens]
+    i = 0
+    while i < len(reps):
+        for j, g in enumerate(G_gens):
+            r2 = reps[i] * g
+            k = key(r2)
+            if k not in index_of:
+                index_of[k] = len(reps)
+                reps.append(r2)
+            actions[j].append(index_of[k])
+        i += 1
+    return reps, index_of, actions

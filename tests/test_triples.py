@@ -168,6 +168,18 @@ def test_check_ff(psl32, a4_triple):
     assert side == "K" and sub.order == 4
 
 
+def test_ff_witness_generators_pinned():
+    # regression pin of the reported core generators; they are Schreier
+    # generators of H along the coset table, so rewriting H's generators
+    # does not change them
+    G = S4()
+    pinned = ["(0 3)(1 2)", "(0 2)(1 3)"]
+    for d8 in (["(0 1 2 3)", "(0 2)"], ["(0 2)", "(1 3)", "(0 1)(2 3)"]):
+        D8 = PermGroup(4, [parse_cycles(c, 4) for c in d8])
+        side, sub = ff_witness(Triple(G, D8, D8))
+        assert side == "H" and [str(g) for g in sub.generators] == pinned
+
+
 def test_ff_self():
     G = S4()
     t = Triple(G, G, G)
@@ -180,6 +192,19 @@ def test_check_max(psl32, a4_triple):
     side, sub = max_witness(a4_triple)
     assert side == "H"
     assert t_strictly_between(a4_triple.G, a4_triple.H, sub)
+
+
+def test_ff_max_ignore_enumeration_bound():
+    # FF and MAX enumerate no elements: an enumeration bound of 5 must not
+    # cap the 7 cosets (a fresh triple, so no coset table is cached yet)
+    from isodrum.catalog import psl_triple
+
+    t = psl_triple(3, 2)
+    assert check_ff(t, bound=5) and ff_witness(t, bound=5) is None
+    assert check_max(t, bound=5) and max_witness(t, bound=5) is None
+    assert compress(t, bound=5).G.degree == 7
+    with pytest.raises(BoundExceeded):
+        is_ac(t, bound=5)  # AC does enumerate, so the bound still applies
 
 
 def t_strictly_between(G, H, M):
