@@ -9,6 +9,7 @@ this module is exact; no floating point.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import BoundExceeded, SpecFormatError
 from .groups import PermGroup, left_cosets
-from .limits import OKADA_SHUDO_NMAX, enumeration_bound
+from .limits import OKADA_SHUDO_NMAX
 from .permutations import Permutation
 
 
@@ -243,54 +244,28 @@ def _combine(basis, coeffs, n):
     return out
 
 
-def _characters_match(A: InvolutionSystem, B: InvolutionSystem, cap) -> bool | None:
-    """Whether the two actions have equal permutation characters.
-
-    Builds the isomorphism generated by matching colors over the closure of
-    the first gluing group; returns None when the closure exceeds the cap
-    (undecided), False on any inconsistency or fixed-count mismatch.
-    """
-    n = A.n_tiles
-    ident = Permutation.identity(n)
-    mapping = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            img = mapping[w.key()]
-            for a, b in zip(A.perms, B.perms):
-                w2 = w * a
-                img2 = img * b
-                known = mapping.get(w2.key())
-                if known is None:
-                    if len(mapping) > cap:
-                        return None
-                    mapping[w2.key()] = img2
-                    nxt.append(w2)
-                elif known != img2:
-                    return False
-        frontier = nxt
-    images = {}
-    for wkey, img in mapping.items():
-        if img.key() in images:
-            return False
-        images[img.key()] = wkey
-    for wkey, img in mapping.items():
-        w_fix = sum(1 for x, y in enumerate(np.frombuffer(wkey, dtype=">i4")) if x == y)
-        if w_fix != img.fixed_point_count():
-            return False
-    return True
-
-
-def find_transplantation(A: InvolutionSystem, B: InvolutionSystem,
-                         coeff_bound: int = 3, combo_cap: int = 100_000):
+def find_transplantation(A: InvolutionSystem, B: InvolutionSystem):
     """Solve T*M = N*T exactly over the rationals.
 
     Returns None when the solution space is zero, otherwise a
-    TransplantationSolution.  The invertibility search tries basis vectors,
-    then small integer combinations in a fixed order; when the search is
-    exhausted the certificate distinguishes a proved character mismatch from
-    a capped search.
+    TransplantationSolution whose certificate says how invertibility was
+    decided:
+
+    - ``basis[k]``: basis vector k has nonzero determinant; basis vectors
+      are tried in order.
+    - ``proved-singular-by-character-mismatch``: the two permutation
+      representations are not isomorphic, since dim End(A), dim Hom(A, B)
+      and dim End(B) are not all equal, so every solution is singular.
+    - ``combination(c_0, ..., c_d-1)``: the dimensions are equal, so the
+      representations are isomorphic and an invertible solution exists
+      (Band-Parzanchevski-Ben-Shach 2009); this combination of the basis,
+      with coefficients drawn from S = {1, ..., 10n} by a fixed-seed
+      generator, has nonzero determinant.  The determinant is a nonzero
+      polynomial of degree n in the coefficients, so a draw fails with
+      probability at most n/|S| = 1/10 (Schwartz-Zippel) and is redrawn,
+      up to 64 draws.
+
+    Every invertible certificate is an exact nonzero determinant over Z.
     """
     if A.n_tiles != B.n_tiles or A.r != B.r:
         raise ValueError("dimension mismatch between systems")
@@ -299,50 +274,28 @@ def find_transplantation(A: InvolutionSystem, B: InvolutionSystem,
     if not basis:
         return None
     perm_sol = detect_isometry(A, B)
-    # single basis vectors first
+
+    def solution(mat, invertible, certificate):
+        T = _as_fraction_matrix(mat)
+        assert not invertible or verify_intertwiner(T, A, B)
+        return TransplantationSolution(T=T, solution_basis=basis, invertible=invertible,
+                                       permutation_solution=perm_sol, certificate=certificate)
+
     for k, mat in enumerate(basis):
         if _int_det(mat) != 0:
-            T = _as_fraction_matrix(mat)
-            assert verify_intertwiner(T, A, B)
-            return TransplantationSolution(
-                T=T,
-                solution_basis=basis,
-                invertible=True,
-                permutation_solution=perm_sol,
-                certificate=f"basis[{k}]",
-            )
+            return solution(mat, True, f"basis[{k}]")
     d = len(basis)
-    tried = 0
-    coeff_values = list(range(-coeff_bound, coeff_bound + 1))
-    for coeffs in itertools.product(coeff_values, repeat=d):
-        if all(c == 0 for c in coeffs):
-            continue
-        tried += 1
-        if tried > combo_cap:
-            break
+    dims = {d, len(intertwiner_basis(A.perms, A.perms, n)),
+            len(intertwiner_basis(B.perms, B.perms, n))}
+    if len(dims) > 1:
+        return solution(basis[0], False, "proved-singular-by-character-mismatch")
+    rng = random.Random(0)
+    for _ in range(64):
+        coeffs = tuple(rng.randint(1, 10 * n) for _ in range(d))
         cand = _combine(basis, coeffs, n)
         if _int_det(cand) != 0:
-            T = _as_fraction_matrix(cand)
-            assert verify_intertwiner(T, A, B)
-            return TransplantationSolution(
-                T=T,
-                solution_basis=basis,
-                invertible=True,
-                permutation_solution=perm_sol,
-                certificate=f"combination{coeffs}",
-            )
-    match = _characters_match(A, B, cap=10**6)
-    if match is False:
-        certificate = "proved-singular-by-character-mismatch"
-    else:
-        certificate = f"search-exhausted(coeffs in [-{coeff_bound},{coeff_bound}], cap {combo_cap})"
-    return TransplantationSolution(
-        T=_as_fraction_matrix(basis[0]),
-        solution_basis=basis,
-        invertible=False,
-        permutation_solution=perm_sol,
-        certificate=certificate,
-    )
+            return solution(cand, True, f"combination{coeffs}")
+    raise AssertionError("equal intertwiner dimensions but no invertible combination")
 
 
 def _as_fraction_matrix(mat):

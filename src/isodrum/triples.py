@@ -1,4 +1,4 @@
-"""Triples (G, H, K) and their properties.
+r"""Triples (G, H, K) and their properties.
 
 AC: every conjugacy class of G meets H and K in equally many elements.
 EC: every element of H is G-conjugate into K and vice versa.
@@ -8,6 +8,14 @@ PAIR: an automorphism swaps H and K with inner square on H; the weak form
 only compares orders.
 INV: r generating involutions of the coset action satisfy the fixed-point
 identity (r-2)*tiles == sum(Fix) - 2, with a tree gluing graph on demand.
+
+AC, FF and MAX are decided on the coset tables of H and K, capped by the
+index bound only: AC by equal double-coset counts |H\G/H| == |H\G/K| ==
+|K\G/K| (equal permutation characters), FF by the order of each
+subgroup's image, MAX by block closure.  EC follows from AC; when AC fails,
+each class representative of one side must fix a coset of the other.  G's
+conjugacy classes are built only for the AC-failure witness
+(``ac_profile``) and ``permutation_character``.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from .groups import (
     _intermediate_block,
     cached_classes,
     core,
-    is_conjugate,
     is_subgroup,
     left_cosets,
     same_group,
@@ -67,84 +74,52 @@ def ac_profile(t: Triple, bound=None):
     return [(rep, ch.get(i, 0), ck.get(i, 0)) for i, rep in enumerate(classes.reps)]
 
 
+def rank(G: PermGroup, A: PermGroup, B: PermGroup) -> int:
+    r"""|A\G/B|: the number of orbits of B on the cosets of A."""
+    table = left_cosets(G, A)
+    return len(PermGroup(len(table), [table.action_of(b) for b in B.generators]).orbits())
+
+
 def is_ac(t: Triple, bound=None) -> bool:
-    """Almost conjugate: classwise counts in H and K agree."""
-    cap = enumeration_bound(bound)
-    if t.H.order > cap or t.K.order > cap:
-        raise BoundExceeded("subgroup order exceeds enumeration bound")
+    r"""Almost conjugate: equal permutation characters 1_H^G == 1_K^G.
+
+    By Frobenius reciprocity <1_H^G, 1_K^G> = |H\G/K|, and by
+    Cauchy-Schwarz the characters agree exactly when the three ranks
+    |H\G/H|, |H\G/K| and |K\G/K| are equal.  Each rank counts orbits on a
+    coset table, so no elements are enumerated and only the index bound
+    applies.
+    """
     if t.H.order != t.K.order:
         return False
-    if t.G.order <= cap:
-        return all(nh == nk for _, nh, nk in ac_profile(t, cap))
-    clusters = _conjugacy_clusters(t, cap)
-    return all(sum(h for h, _ in items) == sum(k for _, k in items) for items in clusters)
+    return rank(t.G, t.H, t.H) == rank(t.G, t.H, t.K) == rank(t.G, t.K, t.K)
+
+
+def _conjugate_into(G: PermGroup, g: Permutation, K: PermGroup) -> bool:
+    """Whether some G-conjugate of g lies in K, i.e. g fixes a coset Kx."""
+    return left_cosets(G, K).action_of(g).fixed_point_count() > 0
 
 
 def is_ec(t: Triple, bound=None) -> bool:
-    """Elementwise conjugate in both directions."""
-    cap = enumeration_bound(bound)
-    if t.H.order > cap or t.K.order > cap:
-        raise BoundExceeded("subgroup order exceeds enumeration bound")
-    if same_group(t.H, t.K):
+    """Elementwise conjugate in both directions.
+
+    AC implies EC.  Otherwise every class representative of H must fix a
+    coset of K and vice versa; this enumerates H and K (enumeration bound)
+    but never G.
+    """
+    if same_group(t.H, t.K) or is_ac(t):
         return True
-    if t.G.order <= cap:
-        classes = cached_classes(t.G, cap)
-        hcl = {classes.index_of(h) for h in t.H.elements(cap)}
-        kcl = {classes.index_of(k) for k in t.K.elements(cap)}
-        return hcl == kcl
-    clusters = _conjugacy_clusters(t, cap)
-    return all((sum(h for h, _ in items) > 0) == (sum(k for _, k in items) > 0)
-               for items in clusters)
+    cap = enumeration_bound(bound)
+    return all(_conjugate_into(t.G, rep, other)
+               for sub, other in ((t.H, t.K), (t.K, t.H))
+               for rep in cached_classes(sub, cap).reps)
 
 
 def ec_witness_element(t: Triple, bound=None):
     """Least element of H not conjugate into K, or of K not into H; None if EC."""
     cap = enumeration_bound(bound)
-    classes = cached_classes(t.G, cap)
-    hcl = {}
-    for h in sorted(t.H.elements(cap)):
-        hcl.setdefault(classes.index_of(h), h)
-    kcl = {}
-    for k in sorted(t.K.elements(cap)):
-        kcl.setdefault(classes.index_of(k), k)
-    bad = [hcl[i] for i in hcl if i not in kcl] + [kcl[i] for i in kcl if i not in hcl]
-    return min(bad) if bad else None
-
-
-def _conjugacy_clusters(t: Triple, cap):
-    """Merge the H- and K-classes that are conjugate in G.
-
-    Used when G itself is too large to enumerate.  Returns, per G-cluster,
-    the list of (h_size, k_size) contributions.
-    """
-    hc = cached_classes(t.H, cap)
-    kc = cached_classes(t.K, cap)
-    items = [(rep, size, 0) for rep, size in zip(hc.reps, hc.sizes)]
-    items += [(rep, size, 1) for rep, size in zip(kc.reps, kc.sizes)]
-    parent = list(range(len(items)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_type = {}
-    for idx, (rep, _, _) in enumerate(items):
-        by_type.setdefault(rep.cycle_type(), []).append(idx)
-    for bucket in by_type.values():
-        for a_pos in range(len(bucket)):
-            for b_pos in range(a_pos + 1, len(bucket)):
-                ia, ib = bucket[a_pos], bucket[b_pos]
-                if find(ia) == find(ib):
-                    continue
-                if is_conjugate(t.G, items[ia][0], items[ib][0], cap) is not None:
-                    parent[find(ib)] = find(ia)
-    clusters = {}
-    for idx, (_, size, side) in enumerate(items):
-        entry = clusters.setdefault(find(idx), [])
-        entry.append((size, 0) if side == 0 else (0, size))
-    return list(clusters.values())
+    bad = [next((x for x in sorted(sub.elements(cap)) if not _conjugate_into(t.G, x, other)), None)
+           for sub, other in ((t.H, t.K), (t.K, t.H))]
+    return min((x for x in bad if x is not None), default=None)
 
 
 def check_ff(t: Triple, bound=None) -> bool:
@@ -437,7 +412,7 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3,
         if prof:
             rep, nh, nk = prof[0]
             witnesses["ac"] = f"class of {rep} meets H {nh} times, K {nk} times"
-    if not ec and t.G.order <= enumeration_bound(bound):
+    if not ec:
         w = ec_witness_element(t, bound)
         if w is not None:
             witnesses["ec"] = f"element {w} conjugate into one side only"

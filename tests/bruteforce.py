@@ -5,6 +5,7 @@ agreement with the library is a meaningful check.
 """
 
 from collections import deque
+from fractions import Fraction
 
 from isodrum.permutations import Permutation
 
@@ -75,6 +76,60 @@ def brute_is_ac(G_elements, H_elements, K_elements):
         if len(cls & hset) != len(cls & kset):
             return False
     return True
+
+
+def brute_double_coset_count(G_elements, A_gens, B_gens):
+    """|A\\G/B|: orbits of x -> a * x and x -> x * b on the elements of G,
+    for a and b running over generators of A and B."""
+    left = set(G_elements)
+    count = 0
+    while left:
+        count += 1
+        frontier = [left.pop()]
+        while frontier:
+            x = frontier.pop()
+            for y in [a * x for a in A_gens] + [x * b for b in B_gens]:
+                if y in left:
+                    left.remove(y)
+                    frontier.append(y)
+    return count
+
+
+def brute_same_character(A_perms, B_perms):
+    """Whether two colorwise-matched permutation actions on n points have
+    equal characters, i.e. are isomorphic representations.
+
+    Closes the paired generators a_mu (+) b_mu on 2n points and compares the
+    fixed-point counts of the two halves on every element of the closure.
+    """
+    n = A_perms[0].degree
+    paired = [Permutation([int(x) for x in a.images] + [n + int(x) for x in b.images])
+              for a, b in zip(A_perms, B_perms)]
+    for w in mulclose(paired):
+        fixed = [int(w.images[i]) == i for i in range(2 * n)]
+        if sum(fixed[:n]) != sum(fixed[n:]):
+            return False
+    return True
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return det
 
 
 def all_subgroups(G_elements):

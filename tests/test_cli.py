@@ -195,6 +195,26 @@ def test_construct_type2_and_type3_via_files(tmp_path, capsys, a5_group):
     assert built3.G.order == 60**4 * 8 and built3.H.order == 60**2 * 8
 
 
+def test_verify_type3_decides_ac(tmp_path, capsys, a5_group):
+    # |G| = 60^4 * 8 is far above the enumeration bound; AC is three
+    # double-coset counts on the index-3600 coset tables
+    from isodrum.constructions import diagonal_subgroup, _direct_power_group
+    from isodrum.triples import Triple
+
+    diag = diagonal_subgroup(a5_group, 2)
+    spec = tmp_path / "a5sq.spec"
+    spec.write_text(format_triple_spec(Triple(_direct_power_group(a5_group, 2), diag, diag)))
+    out = tmp_path / "t3.spec"
+    assert main(["construct", "--spec", str(spec), "--type", "3", "--l", "2", "--k", "2",
+                 "--top-degree", "4", "--top-gens", "[(1 2), (3 4), (1 3)(2 4)]",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["verify", str(out), "--props", "ac,ec,ff,max", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["ac"] is True and data["ec"] and data["ff"] and data["max"]
+
+
 def test_gww_equilateral_geometry(tmp_path, capsys):
     outdir = tmp_path / "eq"
     rc = main(["gww", "--tile", "equilateral", "--outdir", str(outdir)])

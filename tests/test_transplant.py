@@ -23,6 +23,8 @@ from isodrum.transplant import (
 )
 from isodrum.triples import Triple, inv_witnesses, is_ac
 
+from bruteforce import fraction_det
+
 
 def single_tile(r=3):
     return InvolutionSystem(1, r, tuple(Permutation.identity(1) for _ in range(r)))
@@ -172,7 +174,40 @@ def test_mismatched_systems_not_equivalent(gww_pair):
     sol = find_transplantation(a, chain)
     assert sol is None or not sol.invertible
     if sol is not None:
-        assert "character" in sol.certificate or "search" in sol.certificate
+        assert sol.certificate == "proved-singular-by-character-mismatch"
+
+
+def test_combination_certificate_when_no_basis_matrix_is_invertible(gww_pair, monkeypatch):
+    # no known pair lacks an invertible basis matrix, so report every basis
+    # matrix, and the first combination drawn, as singular to reach the
+    # random-combination branch and its redraw
+    import ast
+
+    from isodrum import transplant
+
+    a, b = gww_pair
+    basis = intertwiner_basis(a.perms, b.perms, a.n_tiles)
+    real_det = transplant._int_det
+    draws = []
+
+    def det(rows):
+        rows = tuple(map(tuple, rows))
+        if rows in basis:
+            return 0
+        draws.append(rows)
+        return 0 if len(draws) == 1 else real_det(rows)
+
+    monkeypatch.setattr(transplant, "_int_det", det)
+    sol = find_transplantation(a, b)
+    assert sol.invertible and sol.certificate.startswith("combination(")
+    assert len(draws) >= 2 and tuple(tuple(int(x) for x in row) for row in sol.T) != draws[0]
+    coeffs = ast.literal_eval(sol.certificate[len("combination"):])
+    assert len(coeffs) == len(basis) == 2 and all(c != 0 for c in coeffs)
+    expected = [[sum(c * m[i][j] for c, m in zip(coeffs, basis)) for j in range(7)]
+                for i in range(7)]
+    assert [[int(x) for x in row] for row in sol.T] == expected
+    assert verify_intertwiner(sol.T, a, b)
+    assert fraction_det(sol.T) != 0
 
 
 def test_detect_isometry_identity_and_relabel(gww_pair):
