@@ -276,17 +276,27 @@ class PermGroup:
         H._chain = sub
         return H
 
-    def elements(self, bound=None):
-        """All elements, by chain traversal.  Raises BoundExceeded when large."""
+    def element_rows(self, bound=None) -> np.ndarray:
+        """All elements as an (order, degree) array of image rows.
+
+        Chain traversal from the deepest level up: each level multiplies
+        every row e built so far by each transversal element u (orbit
+        points in increasing order) in one batch, giving one block of rows
+        e * u per u.  Raises BoundExceeded when the order exceeds the
+        enumeration bound.
+        """
         cap = enumeration_bound(bound)
         if self.order > cap:
             raise BoundExceeded(f"group order {self.order} exceeds bound {cap}")
-        chain = self.chain()
-        elems = [self.identity]
-        for lvl in reversed(chain.levels):
-            transversal = [lvl.transversal(p) for p in sorted(lvl.sv)]
-            elems = [e * u for u in transversal for e in elems]
-        return elems
+        n = self.degree
+        rows = np.arange(n, dtype=np.int32)[None, :]
+        for lvl in reversed(self.chain().levels):
+            rows = lvl.orbit_rows()[1][:, rows].reshape(-1, n)
+        return rows
+
+    def elements(self, bound=None):
+        """All elements, as Permutations in ``element_rows`` order."""
+        return [Permutation._wrap(r) for r in self.element_rows(bound)]
 
     def random_element(self, rng) -> Permutation:
         """Uniform element: one transversal factor per level of the chain."""

@@ -2,8 +2,10 @@
 
 The enumeration bound caps any computation that lists group elements:
 conjugacy classes, EC when AC fails (the classes of H and K), the AC and EC
-witnesses, automorphism verification for PAIR, and the involutions for INV.
-The index bound caps coset enumerations, so it alone caps AC, FF and MAX.
+witnesses, the inner-square search of PAIR (which lists H only; the swap
+automorphism itself is verified without listing elements), and the
+involutions for INV.  The index bound caps coset enumerations, so it alone
+caps AC, FF and MAX.
 The involution search bound caps the number of generator subsets examined
 by the involution-system search.  ``GF_BOUND`` in the environment overrides
 the enumeration bound.

@@ -346,8 +346,19 @@ def detect_isometry(A: InvolutionSystem, B: InvolutionSystem):
 
 
 def involutions_of(G: PermGroup, bound=None):
-    """Order-2 elements of G, sorted by image key."""
-    return sorted(p for p in G.elements(bound) if p.order() == 2)
+    """Order-2 elements of G, sorted by image key.
+
+    Squares every row of ``G.element_rows`` in one batch and keeps the
+    non-identity rows whose square is the identity; the rows are sorted
+    lexicographically (the ``Permutation.key()`` order) before wrapping.
+    """
+    rows = G.element_rows(bound)
+    ident = np.arange(G.degree, dtype=rows.dtype)
+    invs = rows[(np.take_along_axis(rows, rows, axis=1) == ident).all(axis=1)
+                & (rows != ident).any(axis=1)]
+    if not len(invs):
+        return []
+    return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
 
 
 def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):

@@ -15,7 +15,8 @@ index bound only: AC by equal double-coset counts |H\G/H| == |H\G/K| ==
 subgroup's image, MAX by block closure.  EC follows from AC; when AC fails,
 each class representative of one side must fix a coset of the other.  G's
 conjugacy classes are built only for the AC-failure witness
-(``ac_profile``) and ``permutation_character``.
+(``ac_profile``) and ``permutation_character``.  PAIR verifies the swap
+automorphism by the order of its graph subgroup and lists only H.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BoundExceeded
 from .groups import (
@@ -189,12 +192,20 @@ def permutation_character(G: PermGroup, H: PermGroup, bound=None):
     return out
 
 
-def verify_automorphism(G: PermGroup, images, bound=None):
-    """Extend generator images to a full automorphism, or raise ValueError.
+def verify_automorphism(G: PermGroup, images):
+    """Extend generator images to an automorphism sigma, or raise ValueError.
 
-    Closes the generated multiplication table, checking consistency at every
-    product; bijectivity follows from the image count.  Returns the element
-    map as a dict keyed by element.
+    The graph subgroup D = <(g_i, sigma_i)> acts on 2n points, g_i on the
+    first n and its image sigma_i on the last n.  Projecting D onto its
+    first half maps it onto G with kernel {(1, y)} in D, so the images
+    define a homomorphism exactly when |D| == |G|; it is then bijective
+    exactly when the images generate a group of order |G|.  No elements
+    are enumerated.
+
+    Returns sigma as a function on the elements of G.  Since D meets
+    {(1, y)} trivially, every base point of D's chain lies in the first
+    half, so sifting (x, 1) through the chain leaves a residue (1, y) with
+    sigma(x) == y^-1.
     """
     images = list(images)
     if len(images) != len(G.generators):
@@ -204,47 +215,44 @@ def verify_automorphism(G: PermGroup, images, bound=None):
             raise ValueError("image degree mismatch")
         if im not in G:
             raise ValueError("image is not a member of the group")
-    cap = enumeration_bound(bound)
-    if G.order > cap:
-        raise BoundExceeded("automorphism verification needs full enumeration")
-    ident = G.identity
-    mapping = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            img = mapping[w.key()]
-            for g, gim in zip(G.generators, images):
-                w2 = w * g
-                img2 = img * gim
-                known = mapping.get(w2.key())
-                if known is None:
-                    mapping[w2.key()] = img2
-                    nxt.append(w2)
-                elif known != img2:
-                    raise ValueError("generator images do not define a homomorphism")
-        frontier = nxt
-    if len(mapping) != G.order:
-        raise ValueError("map does not cover the group")
-    if len({img.key() for img in mapping.values()}) != G.order:
+    n = G.degree
+    ident = np.arange(n, dtype=np.int32)
+    graph = PermGroup(2 * n, [Permutation._wrap(np.concatenate([g.images, im.images + n]))
+                              for g, im in zip(G.generators, images)])
+    if graph.order != G.order:
+        raise ValueError("generator images do not define a homomorphism")
+    if PermGroup(n, images).order != G.order:
         raise ValueError("generator images define a non-bijective map")
-    return mapping
+    chain = graph.chain()
+
+    def sigma(x: Permutation) -> Permutation:
+        _, residue = chain.sift(Permutation._wrap(np.concatenate([x.images, ident + n])))
+        if residue is None:
+            return G.identity
+        if not (residue.images[:n] == ident).all():
+            raise ValueError("element is not a member of the group")
+        return Permutation._wrap(residue.images[n:] - n).inverse()
+
+    return sigma
 
 
 def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
-    """PAIR: confirmed via a verified swap automorphism, else the order test."""
+    """PAIR: confirmed via a verified swap automorphism, else the order test.
+
+    The search for an inner square lists H only, so ``bound`` caps |H|.
+    """
     if candidate is None:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
-    mapping = verify_automorphism(t.G, candidate, bound)
-    sigma = lambda p: mapping[p.key()]
+    sigma = verify_automorphism(t.G, candidate)
     maps_h_to_k = (t.H.order == t.K.order
                    and all(sigma(h) in t.K for h in t.H.generators))
     if not maps_h_to_k:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
     cap = enumeration_bound(bound)
     hgens = t.H.generators if t.H.generators else (t.G.identity,)
+    squares = [sigma(sigma(h)) for h in hgens]
     for h0 in sorted(t.H.elements(cap)):
-        if all(sigma(sigma(h)) == h.conjugate_by(h0) for h in hgens):
+        if all(sq == h.conjugate_by(h0) for h, sq in zip(hgens, squares)):
             return PairStatus.CONFIRMED
     return PairStatus.WEAK_EVIDENCE
 

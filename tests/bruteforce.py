@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to check the chain-based algorithms.
 
-Everything here enumerates naively and never touches stabilizer chains, so
-agreement with the library is a meaningful check.
+Everything here enumerates naively and, apart from ``brute_elements``
+(which pins the order in which the library lists a group), never touches
+stabilizer chains, so agreement with the library is a meaningful check.
 """
 
 from collections import deque
@@ -29,6 +30,56 @@ def mulclose(gens, maxsize=None):
                         raise RuntimeError("closure exceeded maxsize")
         frontier = new
     return els
+
+
+def brute_elements(G):
+    """G's elements in the library's listing order, one product at a time.
+
+    Walks the stabilizer chain from the deepest level up; each level
+    multiplies every element built so far by each transversal element,
+    orbit points in increasing order.
+    """
+    elems = [Permutation.identity(G.degree)]
+    for lvl in reversed(G.chain().levels):
+        transversal = [lvl.transversal(p) for p in sorted(lvl.sv)]
+        elems = [e * u for u in transversal for e in elems]
+    return elems
+
+
+def brute_involutions(elements):
+    """The elements p with p * p == 1 != p, sorted by image key."""
+    return sorted(p for p in elements if (p * p).is_identity() and not p.is_identity())
+
+
+def brute_automorphism(degree, gens, images):
+    """Extend generator images to an element map by closing the
+    multiplication table, or raise ValueError.
+
+    Every product w * g is paired with mapping[w] * image(g); a word reached
+    twice with two different images means the images define no
+    homomorphism, and fewer distinct images than elements means the map is
+    not bijective.  Returns the map as a dict keyed by element.
+    """
+    ident = Permutation.identity(degree)
+    mapping = {ident: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            img = mapping[w]
+            for g, gim in zip(gens, images):
+                w2 = w * g
+                img2 = img * gim
+                known = mapping.get(w2)
+                if known is None:
+                    mapping[w2] = img2
+                    nxt.append(w2)
+                elif known != img2:
+                    raise ValueError("generator images do not define a homomorphism")
+        frontier = nxt
+    if len(set(mapping.values())) != len(mapping):
+        raise ValueError("generator images define a non-bijective map")
+    return mapping
 
 
 def brute_conjugators(elements, a, b):

@@ -84,9 +84,9 @@ def test_duality_squares_to_inner(psl32):
     from isodrum.triples import verify_automorphism
 
     cand = duality_automorphism(3, 2)
-    mapping = verify_automorphism(psl32.G, cand)
+    sigma = verify_automorphism(psl32.G, cand)
     for g in psl32.G.generators:
-        assert mapping[mapping[g.key()].key()] == g  # the square is the identity map
+        assert sigma(sigma(g)) == g  # the square is the identity map
 
 
 def test_point_and_hyperplane_stabilizers_not_conjugate(psl32):

@@ -249,8 +249,9 @@ def test_verify_automorphism_inner():
     G = S4()
     g = parse_cycles("(0 1 2 3)", 4)
     images = [h.conjugate_by(g) for h in G.generators]
-    mapping = verify_automorphism(G, images)
-    assert len(mapping) == G.order
+    sigma = verify_automorphism(G, images)
+    for x in G.elements():
+        assert sigma(x) == x.conjugate_by(g)
 
 
 def test_check_inv_psl(psl32):
