@@ -216,7 +216,7 @@ class PermGroup:
         return self.order == 1
 
     def is_transitive(self) -> bool:
-        return self.degree > 0 and len(self.orbit(0)) == self.degree
+        return is_transitive_on(self.degree, [g.images for g in self.generators])
 
     def orbit(self, x: int) -> frozenset:
         if not 0 <= x < self.degree:
@@ -309,6 +309,32 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
+
+
+def is_transitive_on(degree: int, rows) -> bool:
+    """Whether permutations of 0..degree-1, given as image rows, generate a
+    transitive group.
+
+    One search from point 0 over the rows as lists; no group or chain is
+    built, so the test is cheap enough to run on every candidate of a
+    search.
+    """
+    if degree == 0:
+        return False
+    rows = np.asarray(rows).reshape(-1, degree).tolist()
+    seen = [False] * degree
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        p = stack.pop()
+        for row in rows:
+            q = row[p]
+            if not seen[q]:
+                seen[q] = True
+                count += 1
+                stack.append(q)
+    return count == degree
 
 
 def build_chain(G: PermGroup) -> PermGroup:

@@ -137,6 +137,30 @@ def rasterize(poly, h) -> GridMask:
     return GridMask(h, i_min, j_min, cells)
 
 
+def _dirichlet_laplacian(mask: GridMask):
+    """The 5-point Dirichlet Laplacian on the occupied nodes, scaled by 1/h^2.
+
+    Node k is the k-th occupied cell in ``np.nonzero`` order.  The entries
+    are listed node by node, the diagonal first and then the up, down, left
+    and right neighbors that are occupied; missing neighbors contribute zero
+    (the Dirichlet condition).  All nodes are handled in one batch; the
+    entries come in the order a node-by-node loop emits them, so the CSR
+    arrays, and with them the eigenvalues, equal the loop's bit for bit.
+    """
+    n = mask.occupied_count
+    ci, cj = np.nonzero(mask.cells)
+    idx = -np.ones((mask.cells.shape[0] + 2, mask.cells.shape[1] + 2), dtype=np.int64)
+    idx[ci + 1, cj + 1] = np.arange(n)
+    cols = np.stack([idx[ci + 1, cj + 1], idx[ci, cj + 1], idx[ci + 2, cj + 1],
+                     idx[ci + 1, cj], idx[ci + 1, cj + 2]], axis=1)
+    h2 = float(mask.h) ** 2
+    vals = np.full(cols.shape, -1.0 / h2)
+    vals[:, 0] = 4.0 / h2
+    keep = cols >= 0
+    rows = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], cols.shape)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+
+
 def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
                           maxiter: int = 5000) -> SpectrumResult:
     """k smallest eigenvalues of the 5-point Dirichlet Laplacian on the mask.
@@ -148,22 +172,7 @@ def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
     n = mask.occupied_count
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n} occupied nodes")
-    idx = -np.ones(mask.cells.shape, dtype=np.int64)
-    pts = np.nonzero(mask.cells)
-    idx[pts] = np.arange(n)
-    rows, cols, vals = [], [], []
-    h2 = float(mask.h) ** 2
-    for ci, cj in zip(*pts):
-        me = idx[ci, cj]
-        rows.append(me)
-        cols.append(me)
-        vals.append(4.0 / h2)
-        for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
-            if 0 <= ni < idx.shape[0] and 0 <= nj < idx.shape[1] and idx[ni, nj] >= 0:
-                rows.append(me)
-                cols.append(idx[ni, nj])
-                vals.append(-1.0 / h2)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    A = _dirichlet_laplacian(mask)
     if k >= n - 1:
         vals = np.linalg.eigvalsh(A.toarray())
         eigs = vals[:k]

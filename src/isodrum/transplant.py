@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BoundExceeded, SpecFormatError
-from .groups import PermGroup, left_cosets
+from .groups import PermGroup, is_transitive_on, left_cosets
 from .limits import OKADA_SHUDO_NMAX
 from .permutations import Permutation
 
@@ -39,7 +39,7 @@ class InvolutionSystem:
                 raise ValueError("tile count mismatch")
             if not (p * p).is_identity():
                 raise ValueError("side permutation is not an involution")
-        if not PermGroup(self.n_tiles, self.perms).is_transitive():
+        if not is_transitive_on(self.n_tiles, [p.images for p in self.perms]):
             raise ValueError("gluing system is not transitive on tiles")
 
     def matrices(self):
@@ -124,7 +124,7 @@ def schreier_system(G: PermGroup, gens) -> InvolutionSystem:
             raise ValueError("generator is not a member of the acting group")
         if not (g * g).is_identity():
             raise ValueError("generator is not an involution")
-    if not PermGroup(G.degree, gens).is_transitive():
+    if not is_transitive_on(G.degree, [g.images for g in gens]):
         raise ValueError("involutions do not generate a transitive group")
     return InvolutionSystem(G.degree, len(gens), gens)
 
@@ -345,14 +345,16 @@ def detect_isometry(A: InvolutionSystem, B: InvolutionSystem):
     return None
 
 
-def involutions_of(G: PermGroup, bound=None):
+def involutions_of(G: PermGroup, bound=None, rows=None):
     """Order-2 elements of G, sorted by image key.
 
-    Squares every row of ``G.element_rows`` in one batch and keeps the
-    non-identity rows whose square is the identity; the rows are sorted
-    lexicographically (the ``Permutation.key()`` order) before wrapping.
+    Squares every row of ``G.element_rows(bound)`` (or of ``rows``, when the
+    caller has already built them) in one batch and keeps the non-identity
+    rows whose square is the identity; the rows are sorted lexicographically
+    (the ``Permutation.key()`` order) before wrapping.
     """
-    rows = G.element_rows(bound)
+    if rows is None:
+        rows = G.element_rows(bound)
     ident = np.arange(G.degree, dtype=rows.dtype)
     invs = rows[(np.take_along_axis(rows, rows, axis=1) == ident).all(axis=1)
                 & (rows != ident).any(axis=1)]
@@ -361,13 +363,51 @@ def involutions_of(G: PermGroup, bound=None):
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
 
 
+def _conjugation_action(G: PermGroup, rows, invs):
+    """Array c with c[e, i] the index in ``invs`` of e^-1 * invs[i] * e, for
+    every element e of G given as a row of ``rows``.
+
+    ``invs`` must be closed under conjugation.  An element of G is fixed by
+    its images of the base of G's chain, so each conjugate is matched to its
+    involution by those images alone, all at once.
+    """
+    base = np.array(G.chain().base(), dtype=np.intp)
+    inv_rows = np.stack([p.images for p in invs])
+    pre = np.argsort(rows, axis=1)[:, base]  # e^-1 of each base point
+    # conjugate(e, i) maps base point b to e(invs[i](e^-1(b)))
+    images = rows[np.arange(len(rows))[None, :, None], inv_rows[:, pre]]
+    keys = np.concatenate([inv_rows[:, base], images.reshape(-1, len(base))])
+    ids = np.zeros(len(keys), dtype=np.int64)
+    for column in keys.T:  # rank the base-image tuples one coordinate at a time
+        ids = np.unique(ids * G.degree + column, return_inverse=True)[1].reshape(-1)
+    index_of = np.empty(len(invs), dtype=np.intp)
+    index_of[ids[:len(invs)]] = np.arange(len(invs))
+    return index_of[ids[len(invs):]].reshape(len(invs), len(rows)).T
+
+
 def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
     """Transplantable nonisometric tree-system pairs from one triple.
 
-    Enumerates r-subsets of involutions of G that generate G, images them
-    under both coset actions, and keeps pairs of tree systems with an
-    invertible non-permutation intertwiner, deduplicated up to independent
-    tile relabelings of the two sides.
+    Walks the r-subsets of G's involutions in lexicographic order (as
+    increasing index tuples into ``involutions_of``), keeps those that
+    generate G, images them under both coset actions, and keeps pairs of
+    tree systems with an invertible non-permutation intertwiner,
+    deduplicated up to independent tile relabelings of the two sides.
+
+    Only one representative of each G-orbit of ordered r-tuples under
+    simultaneous conjugation is examined.  Conjugating the tuple by x
+    relabels the tiles of both systems by the actions of x on the cosets of
+    H and of K, so generation, validity, the tree test, the transplantation
+    verdict and the canonical keys are the same on the whole orbit.  When a
+    subset is examined, every increasing tuple in its orbit of ordered
+    tuples is marked as covered and later skipped; the examined subset is
+    therefore the lexicographically first increasing tuple of its orbit,
+    and the first
+    subset that yields a given pair of keys (the one a loop over every
+    subset would keep) is always examined.  The orbit is of ordered tuples:
+    re-sorting a conjugated tuple would permute the colors and change the
+    keys.  The orbit is read off G's element rows, enumerated once (the
+    enumeration bound caps |G|).
     """
     if not 3 <= r:
         raise ValueError("need at least 3 sides")
@@ -380,15 +420,24 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
         raise ValueError("coset spaces have different sizes")
     if len(table_h) > n_max:
         raise BoundExceeded(f"index {len(table_h)} exceeds n_max {n_max}")
-    invs = involutions_of(G, bound)
+    rows = G.element_rows(bound)
+    invs = involutions_of(G, rows=rows)
+    if len(invs) < r:
+        return []
+    conj = _conjugation_action(G, rows, invs)
     results = []
     seen = set()
-    for combo in itertools.combinations(invs, r):
-        sub = PermGroup(G.degree, combo)
-        if sub.order != G.order:
+    covered = set()
+    for combo in itertools.combinations(range(len(invs)), r):
+        if combo in covered:
             continue
-        imgs_h = tuple(table_h.action_of(g) for g in combo)
-        imgs_k = tuple(table_k.action_of(g) for g in combo)
+        orbit = conj[:, combo]
+        covered.update(map(tuple, orbit[(orbit[:, 1:] > orbit[:, :-1]).all(axis=1)].tolist()))
+        gens = [invs[i] for i in combo]
+        if PermGroup(G.degree, gens).order != G.order:
+            continue
+        imgs_h = tuple(table_h.action_of(g) for g in gens)
+        imgs_k = tuple(table_k.action_of(g) for g in gens)
         try:
             sys_h = InvolutionSystem(len(table_h), r, imgs_h)
             sys_k = InvolutionSystem(len(table_k), r, imgs_k)

@@ -34,6 +34,7 @@ from .groups import (
     cached_classes,
     core,
     is_subgroup,
+    is_transitive_on,
     left_cosets,
     same_group,
 )
@@ -330,7 +331,7 @@ def inv_witnesses(t: Triple, r: int = 3, tree_required: bool = True,
         if len(set(img_key)) < r or img_key in seen_image_sets:
             continue
         seen_image_sets.add(img_key)
-        if not PermGroup(lam, imgs).is_transitive():
+        if not is_transitive_on(lam, [p.images for p in imgs]):
             continue
         sys = InvolutionSystem(lam, r, imgs)
         if tree_required and not is_tree(sys):

@@ -1,14 +1,23 @@
 """Independent brute-force oracles used to check the chain-based algorithms.
 
 Everything here enumerates naively and, apart from ``brute_elements``
-(which pins the order in which the library lists a group), never touches
+(which pins the order in which the library lists a group) and
+``brute_scan`` (which tests generation by a group order), never touches
 stabilizer chains, so agreement with the library is a meaningful check.
 """
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+import scipy.sparse as sp
+
+from isodrum.errors import BoundExceeded
+from isodrum.groups import PermGroup, left_cosets
+from isodrum.limits import OKADA_SHUDO_NMAX
 from isodrum.permutations import Permutation
+from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of, is_tree
 
 
 def mulclose(gens, maxsize=None):
@@ -236,3 +245,66 @@ def brute_coset_table(G_gens, H_elements, base):
             actions[j].append(index_of[k])
         i += 1
     return reps, index_of, actions
+
+
+def brute_scan(t, n_max, r=3, bound=None):
+    """The census scan examining every r-subset of G's involutions.
+
+    Same filters and deduplication as ``transplant.okada_shudo_scan``, with
+    no orbit skipping: generation by a Schreier-Sims order per subset, both
+    coset actions, tree test, invertible non-permutation intertwiner, and
+    the first subset kept per pair of canonical keys.
+    """
+    if n_max > OKADA_SHUDO_NMAX:
+        raise BoundExceeded(f"n_max {n_max} exceeds census bound {OKADA_SHUDO_NMAX}")
+    G = t.G
+    table_h = left_cosets(G, t.H)
+    table_k = left_cosets(G, t.K)
+    if len(table_h) > n_max:
+        raise BoundExceeded(f"index {len(table_h)} exceeds n_max {n_max}")
+    results = []
+    seen = set()
+    for combo in itertools.combinations(involutions_of(G, bound), r):
+        if PermGroup(G.degree, combo).order != G.order:
+            continue
+        imgs_h = tuple(table_h.action_of(g) for g in combo)
+        imgs_k = tuple(table_k.action_of(g) for g in combo)
+        try:
+            sys_h = InvolutionSystem(len(table_h), r, imgs_h)
+            sys_k = InvolutionSystem(len(table_k), r, imgs_k)
+        except ValueError:
+            continue
+        if not (is_tree(sys_h) and is_tree(sys_k)):
+            continue
+        sol = find_transplantation(sys_h, sys_k)
+        if sol is None or not sol.invertible or sol.permutation_solution is not None:
+            continue
+        key = (sys_h.canonical_key(), sys_k.canonical_key())
+        if key in seen:
+            continue
+        seen.add(key)
+        results.append((sys_h, sys_k))
+    results.sort(key=lambda pair: (pair[0].canonical_key(), pair[1].canonical_key()))
+    return results
+
+
+def brute_laplacian(mask):
+    """The 5-point Dirichlet Laplacian assembled one node at a time: the
+    diagonal, then the up, down, left and right neighbors that exist."""
+    n = mask.occupied_count
+    idx = -np.ones(mask.cells.shape, dtype=np.int64)
+    pts = np.nonzero(mask.cells)
+    idx[pts] = np.arange(n)
+    rows, cols, vals = [], [], []
+    h2 = float(mask.h) ** 2
+    for ci, cj in zip(*pts):
+        me = idx[ci, cj]
+        rows.append(me)
+        cols.append(me)
+        vals.append(4.0 / h2)
+        for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+            if 0 <= ni < idx.shape[0] and 0 <= nj < idx.shape[1] and idx[ni, nj] >= 0:
+                rows.append(me)
+                cols.append(idx[ni, nj])
+                vals.append(-1.0 / h2)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))

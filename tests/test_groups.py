@@ -13,6 +13,7 @@ from isodrum.groups import (
     is_maximal,
     is_simple,
     is_subgroup,
+    is_transitive_on,
     left_cosets,
     normal_closure,
     same_group,
@@ -349,3 +350,22 @@ def test_random_element_uniformish_and_member():
         assert p in G
         seen.add(p)
     assert len(seen) == 24
+
+
+def test_is_transitive_on_matches_closure_orbit():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            img = list(range(n))
+            # a random product of a few transpositions: often intransitive
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.randrange(n), rng.randrange(n)
+                img[a], img[b] = img[b], img[a]
+            gens.append(Permutation(img))
+        orbit = {0} | {int(g.images[0]) for g in mulclose(gens)}
+        expected = len(orbit) == n
+        assert is_transitive_on(n, [g.images for g in gens]) == expected
+        assert PermGroup(n, gens).is_transitive() == expected
+    assert not is_transitive_on(0, [])

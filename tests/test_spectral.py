@@ -1,11 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bruteforce import brute_laplacian
 from isodrum.spectral import (
     GridMask,
     SpectrumResult,
+    _dirichlet_laplacian,
     dirichlet_eigenvalues,
     pairwise_relative_gaps,
     rasterize,
@@ -138,3 +142,54 @@ def test_pairwise_gaps_symmetric():
 def test_component_count():
     m = rasterize(unit_square(), Fraction(1, 8))
     assert m.component_count() == 1
+
+
+def gww_polygons():
+    """Boundary polygons of the two domains ``isodrum gww`` draws."""
+    from isodrum.catalog import psl_triple
+    from isodrum.drums import BaseTile, boundary_polygon, unfold
+    from isodrum.groups import left_cosets
+    from isodrum.transplant import InvolutionSystem, is_tree
+    from isodrum.triples import inv_witnesses
+
+    t = psl_triple(3, 2)
+    table_k = left_cosets(t.G, t.K)
+    tile = BaseTile.half_square()
+    for gs, sys_a in inv_witnesses(t, 3):
+        sys_b = InvolutionSystem(len(table_k), 3, tuple(table_k.action_of(g) for g in gs))
+        if not is_tree(sys_b):
+            continue
+        for order in itertools.permutations(range(3)):
+            da = unfold(sys_a.permute_colors(order), tile)
+            db = unfold(sys_b.permute_colors(order), tile)
+            if da.overlap_flag or db.overlap_flag:
+                continue
+            try:
+                return boundary_polygon(da), boundary_polygon(db)
+            except ValueError:
+                continue
+    raise AssertionError("no clean gww domains")
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def test_batched_laplacian_matches_loop_on_gww_masks():
+    for poly in gww_polygons():
+        mask = rasterize(poly, Fraction(1, 64))
+        assert mask.occupied_count > 10000
+        assert_same_csr(_dirichlet_laplacian(mask), brute_laplacian(mask))
+
+
+def test_batched_laplacian_matches_loop_on_random_masks():
+    rng = np.random.default_rng(5)
+    for shape in [(1, 1), (1, 7), (6, 1), (5, 5), (9, 13), (20, 17)]:
+        for density in (0.3, 0.7, 1.0):
+            cells = rng.random(shape) < density  # occupied border cells included
+            if not cells.any():
+                continue
+            mask = GridMask(Fraction(1, int(rng.integers(2, 40))), 0, 0, cells)
+            assert_same_csr(_dirichlet_laplacian(mask), brute_laplacian(mask))
