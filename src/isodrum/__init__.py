@@ -10,7 +10,6 @@ from .groups import (
     conjugacy_classes,
     core,
     coset_action,
-    is_conjugate,
     is_maximal,
     is_simple,
     is_subgroup,

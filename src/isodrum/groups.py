@@ -4,6 +4,12 @@ Orders, membership, element enumeration, orbits, stabilizers, conjugacy,
 cosets, cores, maximality and normal closures.  Everything is deterministic:
 searches run in a fixed order and witnesses are the first found in that
 order.
+
+A Schreier-Sims run may stop once its order reaches a proven upper bound
+(Seress, Permutation Group Algorithms, 2003, section 4.5); the chain is the
+same.  Only a group known to be a subgroup or quotient of a group of known
+order gets such a bound (``_group_of_order_at_most``): H's image on its
+cosets (bound |H|), and groups generated by elements of G (bound |G|).
 """
 
 from __future__ import annotations
@@ -143,8 +149,21 @@ class _Chain:
         for lvl in self.levels[: j + 1]:
             lvl.add_gen(r)
 
-    def complete(self):
-        """Process Schreier generators, deepest level first, to a fixpoint."""
+    def complete(self, bound=None):
+        """Process Schreier generators, deepest level first, to a fixpoint.
+
+        ``bound``, when given, must be a proven upper bound on the order of
+        the group generated (for instance |H| for a quotient of H, or |G|
+        for a subgroup of G).  The run stops as soon as ``order()`` equals
+        it, checked before the loop and after each install.  The chain's
+        levels then already have the true basic orbits and a trivial last
+        stabilizer, so every remaining Schreier generator would sift to the
+        identity: the chain is the complete BSGS a full run builds, with the
+        same levels, strong generators and Schreier vectors.  A bound that
+        is never reached (an unfaithful action, say) costs nothing.
+        """
+        if self.order() == bound:
+            return
         while True:
             i = len(self.levels) - 1
             while i >= 0 and not self.levels[i].pending:
@@ -165,6 +184,8 @@ class _Chain:
             j, residue = self.sift(s, i + 1)
             if residue is not None:
                 self._install(j, residue)
+                if self.order() == bound:
+                    return
 
     def base(self):
         return [lvl.point for lvl in self.levels]
@@ -189,6 +210,7 @@ class PermGroup:
         self.generators = tuple(gens)
         self._chain = None
         self._classes = None
+        self._order_bound = None  # see _group_of_order_at_most
 
     @property
     def identity(self) -> Permutation:
@@ -199,7 +221,7 @@ class PermGroup:
             chain = _Chain(self.degree)
             for g in self.generators:
                 chain.add_generator(g)
-            chain.complete()
+            chain.complete(self._order_bound)
             self._chain = chain
         return self._chain
 
@@ -311,6 +333,19 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
+def _group_of_order_at_most(degree: int, generators, bound: int) -> PermGroup:
+    """The group generated, with a Schreier-Sims run that stops at ``bound``.
+
+    ``bound`` must be a proven upper bound on the order: the order of a
+    group that the generated group is a subgroup or a quotient of.  The
+    chain is the same complete chain either way (``_Chain.complete``); only
+    the work after the order is reached is skipped.
+    """
+    group = PermGroup(degree, generators)
+    group._order_bound = bound
+    return group
+
+
 def is_transitive_on(degree: int, rows) -> bool:
     """Whether permutations of 0..degree-1, given as image rows, generate a
     transitive group.
@@ -321,7 +356,11 @@ def is_transitive_on(degree: int, rows) -> bool:
     """
     if degree == 0:
         return False
-    rows = np.asarray(rows).reshape(-1, degree).tolist()
+    return _is_transitive_lists(degree, np.asarray(rows).reshape(-1, degree).tolist())
+
+
+def _is_transitive_lists(degree: int, rows: list) -> bool:
+    """``is_transitive_on`` for rows already given as lists (degree > 0)."""
     seen = [False] * degree
     seen[0] = True
     stack = [0]
@@ -357,37 +396,6 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
 
 def same_group(A: PermGroup, B: PermGroup) -> bool:
     return is_subgroup(A, B) and A.order == B.order
-
-
-def is_conjugate(G: PermGroup, a: Permutation, b: Permutation, bound=None):
-    """A conjugator g in G with g^-1 a g == b, or None.
-
-    Breadth-first search over the conjugation orbit of a, so the witness is
-    the first conjugator in BFS order.
-    """
-    if a not in G or b not in G:
-        raise ValueError("elements are not members of the group")
-    if a.cycle_type() != b.cycle_type():
-        return None
-    if a == b:
-        return Permutation.identity(G.degree)
-    cap = enumeration_bound(bound)
-    seen = {a.key(): Permutation.identity(G.degree)}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        w = seen[x.key()]
-        for g in G.generators:
-            y = x.conjugate_by(g)
-            if y.key() not in seen:
-                wg = w * g
-                if y == b:
-                    return wg
-                seen[y.key()] = wg
-                queue.append(y)
-                if len(seen) > cap:
-                    raise BoundExceeded("conjugation orbit exceeds enumeration bound")
-    return None
 
 
 @dataclass
@@ -455,11 +463,16 @@ class CosetTable:
     ``representatives[i]`` lies in coset i; representative 0 is the identity,
     so coset 0 is the subgroup itself.  Indices follow the breadth-first
     search from coset 0 over G's generators (the Schreier graph), in the
-    order cosets are first found.  ``index_of`` maps the canonical signature
-    of a coset (the image key of its canonical representative) to its index.
+    order cosets are first found.  ``parents[i]`` and ``parent_gens[i]`` are
+    the first (coset, generator index) pair of the search that reached coset
+    i (-1 for coset 0), so representative i is representative ``parents[i]``
+    times that generator, and the parents form a spanning tree of the
+    Schreier graph.  ``index_of`` maps the canonical signature of a coset
+    (the image key of its canonical representative) to its index.
     ``generator_actions[j]`` is the action of ``parent.generators[j]``, read
-    off the search; ``action_of`` returns it for a generator and otherwise
-    canonicalizes the translates of all representatives in one batch.
+    off the search.  ``action_of`` returns it for a generator and otherwise
+    canonicalizes the translates of all representatives in one batch;
+    ``actions_of`` does the same for several elements in one pass.
     """
 
     parent: PermGroup
@@ -468,6 +481,8 @@ class CosetTable:
     index_of: dict = field(repr=False)
     generator_actions: tuple = field(repr=False)
     rows: np.ndarray = field(repr=False)  # representative image rows, (index, degree)
+    parents: np.ndarray = field(repr=False)
+    parent_gens: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self._by_generator = {g.key(): a for g, a in
@@ -487,15 +502,33 @@ class CosetTable:
         """The permutation induced on coset indices by translation."""
         act = self._by_generator.get(g.key())
         if act is None:
-            keys = _row_keys(_canonical_rows(self.subgroup, g.images[self.rows]))
-            act = Permutation([self.index_of[k] for k in keys])
+            act = Permutation(self.actions_of([g])[0])
         return act
 
+    def actions_of(self, elements) -> np.ndarray:
+        """The actions of several elements, as an (len(elements), index)
+        array of image rows.
+
+        All translates r * g, over representatives r and elements g, are
+        canonicalized in one pass and looked up in ``index_of``, as in
+        ``action_of``.  The pass holds len(elements) * index * degree
+        entries, so it suits many elements on a small index.
+        """
+        m, n = self.rows.shape
+        images = np.array([g.images for g in elements], dtype=np.int32).reshape(-1, n)
+        keys = _row_keys(_canonical_rows(self.subgroup, images[:, self.rows].reshape(-1, n)))
+        return np.array([self.index_of[k] for k in keys], dtype=np.int32).reshape(-1, m)
+
     def subgroup_image(self) -> PermGroup:
-        """H's image on the cosets; its chain gives the order |H| / |core|."""
+        """H's image on the cosets; its chain gives the order |H| / |core|.
+
+        The image is a quotient of H, so its Schreier-Sims run stops once
+        the order reaches |H| (``_group_of_order_at_most``).
+        """
         if self._subgroup_image is None:
-            self._subgroup_image = PermGroup(
-                len(self), [self.action_of(h) for h in self.subgroup.generators])
+            self._subgroup_image = _group_of_order_at_most(
+                len(self), [self.action_of(h) for h in self.subgroup.generators],
+                self.subgroup.order)
         return self._subgroup_image
 
     def is_faithful(self) -> bool:
@@ -554,6 +587,7 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
     rows = np.arange(n, dtype=np.int32)[None, :]
     index_of = {_row_keys(_canonical_rows(H, rows))[0]: 0}
     targets = []  # targets[i * s + j]: coset of representative i times generator j
+    parents, parent_gens = [-1], [-1]
     start = 0
     while start < len(rows):
         # translates[i, j] = rows[start + i] * generator j
@@ -567,12 +601,15 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
                     raise BoundExceeded(f"coset count exceeds index bound {cap}")
                 index_of[key] = c
                 found.append(k)
+                parents.append(start + k // s)
+                parent_gens.append(k % s)
             targets.append(c)
         start = len(rows)
         rows = np.concatenate([rows, translates[found]])
     actions = np.ascontiguousarray(np.array(targets, dtype=np.int32).reshape(len(rows), s).T)
     table = CosetTable(G, H, [Permutation._wrap(r) for r in rows], index_of,
-                       tuple(Permutation._wrap(a) for a in actions), rows)
+                       tuple(Permutation._wrap(a) for a in actions), rows,
+                       np.array(parents, dtype=np.intp), np.array(parent_gens, dtype=np.intp))
     cache[id(H)] = table
     return table
 
@@ -646,45 +683,40 @@ def _schreier_generators(table: CosetTable) -> list:
     return kept
 
 
-def _minimal_block(gens, m: int, beta: int):
-    """Sorted points of the finest block containing 0 and beta (Atkinson).
+def _finest_block(table: CosetTable, beta: int):
+    """Sorted cosets of the finest block containing cosets 0 and beta, or
+    None when that block is the whole coset space.
 
-    ``gens`` are the generator actions as lists.  Union-find closure of the
-    pair under the generators; stops once the class of 0 holds more than
-    half the points, since a block's size divides m.
+    The blocks through coset 0 correspond to the subgroups L containing H,
+    the block of L being the orbit of coset 0 under L (the cosets Hx with x
+    in L).  So the finest block through 0 and beta (Atkinson's closure) is
+    the orbit of coset 0 under <H, r_beta>, r_beta the representative of
+    coset beta.  r_beta's action is composed from the generator actions
+    along the search tree's path from coset 0 to beta; the orbit is grown
+    under it and H's image generators one frontier at a time, and the
+    growth stops once the orbit holds more than half the cosets, since a
+    block's size divides the index.
     """
-    parent = list(range(m))
-    size = [1] * m
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        size[rx] += size[ry]
-        return True
-
-    union(0, beta)
-    queue = deque([(0, beta)])
-    while queue and size[0] * 2 <= m:
-        x, y = queue.popleft()
-        for g in gens:
-            gx, gy = g[x], g[y]
-            if union(gx, gy):
-                queue.append((gx, gy))
-    if size[0] * 2 > m:
-        return list(range(m))
-    return [x for x in range(m) if find(x) == 0]
+    m = len(table)
+    path = []
+    c = beta
+    while c:
+        path.append(table.parent_gens[c])
+        c = table.parents[c]
+    r_beta = np.arange(m, dtype=np.int32)
+    for j in reversed(path):  # r_beta = g_1 * ... * g_t, g_1 applied first
+        r_beta = table.generator_actions[j].images[r_beta]
+    acts = np.stack([a.images for a in table.subgroup_image().generators] + [r_beta])
+    in_block = np.zeros(m, dtype=bool)
+    in_block[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    size = 1
+    while frontier.size and 2 * size <= m:
+        images = acts[:, frontier].ravel()
+        frontier = np.unique(images[~in_block[images]])
+        in_block[frontier] = True
+        size += frontier.size
+    return np.flatnonzero(in_block).tolist() if 2 * size <= m else None
 
 
 def _intermediate_block(table: CosetTable):
@@ -692,13 +724,13 @@ def _intermediate_block(table: CosetTable):
     and the whole coset space, or None when there is none.
 
     Such blocks are exactly the subgroups strictly between H and G (the
-    union of the block's cosets).  The finest block through 0 and beta only
-    depends on the H-orbit of beta, so the least coset of each H-orbit
-    (suborbit) seeds one closure, in increasing order; the first proper
-    block found is returned as a sorted list of coset indices.
+    union of the block's cosets).  The finest block through 0 and beta
+    (``_finest_block``) only depends on the H-orbit of beta, so the least
+    coset of each H-orbit (suborbit) seeds one closure, in increasing
+    order; the first proper block found is returned as a sorted list of
+    coset indices.
     """
     m = len(table)
-    gens = [a.images.tolist() for a in table.generator_actions]
     h_gens = [a.images.tolist() for a in table.subgroup_image().generators]
     seen = [False] * m
     seen[0] = True
@@ -714,8 +746,8 @@ def _intermediate_block(table: CosetTable):
                 if not seen[y]:
                     seen[y] = True
                     stack.append(y)
-        block = _minimal_block(gens, m, beta)
-        if len(block) < m:
+        block = _finest_block(table, beta)
+        if block is not None:
             return block
     return None
 
@@ -754,10 +786,6 @@ def normal_closure(G: PermGroup, S, bound=None) -> PermGroup:
     N = PermGroup(G.degree, gens)
     N._chain = chain
     return N
-
-
-def is_normal(G: PermGroup, N: PermGroup) -> bool:
-    return all(n.conjugate_by(g) in N for n in N.generators for g in G.generators)
 
 
 def is_simple(G: PermGroup, bound=None) -> bool:

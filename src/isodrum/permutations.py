@@ -14,10 +14,27 @@ import numpy as np
 from .errors import SpecFormatError
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
+_ARANGES: dict = {}
+
+
+def _arange(n: int) -> np.ndarray:
+    """The identity row of degree n: one cached read-only array per degree."""
+    row = _ARANGES.get(n)
+    if row is None:
+        row = np.arange(n, dtype=np.int32)
+        row.flags.writeable = False
+        _ARANGES[n] = row
+    return row
 
 
 class Permutation:
-    """An element of a symmetric group, stored as its image array."""
+    """An element of a symmetric group, stored as its image array.
+
+    The sort key (big-endian image bytes) and the hash are computed when
+    first needed, not on construction, so the many intermediate products of
+    Schreier-Sims and of coset canonicalization never pay for them.  The
+    image array is read-only, so a cached key never goes stale.
+    """
 
     __slots__ = ("images", "_key", "_hash")
 
@@ -34,9 +51,8 @@ class Permutation:
             raise ValueError("images do not form a bijection")
         arr.flags.writeable = False
         self.images = arr
-        # big-endian bytes so byte order equals image-tuple lexicographic order
-        self._key = arr.astype(">i4").tobytes()
-        self._hash = hash(self._key)
+        self._key = None
+        self._hash = None
 
     @staticmethod
     def _wrap(arr: np.ndarray) -> "Permutation":
@@ -45,8 +61,8 @@ class Permutation:
         arr = arr.astype(np.int32, copy=False)
         arr.flags.writeable = False
         p.images = arr
-        p._key = arr.astype(">i4").tobytes()
-        p._hash = hash(p._key)
+        p._key = None
+        p._hash = None
         return p
 
     @staticmethod
@@ -104,13 +120,13 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.degree, dtype=np.int32)).all())
+        return bool((self.images == _arange(self.images.shape[0])).all())
 
     def moved_points(self):
-        return [int(x) for x in np.nonzero(self.images != np.arange(self.degree, dtype=np.int32))[0]]
+        return [int(x) for x in np.nonzero(self.images != _arange(self.images.shape[0]))[0]]
 
     def fixed_point_count(self) -> int:
-        return int((self.images == np.arange(self.degree, dtype=np.int32)).sum())
+        return int((self.images == _arange(self.images.shape[0])).sum())
 
     def cycles(self, include_fixed=False):
         """Disjoint cycle decomposition, each cycle led by its least point."""
@@ -141,18 +157,25 @@ class Permutation:
         return n
 
     def key(self) -> bytes:
-        return self._key
+        """Big-endian image bytes: byte order equals image-tuple lexicographic order."""
+        key = self._key
+        if key is None:
+            key = self._key = self.images.astype(">i4").tobytes()
+        return key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._key == other._key
+        return self.key() == other.key()
 
     def __lt__(self, other: "Permutation") -> bool:
-        return self._key < other._key
+        return self.key() < other.key()
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.key())
+        return h
 
     def __repr__(self) -> str:
         return f"Permutation({list(int(x) for x in self.images)})"

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BoundExceeded, SpecFormatError
-from .groups import PermGroup, is_transitive_on, left_cosets
+from .groups import PermGroup, _group_of_order_at_most, is_transitive_on, left_cosets
 from .limits import OKADA_SHUDO_NMAX
 from .permutations import Permutation
 
@@ -389,10 +389,13 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
     """Transplantable nonisometric tree-system pairs from one triple.
 
     Walks the r-subsets of G's involutions in lexicographic order (as
-    increasing index tuples into ``involutions_of``), keeps those that
-    generate G, images them under both coset actions, and keeps pairs of
-    tree systems with an invertible non-permutation intertwiner,
-    deduplicated up to independent tile relabelings of the two sides.
+    increasing index tuples into ``involutions_of``), images them under
+    both coset actions, keeps those that give tree systems on both sides
+    and generate G, and keeps pairs with an invertible non-permutation
+    intertwiner, deduplicated up to independent tile relabelings of the two
+    sides.  The tests are conjuncts, so they run cheapest first: generation
+    (a Schreier-Sims run, stopped once the order reaches |G|) comes after
+    the validity and tree tests.
 
     Only one representative of each G-orbit of ordered r-tuples under
     simultaneous conjugation is examined.  Conjugating the tuple by x
@@ -407,7 +410,9 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
     subset would keep) is always examined.  The orbit is of ordered tuples:
     re-sorting a conjugated tuple would permute the colors and change the
     keys.  The orbit is read off G's element rows, enumerated once (the
-    enumeration bound caps |G|).
+    enumeration bound caps |G|), and the actions of all involutions on both
+    coset spaces come from one ``actions_of`` pass per side (the index is
+    at most ``n_max``).
     """
     if not 3 <= r:
         raise ValueError("need at least 3 sides")
@@ -425,6 +430,7 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
     if len(invs) < r:
         return []
     conj = _conjugation_action(G, rows, invs)
+    acts_h, acts_k = table_h.actions_of(invs), table_k.actions_of(invs)
     results = []
     seen = set()
     covered = set()
@@ -433,17 +439,17 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
             continue
         orbit = conj[:, combo]
         covered.update(map(tuple, orbit[(orbit[:, 1:] > orbit[:, :-1]).all(axis=1)].tolist()))
-        gens = [invs[i] for i in combo]
-        if PermGroup(G.degree, gens).order != G.order:
-            continue
-        imgs_h = tuple(table_h.action_of(g) for g in gens)
-        imgs_k = tuple(table_k.action_of(g) for g in gens)
+        imgs_h = tuple(Permutation._wrap(acts_h[i]) for i in combo)
+        imgs_k = tuple(Permutation._wrap(acts_k[i]) for i in combo)
         try:
             sys_h = InvolutionSystem(len(table_h), r, imgs_h)
             sys_k = InvolutionSystem(len(table_k), r, imgs_k)
         except ValueError:
             continue
         if not (is_tree(sys_h) and is_tree(sys_k)):
+            continue
+        gens = [invs[i] for i in combo]
+        if _group_of_order_at_most(G.degree, gens, G.order).order != G.order:
             continue
         sol = find_transplantation(sys_h, sys_k)
         if sol is None or not sol.invertible or sol.permutation_solution is not None:

@@ -30,11 +30,13 @@ import numpy as np
 from .errors import BoundExceeded
 from .groups import (
     PermGroup,
+    _group_of_order_at_most,
     _intermediate_block,
+    _is_transitive_lists,
+    _row_keys,
     cached_classes,
     core,
     is_subgroup,
-    is_transitive_on,
     left_cosets,
     same_group,
 )
@@ -121,7 +123,7 @@ def is_ec(t: Triple, bound=None) -> bool:
 def ec_witness_element(t: Triple, bound=None):
     """Least element of H not conjugate into K, or of K not into H; None if EC."""
     cap = enumeration_bound(bound)
-    bad = [next((x for x in sorted(sub.elements(cap)) if not _conjugate_into(t.G, x, other)), None)
+    bad = [next((x for x in sorted(sub.elements(cap), key=Permutation.key) if not _conjugate_into(t.G, x, other)), None)
            for sub, other in ((t.H, t.K), (t.K, t.H))]
     return min((x for x in bad if x is not None), default=None)
 
@@ -222,7 +224,7 @@ def verify_automorphism(G: PermGroup, images):
                               for g, im in zip(G.generators, images)])
     if graph.order != G.order:
         raise ValueError("generator images do not define a homomorphism")
-    if PermGroup(n, images).order != G.order:
+    if _group_of_order_at_most(n, images, G.order).order != G.order:
         raise ValueError("generator images define a non-bijective map")
     chain = graph.chain()
 
@@ -252,7 +254,7 @@ def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
     cap = enumeration_bound(bound)
     hgens = t.H.generators if t.H.generators else (t.G.identity,)
     squares = [sigma(sigma(h)) for h in hgens]
-    for h0 in sorted(t.H.elements(cap)):
+    for h0 in sorted(t.H.elements(cap), key=Permutation.key):
         if all(sq == h.conjugate_by(h0) for h, sq in zip(hgens, squares)):
             return PairStatus.CONFIRMED
     return PairStatus.WEAK_EVIDENCE
@@ -303,7 +305,10 @@ def inv_witnesses(t: Triple, r: int = 3, tree_required: bool = True,
     lexicographically.  For a faithful action the image involutions are
     exactly the images of G's involutions, which keeps preimages available;
     otherwise the image group's involutions are enumerated directly and the
-    preimage slot is None.
+    preimage slot is None.  The actions of all of G's involutions come from
+    one batched ``CosetTable.actions_of`` pass; their fixed counts, keys and
+    image rows (as lists) are built once, and every candidate's
+    transitivity test reads those rows.
     """
     if r < 3:
         raise ValueError("need at least 3 sides")
@@ -311,33 +316,33 @@ def inv_witnesses(t: Triple, r: int = 3, tree_required: bool = True,
     table = left_cosets(t.G, t.H, index_bound())
     lam = len(table)
     target = (r - 2) * lam + 2
-    acted = []
     if table.is_faithful():
-        for g in involutions_of(t.G, cap):
-            img = table.action_of(g)
-            acted.append((g, img, img.fixed_point_count()))
+        gs = involutions_of(t.G, cap)
+        acts = table.actions_of(gs)
     else:
         image_group = PermGroup(lam, [table.action_of(g) for g in t.G.generators])
-        for img in involutions_of(image_group, cap):
-            acted.append((None, img, img.fixed_point_count()))
-    acted.sort(key=lambda x: (-x[2], x[1].key(),
-                              x[0].key() if x[0] is not None else b""))
-    fixes = [a[2] for a in acted]
+        invs = involutions_of(image_group, cap)
+        gs = [None] * len(invs)
+        acts = np.array([p.images for p in invs], dtype=np.int32).reshape(-1, lam)
+    fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
+    keys = _row_keys(acts)
+    rows = acts.tolist()
+    order = sorted(range(len(gs)), key=lambda i: (
+        -fixes[i], keys[i], gs[i].key() if gs[i] is not None else b""))
     seen_image_sets = set()
-    for combo in _subset_search(fixes, r, target, search_bound):
-        gs = tuple(acted[i][0] for i in combo)
-        imgs = tuple(acted[i][1] for i in combo)
-        img_key = tuple(sorted(p.key() for p in imgs))
+    for combo in _subset_search([fixes[i] for i in order], r, target, search_bound):
+        picked = [order[i] for i in combo]
+        img_key = tuple(sorted(keys[i] for i in picked))
         if len(set(img_key)) < r or img_key in seen_image_sets:
             continue
         seen_image_sets.add(img_key)
-        if not is_transitive_on(lam, [p.images for p in imgs]):
+        if not _is_transitive_lists(lam, [rows[i] for i in picked]):
             continue
-        sys = InvolutionSystem(lam, r, imgs)
+        sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in picked))
         if tree_required and not is_tree(sys):
             continue
         assert fixeq_check(sys)
-        yield gs, sys
+        yield tuple(gs[i] for i in picked), sys
 
 
 def check_inv(t: Triple, r: int = 3, tree_required: bool = True,

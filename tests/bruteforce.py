@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to check the chain-based algorithms.
 
 Everything here enumerates naively and, apart from ``brute_elements``
-(which pins the order in which the library lists a group) and
-``brute_scan`` (which tests generation by a group order), never touches
-stabilizer chains, so agreement with the library is a meaningful check.
+(which pins the order in which the library lists a group), ``brute_scan``
+(which tests generation by a group order) and ``is_conjugate`` (which
+tests membership), never touches stabilizer chains, so agreement with the
+library is a meaningful check.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import scipy.sparse as sp
 
 from isodrum.errors import BoundExceeded
 from isodrum.groups import PermGroup, left_cosets
-from isodrum.limits import OKADA_SHUDO_NMAX
+from isodrum.limits import OKADA_SHUDO_NMAX, enumeration_bound
 from isodrum.permutations import Permutation
 from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of, is_tree
 
@@ -94,6 +95,37 @@ def brute_automorphism(degree, gens, images):
 def brute_conjugators(elements, a, b):
     """All g with g^-1 a g == b, scanning the given element list."""
     return [g for g in elements if a.conjugate_by(g) == b]
+
+
+def is_conjugate(G: PermGroup, a: Permutation, b: Permutation, bound=None):
+    """A conjugator g in G with g^-1 a g == b, or None.
+
+    Breadth-first search over the conjugation orbit of a, so the witness is
+    the first conjugator in BFS order.
+    """
+    if a not in G or b not in G:
+        raise ValueError("elements are not members of the group")
+    if a.cycle_type() != b.cycle_type():
+        return None
+    if a == b:
+        return Permutation.identity(G.degree)
+    cap = enumeration_bound(bound)
+    seen = {a.key(): Permutation.identity(G.degree)}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        w = seen[x.key()]
+        for g in G.generators:
+            y = x.conjugate_by(g)
+            if y.key() not in seen:
+                wg = w * g
+                if y == b:
+                    return wg
+                seen[y.key()] = wg
+                queue.append(y)
+                if len(seen) > cap:
+                    raise BoundExceeded("conjugation orbit exceeds enumeration bound")
+    return None
 
 
 def brute_classes(elements):
@@ -245,6 +277,48 @@ def brute_coset_table(G_gens, H_elements, base):
             actions[j].append(index_of[k])
         i += 1
     return reps, index_of, actions
+
+
+def brute_minimal_block(gens, m, beta):
+    """Sorted points of the finest block containing 0 and beta (Atkinson).
+
+    ``gens`` are the generator actions as lists.  Union-find closure of the
+    pair under the generators; stops once the class of 0 holds more than
+    half the points, since a block's size divides m, and then returns all
+    m points.
+    """
+    parent = list(range(m))
+    size = [1] * m
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        if rx > ry:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        size[rx] += size[ry]
+        return True
+
+    union(0, beta)
+    queue = deque([(0, beta)])
+    while queue and size[0] * 2 <= m:
+        x, y = queue.popleft()
+        for g in gens:
+            gx, gy = g[x], g[y]
+            if union(gx, gy):
+                queue.append((gx, gy))
+    if size[0] * 2 > m:
+        return list(range(m))
+    return [x for x in range(m) if find(x) == 0]
 
 
 def brute_scan(t, n_max, r=3, bound=None):

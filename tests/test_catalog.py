@@ -10,8 +10,9 @@ from isodrum.catalog import (
     psl_triple,
     _Field,
 )
-from isodrum.groups import is_conjugate
 from isodrum.triples import PairStatus, check_ff, check_max, check_pair, is_ac, is_ec
+
+from bruteforce import is_conjugate
 
 
 def test_field_tables():

@@ -16,11 +16,11 @@ from isodrum.constructions import (
     type3,
     _direct_power_group,
 )
-from isodrum.groups import PermGroup, is_conjugate, is_subgroup, same_group
+from isodrum.groups import PermGroup, is_subgroup, same_group
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.triples import Triple, check_ff, check_max, compress, is_ac, is_ec
 
-from bruteforce import brute_is_ec, mulclose
+from bruteforce import brute_is_ec, is_conjugate, mulclose
 
 
 def rand_perm(rng, n):

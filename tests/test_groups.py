@@ -9,7 +9,6 @@ from isodrum.groups import (
     conjugacy_classes,
     core,
     coset_action,
-    is_conjugate,
     is_maximal,
     is_simple,
     is_subgroup,
@@ -20,7 +19,14 @@ from isodrum.groups import (
 )
 from isodrum.permutations import Permutation, parse_cycles
 
-from bruteforce import all_subgroups, brute_classes, brute_conjugators, brute_core, mulclose
+from bruteforce import (
+    all_subgroups,
+    brute_classes,
+    brute_conjugators,
+    brute_core,
+    is_conjugate,
+    mulclose,
+)
 
 
 def S(n):
