@@ -712,8 +712,9 @@ def _finest_block(table: CosetTable, beta: int):
     frontier = np.zeros(1, dtype=np.intp)
     size = 1
     while frontier.size and 2 * size <= m:
-        images = acts[:, frontier].ravel()
-        frontier = np.unique(images[~in_block[images]])
+        reached = np.zeros(m, dtype=bool)
+        reached[acts[:, frontier]] = True
+        frontier = np.flatnonzero(reached & ~in_block)
         in_block[frontier] = True
         size += frontier.size
     return np.flatnonzero(in_block).tolist() if 2 * size <= m else None

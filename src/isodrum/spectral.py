@@ -1,21 +1,26 @@
 """Discrete Dirichlet Laplacian spectra on rasterized domains.
 
 The domain is sampled on the lattice h*Z^2: a node is occupied when it lies
-strictly inside the boundary polygon (decided exactly with rational
-arithmetic).  The operator is the standard 5-point Laplacian with zero
-boundary values, scaled by 1/h^2; the k smallest eigenvalues come from a
-shift-invert Lanczos iteration with a fixed starting vector, so results are
-reproducible bit for bit across runs.
+strictly inside the boundary polygon (decided exactly, in integer arithmetic
+on coordinates scaled to a common denominator).  The operator is the
+standard 5-point Laplacian with zero boundary values, scaled by 1/h^2; the
+k smallest eigenvalues come from a shift-invert Lanczos iteration with a
+fixed starting vector, so results are reproducible bit for bit across runs.
+The inverse is one sparse LU factorization with a symmetric minimum-degree
+ordering and no pivoting, which the operator, a positive definite
+M-matrix, permits.  scipy, needed only for the factorization and the
+Lanczos iteration, is imported on first use, so importing this module (and
+the package) loads numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 @dataclass
@@ -75,65 +80,55 @@ class SpectrumResult:
             raise ValueError("Dirichlet eigenvalues must be positive")
 
 
-def _row_crossings(poly, y: Fraction):
-    """Exact strict-interior x-intervals of a horizontal line with a polygon.
-
-    Returns (crossings, on_edge_intervals): crossing x's by half-open edge
-    parity, plus x-intervals where the line runs along horizontal edges
-    (those points are boundary, never interior).
-    """
-    crossings = []
-    on_edges = []
-    n = len(poly)
-    for idx in range(n):
-        (x1, y1), (x2, y2) = poly[idx], poly[(idx + 1) % n]
-        if y1 == y2:
-            if y1 == y:
-                on_edges.append((min(x1, x2), max(x1, x2)))
-            continue
-        ylo, yhi = (y1, y2) if y1 < y2 else (y2, y1)
-        # half-open rule: count the low endpoint, not the high one
-        if ylo <= y < yhi:
-            t = (y - y1) / (y2 - y1)
-            crossings.append(x1 + t * (x2 - x1))
-    crossings.sort()
-    return crossings, on_edges
-
-
 def rasterize(poly, h) -> GridMask:
-    """Mask of lattice nodes strictly inside a simple polygon."""
+    """Mask of lattice nodes strictly inside a simple polygon.
+
+    Exact, in integers.  Every vertex coordinate is divided by h and scaled
+    by the lcm L of the resulting denominators, so the vertices become
+    integer points (X, Y) and node (i, j) becomes (i*L, j*L).  Row j meets
+    the non-horizontal edges at crossings X = num/den, counted by the
+    half-open rule (an edge owns its low endpoint, not its high one); the
+    interior runs between consecutive crossing pairs are the i with
+    a < i*L < b, found by floor division and filled by one slice each.
+    Nodes on a horizontal edge that runs along the row are boundary, never
+    interior, and are cleared afterwards.
+    """
     h = Fraction(h)
     if h <= 0:
         raise ValueError("spacing must be positive")
     if len(poly) < 3:
         raise ValueError("degenerate polygon")
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    i_min = int(np.ceil(float(min(xs) / h))) - 1
-    i_max = int(np.floor(float(max(xs) / h))) + 1
-    j_min = int(np.ceil(float(min(ys) / h))) - 1
-    j_max = int(np.floor(float(max(ys) / h))) + 1
+    scaled = [Fraction(c) / h for p in poly for c in p]
+    L = math.lcm(*(c.denominator for c in scaled))
+    ints = [c.numerator * (L // c.denominator) for c in scaled]
+    xs, ys = ints[0::2], ints[1::2]
+    pts = list(zip(xs, ys))
+    i_min, i_max = -(-min(xs) // L) - 1, max(xs) // L + 1
+    j_min, j_max = -(-min(ys) // L) - 1, max(ys) // L + 1
     cells = np.zeros((i_max - i_min + 1, j_max - j_min + 1), dtype=bool)
-    for j in range(j_min, j_max + 1):
-        y = j * h
-        if y <= min(ys) or y >= max(ys):
-            continue
-        crossings, on_edges = _row_crossings(poly, y)
-        if not crossings:
-            continue
-        for a, b in zip(crossings[0::2], crossings[1::2]):
-            # float seeds corrected by exact comparisons from the safe side
-            i_lo = int(np.floor(float(a / h))) - 1
-            while i_lo * h <= a:
-                i_lo += 1
-            i_hi = int(np.ceil(float(b / h))) + 1
-            while i_hi * h >= b:
-                i_hi -= 1
-            for i in range(i_lo, i_hi + 1):
-                x = i * h
-                if any(lo <= x <= hi for lo, hi in on_edges):
-                    continue
-                cells[i - i_min, j - j_min] = True
+    slanted = []  # (y_lo, y_hi, x1, y1, x2 - x1, y2 - y1)
+    flat = {}  # row Y -> [(x_lo, x_hi)] of the horizontal edges on it
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        if y1 == y2:
+            flat.setdefault(y1, []).append((min(x1, x2), max(x1, x2)))
+        else:
+            slanted.append((min(y1, y2), max(y1, y2), x1, y1, x2 - x1, y2 - y1))
+    by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    for j in range(min(ys) // L + 1, -(-max(ys) // L)):  # min(ys) < j*L < max(ys)
+        y = j * L
+        crossings = []
+        for y_lo, y_hi, x1, y1, dx, dy in slanted:
+            if y_lo <= y < y_hi:
+                num = x1 * dy + (y - y1) * dx
+                crossings.append((num, dy) if dy > 0 else (-num, -dy))
+        crossings.sort(key=by_value)
+        col = j - j_min
+        for (a, da), (b, db) in zip(crossings[0::2], crossings[1::2]):
+            i_lo = a // (da * L) + 1  # least i with i*L > a/da
+            i_hi = -(-b // (db * L)) - 1  # greatest i with i*L < b/db
+            cells[i_lo - i_min:i_hi - i_min + 1, col] = True  # empty if i_lo > i_hi
+        for x_lo, x_hi in flat.get(y, ()):
+            cells[-(-x_lo // L) - i_min:x_hi // L - i_min + 1, col] = False
     return GridMask(h, i_min, j_min, cells)
 
 
@@ -147,6 +142,8 @@ def _dirichlet_laplacian(mask: GridMask):
     entries come in the order a node-by-node loop emits them, so the CSR
     arrays, and with them the eigenvalues, equal the loop's bit for bit.
     """
+    import scipy.sparse as sp
+
     n = mask.occupied_count
     ci, cj = np.nonzero(mask.cells)
     idx = -np.ones((mask.cells.shape[0] + 2, mask.cells.shape[1] + 2), dtype=np.int64)
@@ -167,8 +164,19 @@ def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
 
     Missing neighbors contribute zero (the Dirichlet condition).  Solved in
     shift-invert mode about zero, which targets the smallest eigenvalues of
-    the positive definite operator.
+    the positive definite operator.  The operator is factored once by
+    SuperLU: a minimum-degree ordering of A^T + A applied symmetrically
+    (``SymmetricMode``), with diagonal pivots always taken
+    (``diag_pivot_thresh=0``).  That is safe here: the Laplacian is a
+    symmetric M-matrix, diagonally dominant and strictly so at a boundary
+    node of every connected component, hence positive definite, and
+    Gaussian elimination on a symmetrically permuted positive
+    definite matrix meets only positive pivots, so no row exchange is
+    needed.  The factor's solve is Lanczos's inverse operator.  scipy is
+    imported here, on first use, so the exact pipeline never loads it.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
     n = mask.occupied_count
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n} occupied nodes")
@@ -177,10 +185,13 @@ def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
         vals = np.linalg.eigvalsh(A.toarray())
         eigs = vals[:k]
     else:
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        inverse = LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
-        eigs = spla.eigsh(A, k=k, sigma=0.0, which="LM", v0=v0,
-                          maxiter=maxiter, return_eigenvectors=False)
+        eigs = eigsh(A, k=k, sigma=0.0, which="LM", v0=v0, maxiter=maxiter,
+                     OPinv=inverse, return_eigenvectors=False)
         eigs = np.sort(eigs)
     return SpectrumResult([float(x) for x in eigs], k, mask.h)
 

@@ -18,6 +18,7 @@ from isodrum.errors import BoundExceeded
 from isodrum.groups import PermGroup, left_cosets
 from isodrum.limits import OKADA_SHUDO_NMAX, enumeration_bound
 from isodrum.permutations import Permutation
+from isodrum.spectral import GridMask
 from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of, is_tree
 
 
@@ -382,3 +383,74 @@ def brute_laplacian(mask):
                 cols.append(idx[ni, nj])
                 vals.append(-1.0 / h2)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _row_crossings(poly, y: Fraction):
+    """Exact strict-interior x-intervals of a horizontal line with a polygon.
+
+    Returns (crossings, on_edge_intervals): crossing x's by half-open edge
+    parity, plus x-intervals where the line runs along horizontal edges
+    (those points are boundary, never interior).
+    """
+    crossings = []
+    on_edges = []
+    n = len(poly)
+    for idx in range(n):
+        (x1, y1), (x2, y2) = poly[idx], poly[(idx + 1) % n]
+        if y1 == y2:
+            if y1 == y:
+                on_edges.append((min(x1, x2), max(x1, x2)))
+            continue
+        ylo, yhi = (y1, y2) if y1 < y2 else (y2, y1)
+        # half-open rule: count the low endpoint, not the high one
+        if ylo <= y < yhi:
+            t = (y - y1) / (y2 - y1)
+            crossings.append(x1 + t * (x2 - x1))
+    crossings.sort()
+    return crossings, on_edges
+
+
+def brute_rasterize(poly, h) -> GridMask:
+    """Mask of lattice nodes strictly inside a simple polygon, in Fraction
+    arithmetic: float seeds for each interval end corrected by exact
+    comparisons, then every node of the interval tested against the
+    horizontal edges on its row."""
+    h = Fraction(h)
+    if h <= 0:
+        raise ValueError("spacing must be positive")
+    if len(poly) < 3:
+        raise ValueError("degenerate polygon")
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    i_min = int(np.ceil(float(min(xs) / h))) - 1
+    i_max = int(np.floor(float(max(xs) / h))) + 1
+    j_min = int(np.ceil(float(min(ys) / h))) - 1
+    j_max = int(np.floor(float(max(ys) / h))) + 1
+    cells = np.zeros((i_max - i_min + 1, j_max - j_min + 1), dtype=bool)
+    for j in range(j_min, j_max + 1):
+        y = j * h
+        if y <= min(ys) or y >= max(ys):
+            continue
+        crossings, on_edges = _row_crossings(poly, y)
+        if not crossings:
+            continue
+        for a, b in zip(crossings[0::2], crossings[1::2]):
+            # float seeds corrected by exact comparisons from the safe side
+            i_lo = int(np.floor(float(a / h))) - 1
+            while i_lo * h <= a:
+                i_lo += 1
+            i_hi = int(np.ceil(float(b / h))) + 1
+            while i_hi * h >= b:
+                i_hi -= 1
+            for i in range(i_lo, i_hi + 1):
+                x = i * h
+                if any(lo <= x <= hi for lo, hi in on_edges):
+                    continue
+                cells[i - i_min, j - j_min] = True
+    return GridMask(h, i_min, j_min, cells)
+
+
+def brute_eigenvalues(mask):
+    """Every eigenvalue of ``brute_laplacian(mask)``, ascending, from a dense
+    symmetric eigensolver."""
+    return np.linalg.eigvalsh(brute_laplacian(mask).toarray())
