@@ -2,8 +2,9 @@
 
 Subcommands: verify, construct, transplant, unfold, spectrum,
 spectrum-compare, catalog, scan, gww.  Exit codes: 0 success / property
-holds, 1 a checked property fails, 2 parse error, 3 a resource bound was
-exceeded.  GF_BOUND in the environment overrides the enumeration bound.
+holds, 1 a checked property fails, 2 parse error (of a spec, or a GF_BOUND
+that is not a positive integer), 3 a resource bound was exceeded.  GF_BOUND
+in the environment overrides the enumeration bound.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import catalog as cat
 from .constructions import type1, type2, type3
 from .drums import BaseTile, boundary_polygon, export_json, export_svg, load_domain_json, unfold
-from .errors import BoundExceeded, SpecFormatError
+from .errors import BoundExceeded, SettingError, SpecFormatError
 from .groups import left_cosets
 from .limits import enumeration_bound
 from .permutations import format_cycles
@@ -424,6 +425,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except SettingError as exc:
+        print(f"setting error: {exc}", file=sys.stderr)
         return 2
     except BoundExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)

@@ -9,5 +9,10 @@ class BoundExceeded(Exception):
     """
 
 
+class SettingError(Exception):
+    """An environment setting, such as ``GF_BOUND``, is malformed or out of
+    range."""
+
+
 class SpecFormatError(ValueError):
     """A spec file (group, triple, involution system, domain) failed to parse."""

@@ -5,6 +5,13 @@ cosets, cores, maximality and normal closures.  Everything is deterministic:
 searches run in a fixed order and witnesses are the first found in that
 order.
 
+The kernels work on raw int32 image rows, and ``Permutation`` objects stay
+at the API boundary.  Schreier-Sims (``_Chain``) builds and sifts Schreier
+generators as rows, with cached transversal and transversal-inverse rows
+and an identity test by bytes; coset canonicalization (``_canonical_rows``)
+is one flat gather per level of H's chain (``_take_rows``).  Only rows
+that are handed out, such as strong generators, are wrapped.
+
 A Schreier-Sims run may stop once its order reaches a proven upper bound
 (Seress, Permutation Group Algorithms, 2003, section 4.5); the chain is the
 same.  Only a group known to be a subgroup or quotient of a group of known
@@ -21,22 +28,27 @@ import numpy as np
 
 from .errors import BoundExceeded
 from .limits import enumeration_bound, index_bound
-from .permutations import Permutation
+from .permutations import Permutation, _arange, _identity_bytes
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point with its Schreier tree."""
+    """One level of a stabilizer chain: a base point with its Schreier tree.
 
-    __slots__ = ("point", "gens", "sv", "_trans", "_trans_inv", "_orbit_rows",
+    Transversal elements and their inverses are cached as int32 image rows;
+    ``transversal`` wraps one on request.
+    """
+
+    __slots__ = ("point", "gens", "_gen_views", "sv", "_rows", "_inv_rows", "_orbit_rows",
                  "pending", "processed")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Permutation] = []
+        self._gen_views: list = []  # memoryviews of the gens' images: int lookups, no copy
         # Schreier vector: orbit point -> (parent point, generator index)
         self.sv: dict[int, tuple] = {point: None}
-        self._trans = {point: Permutation.identity(degree)}
-        self._trans_inv = {point: self._trans[point]}
+        self._rows = {point: _arange(degree)}
+        self._inv_rows = {point: self._rows[point]}
         self._orbit_rows = None
         self.pending: deque = deque()
         self.processed: set = set()
@@ -45,66 +57,83 @@ class _Level:
         self._orbit_rows = None
         gi = len(self.gens)
         self.gens.append(g)
+        self._gen_views.append(g.images.data)
+        image = self._gen_views[gi]
+        sv = self.sv
         new_points = []
-        for p in list(self.sv):
-            q = int(g.images[p])
-            if q not in self.sv:
-                self.sv[q] = (p, gi)
+        for p in list(sv):
+            q = image[p]
+            if q not in sv:
+                sv[q] = (p, gi)
                 new_points.append(q)
         frontier = deque(new_points)
         while frontier:
             p = frontier.popleft()
-            for gj, h in enumerate(self.gens):
-                q = int(h.images[p])
-                if q not in self.sv:
-                    self.sv[q] = (p, gj)
+            for gj, h in enumerate(self._gen_views):
+                q = h[p]
+                if q not in sv:
+                    sv[q] = (p, gj)
                     frontier.append(q)
                     new_points.append(q)
-        for p in self.sv:
+        for p in sv:
             self.pending.append((p, gi))
         for p in new_points:
             for gj in range(len(self.gens)):
                 self.pending.append((p, gj))
 
-    def transversal(self, p: int) -> Permutation:
-        """Element u with u(point) == p, built along the Schreier tree."""
-        cached = self._trans.get(p)
+    def row(self, p: int) -> np.ndarray:
+        """Image row of the element u with u(point) == p, built along the
+        Schreier tree."""
+        cached = self._rows.get(p)
         if cached is not None:
             return cached
         path = []
         q = p
-        while q not in self._trans:
+        while q not in self._rows:
             path.append(q)
             q = self.sv[q][0]
-        u = self._trans[q]
+        u = self._rows[q]
         for r in reversed(path):
-            parent, gi = self.sv[r]
-            u = u * self.gens[gi]
-            self._trans[r] = u
-        return self._trans[p]
+            u = self.gens[self.sv[r][1]].images[u]
+            self._rows[r] = u
+        return u
+
+    def inv_row(self, p: int) -> np.ndarray:
+        """Image row of the inverse of ``row(p)``."""
+        cached = self._inv_rows.get(p)
+        if cached is None:
+            u = self.row(p)
+            cached = np.empty_like(u)
+            cached[u] = _arange(len(u))
+            self._inv_rows[p] = cached
+        return cached
+
+    def transversal(self, p: int) -> Permutation:
+        """Element u with u(point) == p."""
+        return Permutation._wrap(self.row(p))
 
     def orbit_rows(self):
         """Orbit points (sorted) and the image rows of their transversals."""
         if self._orbit_rows is None:
             pts = sorted(self.sv)
             self._orbit_rows = (np.array(pts, dtype=np.intp),
-                                np.stack([self.transversal(p).images for p in pts]))
+                                np.stack([self.row(p) for p in pts]))
         return self._orbit_rows
-
-    def transversal_inv(self, p: int) -> Permutation:
-        cached = self._trans_inv.get(p)
-        if cached is None:
-            cached = self.transversal(p).inverse()
-            self._trans_inv[p] = cached
-        return cached
 
 
 class _Chain:
-    """Deterministic incremental Schreier-Sims."""
+    """Deterministic incremental Schreier-Sims.
+
+    Sifting and Schreier generators run on int32 image rows (a product
+    ``p * q`` is ``q[p]``), and a row is tested for the identity by its
+    bytes; only a residue that becomes a strong generator is wrapped as a
+    ``Permutation``.
+    """
 
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._identity = _identity_bytes(degree)
 
     def sift(self, p: Permutation, start: int = 0):
         """Reduce p by transversal elements.
@@ -112,18 +141,26 @@ class _Chain:
         Returns (j, residue) where the residue fixes the first j base points,
         with residue None when p is a member.
         """
-        for j in range(start, len(self.levels)):
-            lvl = self.levels[j]
-            t = int(p.images[lvl.point])
+        j, row = self._sift_row(p.images, start)
+        if row is None:
+            return j, None
+        return j, (p if row is p.images else Permutation._wrap(row))
+
+    def _sift_row(self, row: np.ndarray, start: int = 0):
+        """``sift`` on an image row: (j, residue row or None)."""
+        levels = self.levels
+        for j in range(start, len(levels)):
+            lvl = levels[j]
+            t = int(row[lvl.point])
             if t == lvl.point:
                 continue
             if t not in lvl.sv:
-                return j, p
-            p = p * lvl.transversal_inv(t)
-        return len(self.levels), (None if p.is_identity() else p)
+                return j, row
+            row = lvl.inv_row(t)[row]
+        return len(levels), (None if row.tobytes() == self._identity else row)
 
     def contains(self, p: Permutation) -> bool:
-        return self.sift(p)[1] is None
+        return self._sift_row(p.images)[1] is None
 
     def order(self) -> int:
         n = 1
@@ -152,6 +189,10 @@ class _Chain:
     def complete(self, bound=None):
         """Process Schreier generators, deepest level first, to a fixpoint.
 
+        The Schreier generator of orbit point p and strong generator g at a
+        level with base point b is u_p * g * u_q^-1, q = g(p) the image of b
+        under u_p * g; it is built and sifted as image rows.
+
         ``bound``, when given, must be a proven upper bound on the order of
         the group generated (for instance |H| for a quotient of H, or |G|
         for a subgroup of G).  The run stops as soon as ``order()`` equals
@@ -164,6 +205,7 @@ class _Chain:
         """
         if self.order() == bound:
             return
+        identity = self._identity
         while True:
             i = len(self.levels) - 1
             while i >= 0 and not self.levels[i].pending:
@@ -175,15 +217,13 @@ class _Chain:
             if (p, gi) in lvl.processed:
                 continue
             lvl.processed.add((p, gi))
-            g = lvl.gens[gi]
-            u = lvl.transversal(p) * g
-            q = int(u.images[lvl.point])
-            s = u * lvl.transversal_inv(q)
-            if s.is_identity():
+            g = lvl.gens[gi].images
+            s = lvl.inv_row(lvl._gen_views[gi][p])[g[lvl.row(p)]]
+            if s.tobytes() == identity:
                 continue
-            j, residue = self.sift(s, i + 1)
+            j, residue = self._sift_row(s, i + 1)
             if residue is not None:
-                self._install(j, residue)
+                self._install(j, Permutation._wrap(residue))
                 if self.order() == bound:
                     return
 
@@ -460,7 +500,8 @@ class CosetTable:
     Hg = {h * g : h in H} and G acts on the cosets by right translation,
     Hr -> Hrg.  H is the stabilizer of coset 0.
 
-    ``representatives[i]`` lies in coset i; representative 0 is the identity,
+    ``representatives[i]`` lies in coset i and is row i of ``rows``, wrapped
+    as a Permutation on first access; representative 0 is the identity,
     so coset 0 is the subgroup itself.  Indices follow the breadth-first
     search from coset 0 over G's generators (the Schreier graph), in the
     order cosets are first found.  ``parents[i]`` and ``parent_gens[i]`` are
@@ -477,7 +518,6 @@ class CosetTable:
 
     parent: PermGroup
     subgroup: PermGroup
-    representatives: list
     index_of: dict = field(repr=False)
     generator_actions: tuple = field(repr=False)
     rows: np.ndarray = field(repr=False)  # representative image rows, (index, degree)
@@ -488,9 +528,16 @@ class CosetTable:
         self._by_generator = {g.key(): a for g, a in
                               zip(self.parent.generators, self.generator_actions)}
         self._subgroup_image = None
+        self._representatives = None
 
     def __len__(self):
-        return len(self.representatives)
+        return len(self.rows)
+
+    @property
+    def representatives(self) -> list:
+        if self._representatives is None:
+            self._representatives = [Permutation._wrap(r) for r in self.rows]
+        return self._representatives
 
     def signature(self, g: Permutation) -> bytes:
         return _row_keys(_canonical_rows(self.subgroup, g.images[None, :]))[0]
@@ -547,20 +594,46 @@ def _canonical_rows(H: PermGroup, rows: np.ndarray) -> np.ndarray:
     Minimizes the images of H's base over each coset, level by level: at
     each level the orbit point with the least image is carried to the base
     point by its transversal element.  The minimizing element is unique,
-    which makes coset keys deterministic.
+    which makes coset keys deterministic.  Each level's products
+    u -> rows[i][u] are one flat gather (``_take_rows``).
     """
-    for lvl in H.chain().levels:
+    levels = H.chain().levels
+    if not levels:
+        return rows
+    offsets = _row_offsets(*rows.shape)
+    for lvl in levels:
         points, trans = lvl.orbit_rows()
         choice = rows[:, points].argmin(axis=1)
-        rows = np.take_along_axis(rows, trans[choice], axis=1)
+        rows = _take_rows(rows, trans[choice], offsets)
     return rows
 
 
+def _row_offsets(count: int, width: int) -> np.ndarray:
+    """Start of each row of a (count, width) array in its flattened form, as
+    a column: int32 while count * width fits, else intp."""
+    dtype = np.int32 if count * width < 2**31 else np.intp
+    return (np.arange(count, dtype=dtype) * width)[:, None]
+
+
+def _take_rows(rows: np.ndarray, index: np.ndarray, offsets=None) -> np.ndarray:
+    """The array with entry (i, j) equal to rows[i, index[i, j]].
+
+    One gather from the flattened rows, at index + ``_row_offsets``; for
+    permutation rows, row i of the result is the product (index[i] applied
+    first) of the two permutations.
+    """
+    if offsets is None:
+        offsets = _row_offsets(*rows.shape)
+    return rows.ravel()[index + offsets]
+
+
 def _row_keys(rows: np.ndarray) -> list:
-    """``Permutation.key()`` of every row."""
+    """``Permutation.key()`` of every row: the big-endian rows viewed as one
+    opaque (void) item each, whose ``tolist`` gives their bytes."""
     width = 4 * rows.shape[1]
-    data = rows.astype(">i4").tobytes()
-    return [data[i:i + width] for i in range(0, len(data), width)] if width else [b""] * len(rows)
+    if not width:
+        return [b""] * len(rows)
+    return np.ascontiguousarray(rows, dtype=">i4").view(f"V{width}").ravel().tolist()
 
 
 def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
@@ -607,7 +680,7 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
         start = len(rows)
         rows = np.concatenate([rows, translates[found]])
     actions = np.ascontiguousarray(np.array(targets, dtype=np.int32).reshape(len(rows), s).T)
-    table = CosetTable(G, H, [Permutation._wrap(r) for r in rows], index_of,
+    table = CosetTable(G, H, index_of,
                        tuple(Permutation._wrap(a) for a in actions), rows,
                        np.array(parents, dtype=np.intp), np.array(parent_gens, dtype=np.intp))
     cache[id(H)] = table

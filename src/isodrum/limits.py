@@ -8,10 +8,12 @@ involutions for INV.  The index bound caps coset enumerations, so it alone
 caps AC, FF and MAX.
 The involution search bound caps the number of generator subsets examined
 by the involution-system search.  ``GF_BOUND`` in the environment overrides
-the enumeration bound.
+the enumeration bound; it must be a positive integer.
 """
 
 import os
+
+from .errors import SettingError
 
 ENUMERATION_BOUND = 10**6
 INDEX_BOUND = 10**4
@@ -23,9 +25,15 @@ def enumeration_bound(override=None):
     if override is not None:
         return int(override)
     env = os.environ.get("GF_BOUND")
-    if env is not None:
-        return int(env)
-    return ENUMERATION_BOUND
+    if env is None:
+        return ENUMERATION_BOUND
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SettingError(f"GF_BOUND must be a positive integer, got {env!r}")
+    return value
 
 
 def index_bound(override=None):

@@ -3,6 +3,12 @@
 Products apply the left factor first: ``(p * q)(x) == q(p(x))``.  That one
 convention is used everywhere in the package, including cycle strings
 (juxtaposed cycles compose left to right) and matrix realizations.
+
+A ``Permutation`` wraps one int32 image row.  It is the type of the
+package's API; the hot group kernels (Schreier-Sims, coset
+canonicalization, involution listing) work on the raw int32 rows instead
+and wrap only the rows they hand out.  On rows, ``p * q`` is ``q[p]`` and
+the identity test compares bytes with ``_identity_bytes``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from .errors import SpecFormatError
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 _ARANGES: dict = {}
+_IDENTITY_BYTES: dict = {}
 
 
 def _arange(n: int) -> np.ndarray:
@@ -25,6 +32,19 @@ def _arange(n: int) -> np.ndarray:
         row.flags.writeable = False
         _ARANGES[n] = row
     return row
+
+
+def _identity_bytes(n: int) -> bytes:
+    """The bytes of the int32 identity row of degree n, cached per degree.
+
+    A row of native int32 images is the identity exactly when its
+    ``tobytes()`` equals these bytes, a test far cheaper than an
+    elementwise comparison on the short rows of the group kernels.
+    """
+    data = _IDENTITY_BYTES.get(n)
+    if data is None:
+        data = _IDENTITY_BYTES[n] = _arange(n).tobytes()
+    return data
 
 
 class Permutation:
@@ -120,7 +140,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return bool((self.images == _arange(self.images.shape[0])).all())
+        return self.images.tobytes() == _identity_bytes(self.images.shape[0])
 
     def moved_points(self):
         return [int(x) for x in np.nonzero(self.images != _arange(self.images.shape[0]))[0]]

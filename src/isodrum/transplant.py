@@ -18,7 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BoundExceeded, SpecFormatError
-from .groups import PermGroup, _group_of_order_at_most, is_transitive_on, left_cosets
+from .groups import (
+    PermGroup,
+    _group_of_order_at_most,
+    _take_rows,
+    is_transitive_on,
+    left_cosets,
+)
 from .limits import OKADA_SHUDO_NMAX
 from .permutations import Permutation
 
@@ -348,16 +354,20 @@ def detect_isometry(A: InvolutionSystem, B: InvolutionSystem):
 def involutions_of(G: PermGroup, bound=None, rows=None):
     """Order-2 elements of G, sorted by image key.
 
-    Squares every row of ``G.element_rows(bound)`` (or of ``rows``, when the
-    caller has already built them) in one batch and keeps the non-identity
-    rows whose square is the identity; the rows are sorted lexicographically
-    (the ``Permutation.key()`` order) before wrapping.
+    Tests every row of ``G.element_rows(bound)`` (or of ``rows``, G's
+    elements when the caller has already built them) on the base of G's
+    chain only.  The pointwise stabilizer of the base is trivial, so an
+    element of G is the identity exactly when it fixes the base, and g is an
+    involution exactly when g moves a base point and g^2 fixes them all.
+    The base images of every square are one gather (``_take_rows``); the
+    surviving rows are sorted lexicographically (the ``Permutation.key()``
+    order) before wrapping.
     """
     if rows is None:
         rows = G.element_rows(bound)
-    ident = np.arange(G.degree, dtype=rows.dtype)
-    invs = rows[(np.take_along_axis(rows, rows, axis=1) == ident).all(axis=1)
-                & (rows != ident).any(axis=1)]
+    base = np.array(G.chain().base(), dtype=np.intp)
+    at_base = rows[:, base]
+    invs = rows[(_take_rows(rows, at_base) == base).all(axis=1) & (at_base != base).any(axis=1)]
     if not len(invs):
         return []
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]

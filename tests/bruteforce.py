@@ -4,7 +4,10 @@ Everything here enumerates naively and, apart from ``brute_elements``
 (which pins the order in which the library lists a group), ``brute_scan``
 (which tests generation by a group order) and ``is_conjugate`` (which
 tests membership), never touches stabilizer chains, so agreement with the
-library is a meaningful check.
+library is a meaningful check.  ``ReferenceChain`` builds a chain, but
+with code of its own: the library's Schreier-Sims loop written on
+``Permutation`` objects, which the library's row kernel must reproduce level
+for level.
 """
 
 import itertools
@@ -41,6 +44,151 @@ def mulclose(gens, maxsize=None):
                         raise RuntimeError("closure exceeded maxsize")
         frontier = new
     return els
+
+
+class ReferenceLevel:
+    """One level of a ``ReferenceChain``: a base point, its strong
+    generators, Schreier vector and transversals, all as Permutations."""
+
+    def __init__(self, point: int, degree: int):
+        self.point = point
+        self.gens = []
+        self.sv = {point: None}  # orbit point -> (parent point, generator index)
+        self.trans = {point: Permutation.identity(degree)}
+        self.trans_inv = {point: self.trans[point]}
+        self.pending = deque()
+        self.processed = set()
+
+    def add_gen(self, g):
+        gi = len(self.gens)
+        self.gens.append(g)
+        new_points = []
+        for p in list(self.sv):
+            q = g(p)
+            if q not in self.sv:
+                self.sv[q] = (p, gi)
+                new_points.append(q)
+        frontier = deque(new_points)
+        while frontier:
+            p = frontier.popleft()
+            for gj, h in enumerate(self.gens):
+                q = h(p)
+                if q not in self.sv:
+                    self.sv[q] = (p, gj)
+                    frontier.append(q)
+                    new_points.append(q)
+        for p in self.sv:
+            self.pending.append((p, gi))
+        for p in new_points:
+            for gj in range(len(self.gens)):
+                self.pending.append((p, gj))
+
+    def transversal(self, p):
+        """u with u(point) == p: the generators along the Schreier tree's
+        path from the point to p, in order."""
+        path = []
+        q = p
+        while q not in self.trans:
+            path.append(q)
+            q = self.sv[q][0]
+        for r in reversed(path):
+            self.trans[r] = self.trans[self.sv[r][0]] * self.gens[self.sv[r][1]]
+        return self.trans[p]
+
+    def transversal_inv(self, p):
+        if p not in self.trans_inv:
+            self.trans_inv[p] = self.transversal(p).inverse()
+        return self.trans_inv[p]
+
+
+def _is_identity(p):
+    return not p.moved_points()
+
+
+class ReferenceChain:
+    """Deterministic incremental Schreier-Sims on Permutation objects.
+
+    The same loop as ``groups._Chain`` (same pending order, same sifts, same
+    installs, same stop at a known order), one Permutation product at a time
+    and with the identity tested by moved points, so the library's row
+    kernel must give the same base, Schreier vectors and strong generators.
+    """
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self.levels = []
+
+    def sift(self, p, start=0):
+        for j in range(start, len(self.levels)):
+            lvl = self.levels[j]
+            t = p(lvl.point)
+            if t == lvl.point:
+                continue
+            if t not in lvl.sv:
+                return j, p
+            p = p * lvl.transversal_inv(t)
+        return len(self.levels), (None if _is_identity(p) else p)
+
+    def order(self):
+        n = 1
+        for lvl in self.levels:
+            n *= len(lvl.sv)
+        return n
+
+    def add_generator(self, g):
+        if _is_identity(g):
+            return False
+        j, residue = self.sift(g)
+        if residue is None:
+            return False
+        self._install(j, residue)
+        return True
+
+    def _install(self, j, r):
+        if j == len(self.levels):
+            self.levels.append(ReferenceLevel(min(r.moved_points()), self.degree))
+        for lvl in self.levels[: j + 1]:
+            lvl.add_gen(r)
+
+    def complete(self, bound=None):
+        if self.order() == bound:
+            return
+        while True:
+            i = len(self.levels) - 1
+            while i >= 0 and not self.levels[i].pending:
+                i -= 1
+            if i < 0:
+                return
+            lvl = self.levels[i]
+            p, gi = lvl.pending.popleft()
+            if (p, gi) in lvl.processed:
+                continue
+            lvl.processed.add((p, gi))
+            u = lvl.transversal(p) * lvl.gens[gi]
+            s = u * lvl.transversal_inv(u(lvl.point))
+            if _is_identity(s):
+                continue
+            j, residue = self.sift(s, i + 1)
+            if residue is not None:
+                self._install(j, residue)
+                if self.order() == bound:
+                    return
+
+
+def reference_chain(degree, gens, bound=None):
+    """The chain ``PermGroup(degree, gens)`` builds (with ``bound``, the one
+    ``_group_of_order_at_most(degree, gens, bound)`` builds)."""
+    chain = ReferenceChain(degree)
+    for g in gens:
+        chain.add_generator(g)
+    chain.complete(bound)
+    return chain
+
+
+def brute_canonical(H_elements, u, base):
+    """The member of the coset Hu with the lexicographically least images of
+    ``base``, scanning all of H."""
+    return min((h * u for h in H_elements), key=lambda x: [x(b) for b in base])
 
 
 def brute_elements(G):
@@ -261,8 +409,7 @@ def brute_coset_table(G_gens, H_elements, base):
     H_elements = list(H_elements) or [Permutation.identity(degree)]
 
     def key(u):
-        best = min((h * u for h in H_elements), key=lambda x: [int(x.images[b]) for b in base])
-        return best.key()
+        return brute_canonical(H_elements, u, base).key()
 
     reps = [Permutation.identity(degree)]
     index_of = {key(reps[0]): 0}

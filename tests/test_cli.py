@@ -4,6 +4,8 @@ import os
 import pytest
 
 from isodrum.cli import main
+from isodrum.errors import SettingError
+from isodrum.limits import ENUMERATION_BOUND, enumeration_bound
 from isodrum.specio import format_triple_spec, parse_triple_spec
 
 
@@ -60,6 +62,30 @@ def test_verify_bound_exceeded(specdir, capsys):
     finally:
         del os.environ["GF_BOUND"]
     assert rc == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])
+def test_verify_rejects_bad_gf_bound(specdir, capsys, monkeypatch, value):
+    # a malformed or non-positive bound is a one-line error, not a traceback
+    # and not a "bound exceeded" report
+    monkeypatch.setenv("GF_BOUND", value)
+    rc = main(["verify", str(specdir / "psl32.spec")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("setting error: GF_BOUND must be a positive integer")
+    assert repr(value) in err
+
+
+def test_enumeration_bound_reads_gf_bound(monkeypatch):
+    monkeypatch.setenv("GF_BOUND", "1")
+    assert enumeration_bound() == 1
+    assert enumeration_bound(7) == 7  # an explicit bound wins over the setting
+    monkeypatch.setenv("GF_BOUND", "-5")
+    with pytest.raises(SettingError, match="'-5'"):
+        enumeration_bound()
+    monkeypatch.delenv("GF_BOUND")
+    assert enumeration_bound() == ENUMERATION_BOUND
 
 
 def test_construct_type1_flags(specdir, tmp_path, capsys):
