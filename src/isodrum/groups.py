@@ -251,6 +251,7 @@ class PermGroup:
         self._chain = None
         self._classes = None
         self._order_bound = None  # see _group_of_order_at_most
+        self._coset_tables = {}  # see left_cosets
 
     @property
     def identity(self) -> Permutation:
@@ -492,6 +493,9 @@ def cached_classes(G: PermGroup, bound=None) -> ConjugacyClasses:
     return G._classes
 
 
+_UNSEARCHED = object()  # CosetTable._block before the block search has run
+
+
 @dataclass
 class CosetTable:
     """Right cosets Hg of a subgroup H of G, keyed canonically.
@@ -511,9 +515,18 @@ class CosetTable:
     Schreier graph.  ``index_of`` maps the canonical signature of a coset
     (the image key of its canonical representative) to its index.
     ``generator_actions[j]`` is the action of ``parent.generators[j]``, read
-    off the search.  ``action_of`` returns it for a generator and otherwise
-    canonicalizes the translates of all representatives in one batch;
-    ``actions_of`` does the same for several elements in one pass.
+    off the search.  ``action_of`` canonicalizes the translates of all
+    representatives in one batch and memoizes the action by the element's
+    key (G's generators are memoized from the search); ``actions_of`` does
+    the same for several elements in one pass, without the memo.
+
+    One table serves every subgroup equal to ``subgroup`` as a set
+    (``left_cosets``).  Rows, indices, generator actions and parents depend
+    only on G's generators and on H as a set; so do the block found by
+    ``intermediate_block`` and the order of ``subgroup_image``.  Only the
+    generators of ``subgroup_image`` are those of the subgroup that built
+    the table; a caller that hands out image generators builds them from
+    its own subgroup's generators with ``action_of``.
     """
 
     parent: PermGroup
@@ -525,9 +538,10 @@ class CosetTable:
     parent_gens: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self._by_generator = {g.key(): a for g, a in
-                              zip(self.parent.generators, self.generator_actions)}
+        self._actions = {g.key(): a for g, a in
+                         zip(self.parent.generators, self.generator_actions)}
         self._subgroup_image = None
+        self._block = _UNSEARCHED
         self._representatives = None
 
     def __len__(self):
@@ -546,10 +560,11 @@ class CosetTable:
         return self.index_of[self.signature(g)]
 
     def action_of(self, g: Permutation) -> Permutation:
-        """The permutation induced on coset indices by translation."""
-        act = self._by_generator.get(g.key())
+        """The permutation induced on coset indices by translation, computed
+        once per element."""
+        act = self._actions.get(g.key())
         if act is None:
-            act = Permutation(self.actions_of([g])[0])
+            act = self._actions[g.key()] = Permutation(self.actions_of([g])[0])
         return act
 
     def actions_of(self, elements) -> np.ndarray:
@@ -586,6 +601,12 @@ class CosetTable:
         image has order |H|.
         """
         return self.subgroup_image().order == self.subgroup.order
+
+    def intermediate_block(self):
+        """``_intermediate_block`` of this table, searched once."""
+        if self._block is _UNSEARCHED:
+            self._block = _intermediate_block(self)
+        return self._block
 
 
 def _canonical_rows(H: PermGroup, rows: np.ndarray) -> np.ndarray:
@@ -642,16 +663,23 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
     Each step translates the whole frontier by every generator and
     canonicalizes the translates in one batch; the generators' actions are
     recorded on the way.  ``bound`` caps the number of cosets (default
-    ``index_bound()``).  Tables are cached per (G, H) object pair; groups
-    are immutable, so the cache never goes stale.
+    ``index_bound()``).
+
+    Tables are cached on G per subgroup as a set: a subgroup equal to one
+    that already has a table (equal order, and its generators lie in the
+    other) gets that table, and is recorded as an alias of it, so H's
+    image, the block search and every memoized action serve both.  Groups
+    are immutable, so the cache never goes stale; it holds each subgroup it
+    has seen, so an id is never reused while its entry lives.
     """
-    cache = getattr(G, "_coset_tables", None)
-    if cache is None:
-        cache = {}
-        G._coset_tables = cache
+    cache = G._coset_tables  # id(subgroup) -> (subgroup, table)
     hit = cache.get(id(H))
-    if hit is not None and hit.subgroup is H:
-        return hit
+    if hit is not None:
+        return hit[1]
+    for S, table in cache.values():
+        if S is table.subgroup and S.order == H.order and is_subgroup(H, S):
+            cache[id(H)] = (H, table)
+            return table
     if not is_subgroup(H, G):
         raise ValueError("H is not a subgroup of G")
     cap = index_bound(bound)
@@ -683,7 +711,7 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
     table = CosetTable(G, H, index_of,
                        tuple(Permutation._wrap(a) for a in actions), rows,
                        np.array(parents, dtype=np.intp), np.array(parent_gens, dtype=np.intp))
-    cache[id(H)] = table
+    cache[id(H)] = (H, table)
     return table
 
 
@@ -834,7 +862,7 @@ def is_maximal(G: PermGroup, H: PermGroup, bound=None) -> bool:
         raise ValueError("H is not a subgroup of G")
     if H.order == G.order:
         raise ValueError("H equals G; maximality undefined")
-    return _intermediate_block(left_cosets(G, H, bound)) is None
+    return left_cosets(G, H, bound).intermediate_block() is None
 
 
 def normal_closure(G: PermGroup, S, bound=None) -> PermGroup:

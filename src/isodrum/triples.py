@@ -12,11 +12,13 @@ identity (r-2)*tiles == sum(Fix) - 2, with a tree gluing graph on demand.
 AC, FF and MAX are decided on the coset tables of H and K, capped by the
 index bound only: AC by equal double-coset counts |H\G/H| == |H\G/K| ==
 |K\G/K| (equal permutation characters), FF by the order of each
-subgroup's image, MAX by block closure.  EC follows from AC; when AC fails,
-each class representative of one side must fix a coset of the other.  G's
-conjugacy classes are built only for the AC-failure witness
-(``ac_profile``) and ``permutation_character``.  PAIR verifies the swap
-automorphism by the order of its graph subgroup and lists only H.
+subgroup's image, MAX by block closure; sides equal as sets share one
+table, with its image, block verdict and element actions (``left_cosets``).
+EC follows from AC; when AC fails, each class representative of one side
+must fix a coset of the other.  G's conjugacy classes are built only for
+the AC-failure witness (``ac_profile``) and ``permutation_character``.
+PAIR verifies the swap automorphism by the order of its graph subgroup and
+lists only H.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import BoundExceeded
 from .groups import (
     PermGroup,
     _group_of_order_at_most,
-    _intermediate_block,
     _is_transitive_lists,
     _row_keys,
     cached_classes,
@@ -160,7 +161,7 @@ def max_witness(t: Triple, bound=None):
         if sub.order == t.G.order:
             return name, t.G
         table = left_cosets(t.G, sub)
-        block = _intermediate_block(table)
+        block = table.intermediate_block()
         if block is not None:
             gens = list(sub.generators) + [table.representatives[i] for i in block]
             return name, PermGroup(t.G.degree, gens)
@@ -172,13 +173,15 @@ def compress(t: Triple, bound=None) -> Triple:
 
     Needs a faithful action (trivial core of H), so the image triple is
     isomorphic to the original and all properties carry over; the degree
-    drops to the index [G:H].
+    drops to the index [G:H].  H's image is generated by the images of t.H's
+    own generators, whichever equal subgroup built the shared table.
     """
     table = left_cosets(t.G, t.H)
     if not table.is_faithful():
         raise ValueError("coset action is unfaithful; cannot compress")
     G2 = PermGroup(len(table), table.generator_actions)
-    H2 = table.subgroup_image()
+    H2 = _group_of_order_at_most(len(table), [table.action_of(h) for h in t.H.generators],
+                                 t.H.order)
     K2 = PermGroup(len(table), [table.action_of(k) for k in t.K.generators])
     return Triple(G2, H2, K2, label=f"{t.label or 'triple'} (coset action)")
 
@@ -420,7 +423,7 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3,
     """Run the whole property suite, collecting witnesses for failures."""
     witnesses = {}
     ac = is_ac(t, bound)
-    ec = is_ec(t, bound)
+    ec = ac or is_ec(t, bound)
     if not ac and t.G.order <= enumeration_bound(bound):
         prof = [(rep, nh, nk) for rep, nh, nk in ac_profile(t, bound) if nh != nk]
         if prof:

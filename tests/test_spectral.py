@@ -193,3 +193,37 @@ def test_batched_laplacian_matches_loop_on_random_masks():
                 continue
             mask = GridMask(Fraction(1, int(rng.integers(2, 40))), 0, 0, cells)
             assert_same_csr(_dirichlet_laplacian(mask), brute_laplacian(mask))
+
+
+def test_gww_pair_isospectral_to_rounding():
+    """Grid-aligned half-square tilings are isospectral at the discrete level
+    too, so the gww gap is rounding error (about 4e-15), far below 1e-9."""
+    pa, pb = gww_polygons()
+    h = Fraction(1, 16)
+    ra, rb = (dirichlet_eigenvalues(rasterize(p, h), 10) for p in (pa, pb))
+    assert max(pairwise_relative_gaps(ra, rb)) <= 1e-9
+
+
+def test_gww_gate_negative_control():
+    """A pair that is not transplantable must fail the 1e-9 gate by far.
+
+    The second psl(3,2) witness under color order (2, 0, 1) unfolds cleanly,
+    and its intertwiner space is proved singular against gww A; its gap is
+    about 7.2e-2.  (Permuting B's colors alone is no control: it only
+    mirrors the domain, and the gap stays at rounding level.)
+    """
+    from isodrum.catalog import psl_triple
+    from isodrum.drums import BaseTile, boundary_polygon, unfold
+    from isodrum.transplant import find_transplantation
+    from isodrum.triples import inv_witnesses
+
+    witnesses = itertools.islice(inv_witnesses(psl_triple(3, 2), 3), 2)
+    (_, first), (_, second) = witnesses  # gww A unfolds the first witness
+    control = second.permute_colors((2, 0, 1))
+    assert find_transplantation(first, control).certificate == "proved-singular-by-character-mismatch"
+    tile = BaseTile.half_square()
+    pa, pc = (boundary_polygon(unfold(s, tile)) for s in (first, control))
+    assert pa == gww_polygons()[0]
+    h = Fraction(1, 16)
+    ra, rc = (dirichlet_eigenvalues(rasterize(p, h), 10) for p in (pa, pc))
+    assert max(pairwise_relative_gaps(ra, rc)) > 1e-2
