@@ -2,9 +2,10 @@
 
 Subcommands: verify, construct, transplant, unfold, spectrum,
 spectrum-compare, catalog, scan, gww.  Exit codes: 0 success / property
-holds, 1 a checked property fails, 2 parse error (of a spec, or a GF_BOUND
-that is not a positive integer), 3 a resource bound was exceeded.  GF_BOUND
-in the environment overrides the enumeration bound.
+holds, 1 a checked property fails, 2 invalid input (a spec that does not
+parse, a GF_BOUND that is not a positive integer, or a construction whose
+hypotheses fail on the given base), 3 a resource bound was exceeded.
+GF_BOUND in the environment overrides the enumeration bound.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .transplant import (
     parse_involution_system,
     verify_intertwiner,
 )
-from .triples import compress, check_inv, inv_witnesses, property_report
+from .triples import compress, inv_witnesses, property_report
 
 
 def _read(path: str) -> str:
@@ -64,7 +65,6 @@ def cmd_verify(args) -> int:
         triple,
         pair_candidate=pair,
         r=args.sides,
-        tree_required=not args.no_tree,
         bound=args.bound,
         check_inv_property="inv" in requested,
     )
@@ -129,11 +129,16 @@ def cmd_construct(args) -> int:
         stanza["T_generators"] = args.top_gens
     elif args.type is not None and int(stanza.get("variant", 0)) != args.type:
         raise SpecFormatError("--type disagrees with the construct stanza")
-    if args.compress_base:
-        base = compress(base, args.bound)
-    data = construction_from_stanza(base, stanza)
-    build = {1: type1, 2: type2, 3: type3}[data.variant]
-    result = build(data, args.bound)
+    try:
+        if args.compress_base:
+            base = compress(base, args.bound)
+        data = construction_from_stanza(base, stanza)
+        result = {1: type1, 2: type2, 3: type3}[data.variant](data, args.bound)
+    except SpecFormatError:
+        raise
+    except ValueError as exc:  # a construction hypothesis fails on this base
+        print(f"construct: {exc}", file=sys.stderr)
+        return 2
     # a degenerate construction hands the base back, pair candidate included
     text = format_triple_spec(result, pair_candidate=base_pair if result is base else None)
     if args.out:
@@ -264,7 +269,7 @@ def cmd_gww(args) -> int:
     table_k = left_cosets(triple.G, triple.K)
     chosen = None
     rational_tile = args.tile == "half-square"
-    for gs, sys_a in inv_witnesses(triple, 3, tree_required=True):
+    for gs, sys_a in inv_witnesses(triple, 3):
         sys_b = InvolutionSystem(len(table_k), 3, tuple(table_k.action_of(g) for g in gs))
         if not is_tree(sys_b):
             continue
@@ -343,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", default=None,
                    help="comma list of properties the exit code requires (default all)")
     p.add_argument("--sides", type=int, default=3)
-    p.add_argument("--no-tree", action="store_true", help="drop the tree requirement for INV")
     p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

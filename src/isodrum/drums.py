@@ -2,8 +2,18 @@
 
 Tiles are placed by breadth-first reflection along the tree edges of the
 gluing graph.  Coordinates are exact: rationals for the half-square tile,
-numbers in Q(sqrt(d)) otherwise, so overlap and boundary tests are decisions,
-not estimates.  Side mu of a triangle is the edge opposite vertex mu.
+numbers in Q(sqrt(d)) otherwise.  Side mu of a triangle is the edge opposite
+vertex mu.
+
+A base tile must be a Euclidean reflection (Coxeter) triangle: its squared
+side lengths are in ratio 1:1:1 (equilateral), 1:1:2 (half-square) or 1:3:4
+(30-60-90).  Reflections in its sides then generate a kaleidoscopic,
+edge-to-edge tessellation of the plane, and every unfolded tile is one of its
+cells (Coxeter, Ann. Math. 1934; Buser-Conway-Doyle-Semmler, IMRN 1994).  Two
+cells either coincide or have disjoint interiors, and two cell edges never
+cross properly.  So two placed tiles overlap exactly when they have the same
+vertex set, and a boundary made of tile edges cannot self-intersect; both are
+decided by these identities, with no geometric search.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import SpecFormatError
 from .quadratic import QuadExt
@@ -32,6 +43,10 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1]
 
 
+# squared side lengths of the triangles whose reflections tile the plane
+_COXETER_RATIOS = ((1, 1, 1), (1, 1, 2), (1, 3, 4))
+
+
 @dataclass(frozen=True)
 class BaseTile:
     """A triangle with exact coordinates and one color per side."""
@@ -43,6 +58,15 @@ class BaseTile:
             raise ValueError("a base tile has three vertices")
         if _sign(_cross(*self.vertices)) == 0:
             raise ValueError("degenerate triangle")
+        sq = []
+        for mu in range(3):
+            p, q = self.side(mu)
+            d = (q[0] - p[0], q[1] - p[1])
+            sq.append(_dot(d, d))
+        if not any(sq[i] * b == sq[j] * a and sq[i] * c == sq[k] * a
+                   for a, b, c in _COXETER_RATIOS for i, j, k in permutations(range(3))):
+            raise ValueError("base tile is not a Coxeter triangle "
+                             "(squared sides 1:1:1, 1:1:2 or 1:3:4)")
 
     def side(self, mu: int):
         """Endpoints of the side opposite vertex mu."""
@@ -113,58 +137,14 @@ def _triangle_area(tri):
     return s if _sign(s) > 0 else -s
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """Strict interior crossing of two segments."""
-    d1 = _sign(_cross(q1, q2, p1))
-    d2 = _sign(_cross(q1, q2, p2))
-    d3 = _sign(_cross(p1, p2, q1))
-    d4 = _sign(_cross(p1, p2, q2))
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
-def _strictly_inside(pt, tri) -> bool:
-    s1 = _sign(_cross(tri[0], tri[1], pt))
-    s2 = _sign(_cross(tri[1], tri[2], pt))
-    s3 = _sign(_cross(tri[2], tri[0], pt))
-    return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
-
-
-def _centroid(tri):
-    three = 3
-    return (
-        (tri[0][0] + tri[1][0] + tri[2][0]) / three,
-        (tri[0][1] + tri[1][1] + tri[2][1]) / three,
-    )
-
-
-def triangles_overlap(t1, t2) -> bool:
-    """Whether two triangles share interior points.
-
-    Touching along edges or vertices does not count.  Proper edge crossings,
-    strict vertex containment and strict centroid containment together cover
-    the congruent-tile configurations produced by unfolding.
-    """
-    edges1 = [(t1[i], t1[(i + 1) % 3]) for i in range(3)]
-    edges2 = [(t2[i], t2[(i + 1) % 3]) for i in range(3)]
-    for a, b in edges1:
-        for c, d in edges2:
-            if _segments_cross(a, b, c, d):
-                return True
-    for v in t1:
-        if _strictly_inside(v, t2):
-            return True
-    for v in t2:
-        if _strictly_inside(v, t1):
-            return True
-    return _strictly_inside(_centroid(t1), t2) or _strictly_inside(_centroid(t2), t1)
-
-
 def unfold(sys: InvolutionSystem, base: BaseTile) -> TiledDomain:
     """Place all tiles by reflecting along the gluing tree.
 
     Tile j, glued to tile i by color mu, is the mirror image of tile i across
     tile i's side mu; the shared side's endpoints are fixed by the
-    reflection, so the two placed tiles share that full edge.
+    reflection, so the two placed tiles share that full edge.  Every placed
+    tile is a cell of the base tile's tessellation, so ``overlap_flag`` is
+    set exactly when two tiles have the same vertex set.
     """
     if not is_tree(sys):
         raise ValueError("system is not a tree; unfolding undefined")
@@ -189,14 +169,7 @@ def unfold(sys: InvolutionSystem, base: BaseTile) -> TiledDomain:
             adjacency.append((i, j, mu))
             placed.add(j)
             queue.append(j)
-    overlap = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if triangles_overlap(tiles[i], tiles[j]):
-                overlap = True
-                break
-        if overlap:
-            break
+    overlap = len({frozenset(tri) for tri in tiles}) < n
     return TiledDomain(sys, base, tiles, orientations, adjacency, overlap)
 
 
@@ -205,7 +178,9 @@ def boundary_polygon(domain: TiledDomain):
 
     Boundary edges are those lying in exactly one tile; edges shared by two
     tiles must come from a gluing.  Raises on overlaps, slits (coincident
-    edges of unglued tiles) and non-manifold or self-crossing boundaries.
+    edges of unglued tiles) and non-manifold boundaries.  Tile edges are
+    edges of one tessellation, so no two of them cross properly and the
+    walk needs no crossing test.
     """
     if domain.overlap_flag:
         raise ValueError("domain has overlapping tiles; no boundary polygon")
@@ -247,12 +222,6 @@ def boundary_polygon(domain: TiledDomain):
         walk.append(current)
     if len(walk) != len(edges):
         raise ValueError("boundary is not a single closed walk")
-    for i in range(len(walk)):
-        a1, a2 = walk[i], walk[(i + 1) % len(walk)]
-        for j in range(i + 1, len(walk)):
-            b1, b2 = walk[j], walk[(j + 1) % len(walk)]
-            if _segments_cross(a1, a2, b1, b2):
-                raise ValueError("boundary walk self-intersects")
     if _sign(_polygon_signed_area(walk)) < 0:
         walk.reverse()
     return walk

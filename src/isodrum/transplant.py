@@ -135,27 +135,20 @@ def schreier_system(G: PermGroup, gens) -> InvolutionSystem:
     return InvolutionSystem(G.degree, len(gens), gens)
 
 
-def is_tree(sys: InvolutionSystem) -> bool:
-    """Whether the colored gluing graph is a tree (connected and acyclic)."""
-    n = sys.n_tiles
-    edge_count = sum((n - t) // 2 for t in sys.traces())
-    if edge_count != n - 1:
-        return False
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        t = queue.popleft()
-        for p in sys.perms:
-            u = int(p.images[t])
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == n
-
-
 def fixeq_check(sys: InvolutionSystem) -> bool:
     """The fixed-point identity (r-2) * tiles == sum of traces - 2."""
     return (sys.r - 2) * sys.n_tiles == sum(sys.traces()) - 2
+
+
+def is_tree(sys: InvolutionSystem) -> bool:
+    """Whether the colored gluing graph is a tree (connected and acyclic).
+
+    Color mu contributes (n - Fix_mu) / 2 edges, so the graph has n - 1
+    edges exactly when the fixed-point identity holds.  An
+    ``InvolutionSystem`` is transitive, so its graph is connected, and a
+    connected graph on n vertices is a tree exactly when it has n - 1 edges.
+    """
+    return fixeq_check(sys)
 
 
 def has_dominant_involution(sys: InvolutionSystem) -> bool:

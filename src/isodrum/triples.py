@@ -43,7 +43,7 @@ from .groups import (
 )
 from .limits import INV_SEARCH_BOUND, enumeration_bound, index_bound
 from .permutations import Permutation
-from .transplant import InvolutionSystem, fixeq_check, involutions_of, is_tree, schreier_system
+from .transplant import InvolutionSystem, involutions_of
 
 
 @dataclass
@@ -299,8 +299,8 @@ def _subset_search(fixes, r, target, cap):
     yield from rec(0, 0)
 
 
-def inv_witnesses(t: Triple, r: int = 3, tree_required: bool = True,
-                  bound=None, search_bound: int = INV_SEARCH_BOUND):
+def inv_witnesses(t: Triple, r: int = 3, bound=None,
+                  search_bound: int = INV_SEARCH_BOUND):
     """All involution systems witnessing INV for the H-side coset action.
 
     Yields (G-involution tuple, system on the coset space) in a fixed order:
@@ -312,6 +312,11 @@ def inv_witnesses(t: Triple, r: int = 3, tree_required: bool = True,
     one batched ``CosetTable.actions_of`` pass; their fixed counts, keys and
     image rows (as lists) are built once, and every candidate's
     transitivity test reads those rows.
+
+    Every yielded system is a tree with no tree test: the subset search
+    emits only subsets whose fixed counts meet the identity
+    sum Fix = (r-2) * n + 2, which gives the gluing graph n - 1 edges, and
+    a transitive system's graph is connected (see ``transplant.is_tree``).
     """
     if r < 3:
         raise ValueError("need at least 3 sides")
@@ -342,16 +347,13 @@ def inv_witnesses(t: Triple, r: int = 3, tree_required: bool = True,
         if not _is_transitive_lists(lam, [rows[i] for i in picked]):
             continue
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in picked))
-        if tree_required and not is_tree(sys):
-            continue
-        assert fixeq_check(sys)
         yield tuple(gs[i] for i in picked), sys
 
 
-def check_inv(t: Triple, r: int = 3, tree_required: bool = True,
-              bound=None, search_bound: int = INV_SEARCH_BOUND):
+def check_inv(t: Triple, r: int = 3, bound=None,
+              search_bound: int = INV_SEARCH_BOUND):
     """First INV witness system, or None when the search exhausts."""
-    for _, sys in inv_witnesses(t, r, tree_required, bound, search_bound):
+    for _, sys in inv_witnesses(t, r, bound, search_bound):
         return sys
     return None
 
@@ -417,10 +419,13 @@ class PropertyReport:
         }
 
 
-def property_report(t: Triple, pair_candidate=None, r: int = 3,
-                    tree_required: bool = True, bound=None,
+def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
                     check_inv_property: bool = True) -> PropertyReport:
-    """Run the whole property suite, collecting witnesses for failures."""
+    """Run the whole property suite, collecting witnesses for failures.
+
+    A resource bound hit anywhere, INV's enumeration and subset search
+    included, raises ``BoundExceeded``; no verdict is reported unproved.
+    """
     witnesses = {}
     ac = is_ac(t, bound)
     ec = ac or is_ec(t, bound)
@@ -444,12 +449,7 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3,
         witnesses["max"] = f"{side} is contained in a proper subgroup of order {sub.order}"
         witnesses["max_subgroup"] = sub
     pair = check_pair(t, pair_candidate, bound)
-    inv = None
-    if check_inv_property:
-        try:
-            inv = check_inv(t, r, tree_required, bound)
-        except BoundExceeded as exc:
-            witnesses["inv"] = f"search bound exceeded: {exc}"
+    inv = check_inv(t, r, bound) if check_inv_property else None
     return PropertyReport(
         label=t.label,
         ac=ac,

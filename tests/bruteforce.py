@@ -7,7 +7,10 @@ tests membership), never touches stabilizer chains, so agreement with the
 library is a meaningful check.  ``ReferenceChain`` builds a chain, but
 with code of its own: the library's Schreier-Sims loop written on
 ``Permutation`` objects, which the library's row kernel must reproduce level
-for level.
+for level.  ``triangles_overlap`` and ``walk_self_crosses`` decide overlap
+and crossing by exact pairwise geometry, without the tessellation argument
+the library's unfolding relies on; ``brute_is_tree`` searches the gluing
+graph instead of using the fixed-point identity.
 """
 
 import itertools
@@ -17,12 +20,13 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
+from isodrum.drums import _cross, _sign
 from isodrum.errors import BoundExceeded
 from isodrum.groups import PermGroup, left_cosets
 from isodrum.limits import OKADA_SHUDO_NMAX, enumeration_bound
 from isodrum.permutations import Permutation
 from isodrum.spectral import GridMask
-from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of, is_tree
+from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of
 
 
 def mulclose(gens, maxsize=None):
@@ -469,6 +473,89 @@ def brute_minimal_block(gens, m, beta):
     return [x for x in range(m) if find(x) == 0]
 
 
+def brute_is_tree(sys: InvolutionSystem) -> bool:
+    """Whether the colored gluing graph is a tree: n - 1 edges, and a
+    breadth-first search from tile 0 reaches every tile."""
+    n = sys.n_tiles
+    edge_count = sum((n - t) // 2 for t in sys.traces())
+    if edge_count != n - 1:
+        return False
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        t = queue.popleft()
+        for p in sys.perms:
+            u = int(p.images[t])
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == n
+
+
+def _segments_cross(p1, p2, q1, q2) -> bool:
+    """Strict interior crossing of two segments."""
+    d1 = _sign(_cross(q1, q2, p1))
+    d2 = _sign(_cross(q1, q2, p2))
+    d3 = _sign(_cross(p1, p2, q1))
+    d4 = _sign(_cross(p1, p2, q2))
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
+def _strictly_inside(pt, tri) -> bool:
+    s1 = _sign(_cross(tri[0], tri[1], pt))
+    s2 = _sign(_cross(tri[1], tri[2], pt))
+    s3 = _sign(_cross(tri[2], tri[0], pt))
+    return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
+
+
+def _centroid(tri):
+    three = 3
+    return (
+        (tri[0][0] + tri[1][0] + tri[2][0]) / three,
+        (tri[0][1] + tri[1][1] + tri[2][1]) / three,
+    )
+
+
+def triangles_overlap(t1, t2) -> bool:
+    """Whether two triangles share interior points.
+
+    Touching along edges or vertices does not count.  Proper edge crossings,
+    strict vertex containment and strict centroid containment together cover
+    the congruent-tile configurations produced by unfolding.
+    """
+    edges1 = [(t1[i], t1[(i + 1) % 3]) for i in range(3)]
+    edges2 = [(t2[i], t2[(i + 1) % 3]) for i in range(3)]
+    for a, b in edges1:
+        for c, d in edges2:
+            if _segments_cross(a, b, c, d):
+                return True
+    for v in t1:
+        if _strictly_inside(v, t2):
+            return True
+    for v in t2:
+        if _strictly_inside(v, t1):
+            return True
+    return _strictly_inside(_centroid(t1), t2) or _strictly_inside(_centroid(t2), t1)
+
+
+def brute_overlap(tiles) -> bool:
+    """Whether any two of the placed tiles overlap, by the pairwise test on
+    every pair whose bounding boxes share interior points."""
+    boxes = [(min(x for x, _ in t), max(x for x, _ in t), min(y for _, y in t), max(y for _, y in t))
+             for t in tiles]
+    return any(triangles_overlap(tiles[i], tiles[j])
+               for i, j in itertools.combinations(range(len(tiles)), 2)
+               if boxes[i][0] < boxes[j][1] and boxes[j][0] < boxes[i][1]
+               and boxes[i][2] < boxes[j][3] and boxes[j][2] < boxes[i][3])
+
+
+def walk_self_crosses(walk) -> bool:
+    """Whether two edges of a closed walk cross properly."""
+    m = len(walk)
+    return any(_segments_cross(walk[i], walk[(i + 1) % m], walk[j], walk[(j + 1) % m])
+               for i in range(m) for j in range(i + 1, m))
+
+
 def brute_scan(t, n_max, r=3, bound=None):
     """The census scan examining every r-subset of G's involutions.
 
@@ -496,7 +583,7 @@ def brute_scan(t, n_max, r=3, bound=None):
             sys_k = InvolutionSystem(len(table_k), r, imgs_k)
         except ValueError:
             continue
-        if not (is_tree(sys_h) and is_tree(sys_k)):
+        if not (brute_is_tree(sys_h) and brute_is_tree(sys_k)):
             continue
         sol = find_transplantation(sys_h, sys_k)
         if sol is None or not sol.invertible or sol.permutation_solution is not None:

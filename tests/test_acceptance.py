@@ -97,7 +97,7 @@ def test_criterion_1_catalog_flagship(flagship):
 
 def test_criterion_2_fixed_point_identity(flagship):
     t0 = time.time()
-    sys = check_inv(flagship, 3, tree_required=True)
+    sys = check_inv(flagship, 3)
     ok = (
         sys is not None
         and sum(sys.traces()) == 9 == (3 - 2) * 7 + 2

@@ -64,6 +64,17 @@ def test_verify_bound_exceeded(specdir, capsys):
     assert rc == 3
 
 
+def test_verify_bound_hit_in_inv_exits_3(specdir, capsys, monkeypatch):
+    # AC..PAIR decide psl(3,2) within the bound, but listing its involutions
+    # for INV needs all 168 elements: no "INV:  none" may be reported
+    monkeypatch.setenv("GF_BOUND", "100")
+    rc = main(["verify", str(specdir / "psl32.spec")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "resource bound exceeded: group order 168 exceeds bound 100\n"
+    assert "INV:" not in captured.out
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])
 def test_verify_rejects_bad_gf_bound(specdir, capsys, monkeypatch, value):
     # a malformed or non-positive bound is a one-line error, not a traceback
@@ -219,6 +230,23 @@ def test_construct_type2_and_type3_via_files(tmp_path, capsys, a5_group):
     assert main(["construct", "--spec", str(spec3), "--out", str(out3)]) == 0
     built3, _, _ = parse_triple_spec(out3.read_text())
     assert built3.G.order == 60**4 * 8 and built3.H.order == 60**2 * 8
+
+
+def test_construct_type2_on_compressed_base_is_invalid_input(tmp_path, capsys, a5_group):
+    # compressing (A5 x A5, diag, diag) leaves the 60 cosets of the diagonal,
+    # which carry no block system of 5-point blocks for type 2 to restrict to
+    from isodrum.constructions import diagonal_subgroup, _direct_power_group
+    from isodrum.triples import Triple
+
+    diag = diagonal_subgroup(a5_group, 2)
+    spec = tmp_path / "a5sq.spec"
+    spec.write_text(format_triple_spec(Triple(_direct_power_group(a5_group, 2), diag, diag)))
+    rc = main(["construct", "--spec", str(spec), "--type", "2", "--n", "2",
+               "--top-degree", "2", "--top-gens", "[(1 2)]", "--compress-base"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "construct: group does not preserve the block\n"
+    assert captured.out == ""
 
 
 def test_verify_type3_decides_ac(tmp_path, capsys, a5_group):

@@ -13,13 +13,14 @@ from isodrum.drums import (
     load_domain_json,
     polygon_area,
     polygon_perimeter_sq_multiset,
-    triangles_overlap,
     unfold,
     _reflect_point,
 )
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.quadratic import QuadExt
 from isodrum.transplant import InvolutionSystem
+
+from bruteforce import triangles_overlap
 
 
 def single_tile_system():

@@ -105,6 +105,8 @@ def test_gww_systems_structure(gww_pair):
 def test_is_tree_counterexamples():
     assert is_tree(single_tile())
     assert not is_tree(three_cycle_gluing())
+    swap = parse_cycles("(0 1)", 2)
+    assert not is_tree(InvolutionSystem(2, 3, (swap, swap, Permutation.identity(2))))  # double edge
 
 
 def test_fixeq_cases():

@@ -141,7 +141,7 @@ def test_ac_implies_equal_orders_converse_fails(psl32, a4_triple):
 def test_check_inv_on_unfaithful_action(a4_triple, psl32_small):
     # A4 / V4 is cyclic of order 3: no involutions, hence no witness
     t = Triple(a4_triple.G, a4_triple.K, a4_triple.K)
-    assert check_inv(t, 3, tree_required=True) is None
+    assert check_inv(t, 3) is None
     # flagship plus a kernel: the action is unfaithful but its image still
     # carries the (3,3,3) witness, found among the image group's involutions
     from isodrum.constructions import add_kernel
@@ -149,7 +149,7 @@ def test_check_inv_on_unfaithful_action(a4_triple, psl32_small):
     C2 = PermGroup(2, [parse_cycles("(0 1)", 2)])
     tk = add_kernel(psl32_small, C2)
     assert not check_ff(tk)
-    sys = check_inv(tk, 3, tree_required=True)
+    sys = check_inv(tk, 3)
     assert sys is not None
     assert sorted(sys.traces()) == [3, 3, 3]
     assert fixeq_check(sys) and is_tree(sys)
