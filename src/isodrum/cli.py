@@ -196,7 +196,11 @@ def cmd_unfold(args) -> int:
         if boundary is None:
             print("no exact boundary; skipping JSON export")
         else:
-            export_json(domain, args.json_out, boundary)
+            try:
+                export_json(domain, args.json_out, boundary)
+            except ValueError as exc:  # the tile has irrational coordinates
+                print(f"unfold: {exc}", file=sys.stderr)
+                return 2
             print(f"wrote {args.json_out}")
     return 0 if not domain.overlap_flag else 1
 

@@ -3,9 +3,11 @@
 The enumeration bound caps any computation that lists group elements:
 conjugacy classes, EC when AC fails (the classes of H and K), the AC and EC
 witnesses, the inner-square search of PAIR (which lists H only; the swap
-automorphism itself is verified without listing elements), and the
-involutions for INV.  The index bound caps coset enumerations, so it alone
-caps AC, FF and MAX.
+automorphism itself is verified without listing elements), and INV's
+candidates: H's involutions and their closure under conjugation, and G's
+involutions only when a witness may contain a fixed-point-free one (see
+``triples.inv_witnesses``).  The index bound caps coset enumerations, so it
+alone caps AC, FF and MAX.
 The involution search bound caps the number of generator subsets examined
 by the involution-system search.  ``GF_BOUND`` in the environment overrides
 the enumeration bound; it must be a positive integer.

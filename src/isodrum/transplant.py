@@ -21,6 +21,7 @@ from .errors import BoundExceeded, SpecFormatError
 from .groups import (
     PermGroup,
     _group_of_order_at_most,
+    _row_keys,
     _take_rows,
     is_transitive_on,
     left_cosets,
@@ -364,6 +365,42 @@ def involutions_of(G: PermGroup, bound=None, rows=None):
     if not len(invs):
         return []
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
+
+
+def _conjugation_closure(seeds, generators, bound):
+    """Closure of a set of elements under conjugation by generators.
+
+    Each element is carried as its image rows in one or more actions side
+    by side: ``seeds[k]`` holds the elements' rows in action k, and
+    ``generators[k]`` the generators' rows in the same action.  Products
+    apply the left factor first, so s^-1 * x * s is the row s[x[s^-1]] in
+    every action.  Elements are told apart by their rows in action 0
+    (``_row_keys``), which must be faithful on the closure.  Returns one
+    array per action, the seeds first and then each new conjugate in the
+    order found; raises BoundExceeded when the closure exceeds ``bound``
+    elements.  No group element outside the closure is built.
+    """
+    inverses = [np.argsort(g, axis=1).astype(np.int32) for g in generators]
+    seen = set(_row_keys(seeds[0]))
+    found = [[a] for a in seeds]
+    frontier = seeds
+    while len(frontier[0]):
+        new = [[] for _ in seeds]
+        for j in range(len(generators[0])):
+            conj = [g[j][x[:, s_inv[j]]] for x, g, s_inv in zip(frontier, generators, inverses)]
+            keep = []
+            for i, key in enumerate(_row_keys(conj[0])):
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(i)
+            if len(seen) > bound:
+                raise BoundExceeded(f"conjugation closure exceeds bound {bound}")
+            for k, c in enumerate(conj):
+                new[k].append(c[keep])
+        frontier = [np.concatenate(parts) for parts in new]
+        for k, rows in enumerate(frontier):
+            found[k].append(rows)
+    return [np.concatenate(parts) for parts in found]
 
 
 def _conjugation_action(G: PermGroup, rows, invs):

@@ -18,7 +18,8 @@ EC follows from AC; when AC fails, each class representative of one side
 must fix a coset of the other.  G's conjugacy classes are built only for
 the AC-failure witness (``ac_profile``) and ``permutation_character``.
 PAIR verifies the swap automorphism by the order of its graph subgroup and
-lists only H.
+lists only H.  INV takes its candidates from H's involutions and lists G's
+only when a witness may contain a fixed-point-free involution.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .groups import (
     _group_of_order_at_most,
     _is_transitive_lists,
     _row_keys,
+    _take_rows,
     cached_classes,
     core,
     is_subgroup,
@@ -43,7 +45,7 @@ from .groups import (
 )
 from .limits import INV_SEARCH_BOUND, enumeration_bound, index_bound
 from .permutations import Permutation
-from .transplant import InvolutionSystem, involutions_of
+from .transplant import InvolutionSystem, _conjugation_closure, involutions_of
 
 
 @dataclass
@@ -245,7 +247,11 @@ def verify_automorphism(G: PermGroup, images):
 def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
     """PAIR: confirmed via a verified swap automorphism, else the order test.
 
-    The search for an inner square lists H only, so ``bound`` caps |H|.
+    The search for an inner square lists H only, so ``bound`` caps |H|:
+    sigma^2 is inner on H when some h0 in H has h0^-1 * h * h0 ==
+    sigma^2(h) for every generator h of H.  All h0 are tested at once on
+    H's element rows: their inverses are one scatter, and the conjugates of
+    each generator one gather.
     """
     if candidate is None:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
@@ -254,13 +260,15 @@ def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
                    and all(sigma(h) in t.K for h in t.H.generators))
     if not maps_h_to_k:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
-    cap = enumeration_bound(bound)
-    hgens = t.H.generators if t.H.generators else (t.G.identity,)
-    squares = [sigma(sigma(h)) for h in hgens]
-    for h0 in sorted(t.H.elements(cap), key=Permutation.key):
-        if all(sq == h.conjugate_by(h0) for h, sq in zip(hgens, squares)):
-            return PairStatus.CONFIRMED
-    return PairStatus.WEAK_EVIDENCE
+    rows = t.H.element_rows(enumeration_bound(bound))
+    count, n = rows.shape
+    inverses = np.empty_like(rows)
+    inverses[np.arange(count)[:, None], rows] = np.arange(n, dtype=np.int32)
+    inner = np.ones(count, dtype=bool)
+    for h in t.H.generators:
+        # row i of the gather is h0^-1 * h * h0 for h0 = rows[i]
+        inner &= (_take_rows(rows, h.images[inverses]) == sigma(sigma(h)).images).all(axis=1)
+    return PairStatus.CONFIRMED if inner.any() else PairStatus.WEAK_EVIDENCE
 
 
 def _subset_search(fixes, r, target, cap):
@@ -304,14 +312,32 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None,
     """All involution systems witnessing INV for the H-side coset action.
 
     Yields (G-involution tuple, system on the coset space) in a fixed order:
-    involutions sorted by descending fixed-point count in the action, subsets
-    lexicographically.  For a faithful action the image involutions are
-    exactly the images of G's involutions, which keeps preimages available;
-    otherwise the image group's involutions are enumerated directly and the
-    preimage slot is None.  The actions of all of G's involutions come from
-    one batched ``CosetTable.actions_of`` pass; their fixed counts, keys and
-    image rows (as lists) are built once, and every candidate's
-    transitivity test reads those rows.
+    involutions sorted by descending fixed-point count in the action, then
+    by action key and element key, subsets lexicographically.  For a
+    faithful action the candidates are involutions of G, which keeps
+    preimages available; otherwise they are involutions of G's image and
+    the preimage slot is None.
+
+    The candidates come from H, not from a listing of G.  An involution x
+    fixes the coset Hy exactly when y * x * y^-1 lies in H, so every
+    involution with a fixed coset is G-conjugate to an involution of H's
+    image (the stabilizer of coset 0), and the fixed count is constant on
+    conjugacy classes.  With m the largest fixed count of an involution of
+    H's image (0 if it has none) and target = (r-2) * n + 2 the sum a
+    witness needs, there are three cases:
+
+    * r * m < target: no r involutions reach the sum; nothing is yielded.
+    * (r-1) * m < target: every member of a witness fixes at least
+      target - (r-1) * m > 0 cosets, so the candidates are the closure of
+      H's involutions under conjugation by G's generators
+      (``transplant._conjugation_closure``), carried as rows of G and of
+      the action side by side.  The enumeration bound caps H and the
+      closure.  This is the sorted list of all involutions without its
+      fixed-point-free tail, which no witness touches.
+    * otherwise a witness may contain a fixed-point-free involution, and
+      all of G's involutions are listed (``involutions_of``), their actions
+      from one batched ``CosetTable.actions_of`` pass; the enumeration bound
+      caps G.
 
     Every yielded system is a tree with no tree test: the subset search
     emits only subsets whose fixed counts meet the identity
@@ -324,14 +350,34 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None,
     table = left_cosets(t.G, t.H, index_bound())
     lam = len(table)
     target = (r - 2) * lam + 2
-    if table.is_faithful():
+    faithful = table.is_faithful()
+    if faithful:
+        stab_invs = involutions_of(t.H, cap)
+        stab_acts = table.actions_of(stab_invs)
+        stab = _rows([p.images for p in stab_invs], t.G.degree)
+    else:
+        stab_acts = _rows([p.images for p in involutions_of(table.subgroup_image(), cap)], lam)
+    m = int((stab_acts == np.arange(lam)).sum(axis=1).max(initial=0))
+    if r * m < target:
+        return
+    if (r - 1) * m < target:
+        gen_acts = _rows([a.images for a in table.generator_actions], lam)
+        if faithful:
+            acts, g_rows = _conjugation_closure(
+                [stab_acts, stab], [gen_acts, _rows([g.images for g in t.G.generators], t.G.degree)],
+                cap)
+            gs = [Permutation._wrap(row) for row in g_rows]
+        else:
+            (acts,) = _conjugation_closure([stab_acts], [gen_acts], cap)
+            gs = [None] * len(acts)
+    elif faithful:
         gs = involutions_of(t.G, cap)
         acts = table.actions_of(gs)
     else:
         image_group = PermGroup(lam, [table.action_of(g) for g in t.G.generators])
         invs = involutions_of(image_group, cap)
         gs = [None] * len(invs)
-        acts = np.array([p.images for p in invs], dtype=np.int32).reshape(-1, lam)
+        acts = _rows([p.images for p in invs], lam)
     fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
     keys = _row_keys(acts)
     rows = acts.tolist()
@@ -350,9 +396,20 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None,
         yield tuple(gs[i] for i in picked), sys
 
 
+def _rows(images, degree):
+    """Image rows as one (len(images), degree) int32 array, empty included."""
+    return np.array(images, dtype=np.int32).reshape(-1, degree)
+
+
 def check_inv(t: Triple, r: int = 3, bound=None,
               search_bound: int = INV_SEARCH_BOUND):
-    """First INV witness system, or None when the search exhausts."""
+    """First INV witness system, or None when there is none.
+
+    None is proved by the fixed-point certificate (r times the largest
+    fixed count of an involution of H's image below (r-2) * n + 2) or by an
+    exhausted subset search over the candidates; see ``inv_witnesses`` for
+    the three cases.
+    """
     for _, sys in inv_witnesses(t, r, bound, search_bound):
         return sys
     return None

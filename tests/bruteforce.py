@@ -10,7 +10,10 @@ with code of its own: the library's Schreier-Sims loop written on
 for level.  ``triangles_overlap`` and ``walk_self_crosses`` decide overlap
 and crossing by exact pairwise geometry, without the tessellation argument
 the library's unfolding relies on; ``brute_is_tree`` searches the gluing
-graph instead of using the fixed-point identity.
+graph instead of using the fixed-point identity.  ``brute_inv_witnesses``
+lists every involution of G as an INV candidate instead of deriving the
+candidates from H, and ``brute_check_pair`` conjugates by one element of H
+at a time; both use the library's chains to list elements.
 """
 
 import itertools
@@ -22,11 +25,12 @@ import scipy.sparse as sp
 
 from isodrum.drums import _cross, _sign
 from isodrum.errors import BoundExceeded
-from isodrum.groups import PermGroup, left_cosets
-from isodrum.limits import OKADA_SHUDO_NMAX, enumeration_bound
+from isodrum.groups import PermGroup, _is_transitive_lists, _row_keys, left_cosets
+from isodrum.limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound, index_bound
 from isodrum.permutations import Permutation
 from isodrum.spectral import GridMask
 from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of
+from isodrum.triples import PairStatus, _subset_search, verify_automorphism
 
 
 def mulclose(gens, maxsize=None):
@@ -595,6 +599,62 @@ def brute_scan(t, n_max, r=3, bound=None):
         results.append((sys_h, sys_k))
     results.sort(key=lambda pair: (pair[0].canonical_key(), pair[1].canonical_key()))
     return results
+
+
+def brute_check_pair(t, candidate=None, bound=None):
+    """PAIR with the inner-square search as a loop over H's elements in key
+    order, conjugating one Permutation at a time."""
+    if candidate is None:
+        return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
+    sigma = verify_automorphism(t.G, candidate)
+    maps_h_to_k = (t.H.order == t.K.order
+                   and all(sigma(h) in t.K for h in t.H.generators))
+    if not maps_h_to_k:
+        return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
+    cap = enumeration_bound(bound)
+    hgens = t.H.generators if t.H.generators else (t.G.identity,)
+    squares = [sigma(sigma(h)) for h in hgens]
+    for h0 in sorted(t.H.elements(cap), key=Permutation.key):
+        if all(sq == h.conjugate_by(h0) for h, sq in zip(hgens, squares)):
+            return PairStatus.CONFIRMED
+    return PairStatus.WEAK_EVIDENCE
+
+
+def brute_inv_witnesses(t, r=3, bound=None, search_bound=INV_SEARCH_BOUND):
+    """INV's witnesses with every involution of G (or of its image) listed
+    as a candidate, fixed-point-free ones included, in the library's order:
+    descending fixed count, action key, element key; subsets
+    lexicographically."""
+    if r < 3:
+        raise ValueError("need at least 3 sides")
+    cap = enumeration_bound(bound)
+    table = left_cosets(t.G, t.H, index_bound())
+    lam = len(table)
+    target = (r - 2) * lam + 2
+    if table.is_faithful():
+        gs = involutions_of(t.G, cap)
+        acts = table.actions_of(gs)
+    else:
+        image_group = PermGroup(lam, [table.action_of(g) for g in t.G.generators])
+        invs = involutions_of(image_group, cap)
+        gs = [None] * len(invs)
+        acts = np.array([p.images for p in invs], dtype=np.int32).reshape(-1, lam)
+    fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
+    keys = _row_keys(acts)
+    rows = acts.tolist()
+    order = sorted(range(len(gs)), key=lambda i: (
+        -fixes[i], keys[i], gs[i].key() if gs[i] is not None else b""))
+    seen_image_sets = set()
+    for combo in _subset_search([fixes[i] for i in order], r, target, search_bound):
+        picked = [order[i] for i in combo]
+        img_key = tuple(sorted(keys[i] for i in picked))
+        if len(set(img_key)) < r or img_key in seen_image_sets:
+            continue
+        seen_image_sets.add(img_key)
+        if not _is_transitive_lists(lam, [rows[i] for i in picked]):
+            continue
+        sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in picked))
+        yield tuple(gs[i] for i in picked), sys
 
 
 def brute_laplacian(mask):

@@ -64,15 +64,30 @@ def test_verify_bound_exceeded(specdir, capsys):
     assert rc == 3
 
 
-def test_verify_bound_hit_in_inv_exits_3(specdir, capsys, monkeypatch):
-    # AC..PAIR decide psl(3,2) within the bound, but listing its involutions
-    # for INV needs all 168 elements: no "INV:  none" may be reported
+def test_verify_bound_hit_in_inv_exits_3(specdir, tmp_path, capsys, monkeypatch):
+    # without a pair candidate PAIR lists nothing, and AC..MAX list no
+    # elements, so the first listing is INV's: H's 24 elements, over the
+    # bound; no "INV:  none" may be reported
+    spec = tmp_path / "psl32_nopair.spec"
+    spec.write_text("".join(line for line in (specdir / "psl32.spec").read_text().splitlines(True)
+                            if not line.startswith("pair:")))
+    monkeypatch.setenv("GF_BOUND", "20")
+    rc = main(["verify", str(spec)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "resource bound exceeded: group order 24 exceeds bound 20\n"
+    assert "INV:" not in captured.out
+
+
+def test_verify_inv_within_bound_lists_h_and_closure(specdir, capsys, monkeypatch):
+    # INV lists H (24 elements) and the closure of its involutions (21), not
+    # G (168), so a bound of 100 proves INV
     monkeypatch.setenv("GF_BOUND", "100")
     rc = main(["verify", str(specdir / "psl32.spec")])
     captured = capsys.readouterr()
-    assert rc == 3
-    assert captured.err == "resource bound exceeded: group order 168 exceeds bound 100\n"
-    assert "INV:" not in captured.out
+    assert rc == 0
+    assert captured.err == ""
+    assert "INV:  found" in captured.out
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])
@@ -200,6 +215,19 @@ def test_unfold_equilateral(tmp_path, capsys):
                "--svg", str(tmp_path / "eq.svg")])
     assert rc == 0
     assert "overlap: False" in capsys.readouterr().out
+
+
+def test_unfold_json_on_irrational_tile_is_invalid_input(tmp_path, capsys):
+    # the equilateral tile has coordinates in Q(sqrt 3), which the exact
+    # JSON form cannot hold: a one-line error, no traceback
+    path = tmp_path / "gww_a.ivs"
+    path.write_text(GOLDEN_A)
+    jsn = tmp_path / "a.json"
+    rc = main(["unfold", "--system", str(path), "--tile", "equilateral", "--json", str(jsn)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "unfold: exact JSON export needs rational coordinates\n"
+    assert not jsn.exists()
 
 
 def test_construct_type2_and_type3_via_files(tmp_path, capsys, a5_group):
