@@ -56,17 +56,6 @@ class _Field:
         return out & 3
 
 
-def _mat_mul(F: _Field, A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            _dot(F, [A[i][k] for k in range(n)], [B[k][j] for k in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 def _dot(F: _Field, u, v):
     s = 0
     for a, b in zip(u, v):

@@ -253,10 +253,6 @@ def polygon_perimeter_sq_multiset(points):
     return sorted(out)
 
 
-def _to_float_pt(p):
-    return float(p[0]), float(p[1])
-
-
 def export_svg(domain: TiledDomain, path, boundary=None):
     """One path per tile plus the boundary outline."""
     pts = [v for tri in domain.tiles for v in tri]

@@ -275,9 +275,6 @@ class PermGroup:
             return False
         return self.chain().contains(p)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_transitive(self) -> bool:
         return is_transitive_on(self.degree, [g.images for g in self.generators])
 
@@ -397,11 +394,7 @@ def is_transitive_on(degree: int, rows) -> bool:
     """
     if degree == 0:
         return False
-    return _is_transitive_lists(degree, np.asarray(rows).reshape(-1, degree).tolist())
-
-
-def _is_transitive_lists(degree: int, rows: list) -> bool:
-    """``is_transitive_on`` for rows already given as lists (degree > 0)."""
+    rows = np.asarray(rows).reshape(-1, degree).tolist()
     seen = [False] * degree
     seen[0] = True
     stack = [0]

@@ -8,9 +8,15 @@ candidates: H's involutions and their closure under conjugation, and G's
 involutions only when a witness may contain a fixed-point-free one (see
 ``triples.inv_witnesses``).  The index bound caps coset enumerations, so it
 alone caps AC, FF and MAX.
-The involution search bound caps the number of generator subsets examined
-by the involution-system search.  ``GF_BOUND`` in the environment overrides
-the enumeration bound; it must be a positive integer.
+The involution search bound caps the nodes of INV's forest search
+(``triples._forest_search``): each candidate tried as the next member of a
+subset counts once, and first members skipped by the class-first rule do
+not count.  It is a backstop that
+keeps every search finite; no measured catalog or construction input
+reaches it (exhausting all witnesses takes 20,863 nodes on psl(4,2), and
+proving INV false on the type-1 wreath of psl(3,2) takes 7,424).
+``GF_BOUND`` in the environment overrides the enumeration bound; it must be
+a positive integer.
 """
 
 import os

@@ -6,8 +6,9 @@ FF: both coset actions are faithful (trivial cores).
 MAX: both subgroups are maximal.
 PAIR: an automorphism swaps H and K with inner square on H; the weak form
 only compares orders.
-INV: r generating involutions of the coset action satisfy the fixed-point
-identity (r-2)*tiles == sum(Fix) - 2, with a tree gluing graph on demand.
+INV: r involutions of the coset action generate a transitive group and
+satisfy the fixed-point identity (r-2)*tiles == sum(Fix) - 2, so their
+gluing graph is a tree.
 
 AC, FF and MAX are decided on the coset tables of H and K, capped by the
 index bound only: AC by equal double-coset counts |H\G/H| == |H\G/K| ==
@@ -19,7 +20,9 @@ must fix a coset of the other.  G's conjugacy classes are built only for
 the AC-failure witness (``ac_profile``) and ``permutation_character``.
 PAIR verifies the swap automorphism by the order of its graph subgroup and
 lists only H.  INV takes its candidates from H's involutions and lists G's
-only when a witness may contain a fixed-point-free involution.
+only when a witness may contain a fixed-point-free involution; one forest
+search over the candidates, pruned by the fixed-point identity and by G's
+conjugation classes, yields the witnesses.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import BoundExceeded
 from .groups import (
     PermGroup,
     _group_of_order_at_most,
-    _is_transitive_lists,
     _row_keys,
     _take_rows,
     cached_classes,
@@ -271,52 +273,97 @@ def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
     return PairStatus.CONFIRMED if inner.any() else PairStatus.WEAK_EVIDENCE
 
 
-def _subset_search(fixes, r, target, cap):
-    """Lexicographic r-subsets of indices with exact fixed-point sum.
+def _class_firsts(acts, gen_acts):
+    """Whether each row of ``acts`` is the first of its class.
 
-    ``fixes`` must be sorted descending.  Prunes on partial sums; raises
-    BoundExceeded when more than ``cap`` nodes are visited.
+    ``acts`` holds pairwise distinct rows closed under conjugation by the
+    rows ``gen_acts``; a class is an orbit under that conjugation.  Each
+    generator's conjugation map (s^-1 * x * s is the row s[x[s^-1]]) is
+    union-found with every class rooted at its smallest index, so a row is
+    first exactly when it is its own root.
     """
-    n = len(fixes)
-    suffix_min = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = fixes[i] if i == n - 1 else min(fixes[i], suffix_min[i + 1])
-    visited = 0
+    index = {key: i for i, key in enumerate(_row_keys(acts))}
+    parent = list(range(len(acts)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for s in gen_acts:
+        for i, key in enumerate(_row_keys(s[acts[:, np.argsort(s)]])):
+            a, b = find(i), find(index[key])
+            parent[max(a, b)] = min(a, b)
+    return [find(i) == i for i in range(len(acts))]
+
+
+def _forest_search(cycles, fixes, first, r, target, degree):
+    """Increasing r-tuples of candidate indices whose fixed counts sum to
+    ``target`` and whose 2-cycles ``cycles[i]``, as edges on
+    0..degree-1, form a forest; the first index must be marked in
+    ``first``.
+
+    One depth-first search in lexicographic order.  ``fixes`` must be
+    non-increasing, so a partial sum prunes a whole tail.  A union-find
+    over the points holds the forest of the chosen candidates; a candidate
+    whose 2-cycle joins two connected points is rejected, and its unions
+    are undone on the way back.  Raises BoundExceeded after
+    ``INV_SEARCH_BOUND`` nodes.
+    """
+    parent = list(range(degree))
     chosen = []
+    visited = 0
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
 
     def rec(start, total):
         nonlocal visited
         need = r - len(chosen)
         if need == 0:
-            if total == target:
-                yield tuple(chosen)
+            yield tuple(chosen)
             return
-        for i in range(start, n - need + 1):
-            visited += 1
-            if visited > cap:
-                raise BoundExceeded("involution subset search bound exceeded")
-            # prune: remaining picks bounded by current (max) and suffix min
-            hi = total + fixes[i] + (need - 1) * fixes[i]
-            lo = total + fixes[i] + (need - 1) * suffix_min[i]
-            if hi < target or lo > target:
+        for i in range(start, len(fixes) - need + 1):
+            if not chosen and not first[i]:
                 continue
-            chosen.append(i)
-            yield from rec(i + 1, total + fixes[i])
-            chosen.pop()
+            visited += 1
+            if visited > INV_SEARCH_BOUND:
+                raise BoundExceeded("involution subset search bound exceeded")
+            if total + need * fixes[i] < target:
+                break
+            if total + fixes[i] + (need - 1) * fixes[-1] > target:
+                continue
+            joined = []
+            for a, b in cycles[i]:
+                a, b = find(a), find(b)
+                if a == b:
+                    break
+                parent[b] = a
+                joined.append(b)
+            else:
+                chosen.append(i)
+                yield from rec(i + 1, total + fixes[i])
+                chosen.pop()
+            for b in joined:
+                parent[b] = b
 
     yield from rec(0, 0)
 
 
-def inv_witnesses(t: Triple, r: int = 3, bound=None,
-                  search_bound: int = INV_SEARCH_BOUND):
-    """All involution systems witnessing INV for the H-side coset action.
+def inv_witnesses(t: Triple, r: int = 3, bound=None):
+    """Involution systems witnessing INV for the H-side coset action, at
+    least one from each class of witnesses under conjugation by G.
 
     Yields (G-involution tuple, system on the coset space) in a fixed order:
-    involutions sorted by descending fixed-point count in the action, then
-    by action key and element key, subsets lexicographically.  For a
-    faithful action the candidates are involutions of G, which keeps
-    preimages available; otherwise they are involutions of G's image and
-    the preimage slot is None.
+    candidate involutions sorted by descending fixed-point count in the
+    action, then by action key, subsets lexicographically.  For a faithful
+    action the candidates are involutions of G, which keeps preimages
+    available; otherwise they are involutions of G's image and the
+    preimage slot is None.  In every case the candidates act by pairwise
+    distinct rows and are closed under conjugation by G.
 
     The candidates come from H, not from a listing of G.  An involution x
     fixes the coset Hy exactly when y * x * y^-1 lies in H, so every
@@ -339,10 +386,36 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None,
       from one batched ``CosetTable.actions_of`` pass; the enumeration bound
       caps G.
 
-    Every yielded system is a tree with no tree test: the subset search
-    emits only subsets whose fixed counts meet the identity
-    sum Fix = (r-2) * n + 2, which gives the gluing graph n - 1 edges, and
-    a transitive system's graph is connected (see ``transplant.is_tree``).
+    One depth-first search (``_forest_search``) walks the subsets, with
+    two exact facts and one symmetry rule:
+
+    * Tree identity.  Color i glues (n - Fix_i) / 2 pairs of tiles, so a
+      subset meeting sum Fix = (r-2) * n + 2 has exactly n - 1 gluing
+      edges, and its gluing graph is connected (the system is transitive)
+      exactly when it is acyclic.  The search keeps a union-find over the
+      cosets and rejects a candidate whose 2-cycles close a cycle; every
+      leaf meeting the sum is a tree, and no transitivity test runs.
+    * Class-first rule.  Conjugating a witness by g in G gives a witness:
+      the candidates are closed under conjugation, fixed counts are class
+      functions, and the gluing graph is relabeled by g's action on the
+      cosets.  Let x_a, at position a, be the first member of the
+      lexicographically first witness of its conjugation class.  Were x_a
+      conjugate by some g to the candidate at a position a' < a,
+      conjugating the whole witness by g would give a witness of the same
+      class whose first position is at most a' < a.  So x_a is the first
+      candidate of its G-class, and the first member is tried only among
+      those (``_class_firsts``).  The yielded sequence is the subsequence
+      of all witnesses whose first member is first in its class; its first
+      witness, and whether it is empty, are those of the full sequence.
+      ``gww`` takes the first witness that unfolds cleanly under some
+      color order; cleanliness is kept by conjugation (a relabeling of
+      tiles) and by reordering the colors, so the same argument makes that
+      witness class-first, and ``gww`` chooses as it would from the full
+      sequence.
+
+    References: Buser-Conway-Doyle-Semmler, "Some planar isospectral
+    domains", IMRN 1994 (the gluing trees); McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998 (orderly generation).
     """
     if r < 3:
         raise ValueError("need at least 3 sides")
@@ -351,6 +424,7 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None,
     lam = len(table)
     target = (r - 2) * lam + 2
     faithful = table.is_faithful()
+    gen_acts = _rows([a.images for a in table.generator_actions], lam)
     if faithful:
         stab_invs = involutions_of(t.H, cap)
         stab_acts = table.actions_of(stab_invs)
@@ -361,7 +435,6 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None,
     if r * m < target:
         return
     if (r - 1) * m < target:
-        gen_acts = _rows([a.images for a in table.generator_actions], lam)
         if faithful:
             acts, g_rows = _conjugation_closure(
                 [stab_acts, stab], [gen_acts, _rows([g.images for g in t.G.generators], t.G.degree)],
@@ -374,26 +447,22 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None,
         gs = involutions_of(t.G, cap)
         acts = table.actions_of(gs)
     else:
-        image_group = PermGroup(lam, [table.action_of(g) for g in t.G.generators])
-        invs = involutions_of(image_group, cap)
+        invs = involutions_of(PermGroup(lam, table.generator_actions), cap)
         gs = [None] * len(invs)
         acts = _rows([p.images for p in invs], lam)
     fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
     keys = _row_keys(acts)
-    rows = acts.tolist()
-    order = sorted(range(len(gs)), key=lambda i: (
-        -fixes[i], keys[i], gs[i].key() if gs[i] is not None else b""))
-    seen_image_sets = set()
-    for combo in _subset_search([fixes[i] for i in order], r, target, search_bound):
-        picked = [order[i] for i in combo]
-        img_key = tuple(sorted(keys[i] for i in picked))
-        if len(set(img_key)) < r or img_key in seen_image_sets:
-            continue
-        seen_image_sets.add(img_key)
-        if not _is_transitive_lists(lam, [rows[i] for i in picked]):
-            continue
-        sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in picked))
-        yield tuple(gs[i] for i in picked), sys
+    order = sorted(range(len(gs)), key=lambda i: (-fixes[i], keys[i]))
+    acts, gs, fixes = acts[order], [gs[i] for i in order], [fixes[i] for i in order]
+    # each candidate's 2-cycles as pairs (a, x[a]) with a < x[a]
+    movers = acts > np.arange(lam)
+    pairs = np.stack([np.nonzero(movers)[1], acts[movers]], axis=1).tolist()
+    ends = np.cumsum(movers.sum(axis=1)).tolist()
+    cycles = [pairs[a:b] for a, b in zip([0] + ends, ends)]
+    first = _class_firsts(acts, gen_acts)
+    for combo in _forest_search(cycles, fixes, first, r, target, lam):
+        sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in combo))
+        yield tuple(gs[i] for i in combo), sys
 
 
 def _rows(images, degree):
@@ -401,16 +470,17 @@ def _rows(images, degree):
     return np.array(images, dtype=np.int32).reshape(-1, degree)
 
 
-def check_inv(t: Triple, r: int = 3, bound=None,
-              search_bound: int = INV_SEARCH_BOUND):
+def check_inv(t: Triple, r: int = 3, bound=None):
     """First INV witness system, or None when there is none.
 
     None is proved by the fixed-point certificate (r times the largest
     fixed count of an involution of H's image below (r-2) * n + 2) or by an
-    exhausted subset search over the candidates; see ``inv_witnesses`` for
-    the three cases.
+    exhausted search over the candidates; see ``inv_witnesses`` for the
+    three cases of candidates, the tree identity and the class-first rule.
+    The class-first rule drops witnesses but never the first one, so the
+    answer is the first witness of the full lexicographic sequence.
     """
-    for _, sys in inv_witnesses(t, r, bound, search_bound):
+    for _, sys in inv_witnesses(t, r, bound):
         return sys
     return None
 

@@ -12,8 +12,11 @@ and crossing by exact pairwise geometry, without the tessellation argument
 the library's unfolding relies on; ``brute_is_tree`` searches the gluing
 graph instead of using the fixed-point identity.  ``brute_inv_witnesses``
 lists every involution of G as an INV candidate instead of deriving the
-candidates from H, and ``brute_check_pair`` conjugates by one element of H
-at a time; both use the library's chains to list elements.
+candidates from H, runs the plain fixed-point subset search and tests each
+subset for transitivity; ``brute_class_first`` filters those witnesses by
+listing every G-conjugate of each first member, and ``brute_check_pair``
+conjugates by one element of H at a time; all three use the library's
+chains to list elements.
 """
 
 import itertools
@@ -25,12 +28,12 @@ import scipy.sparse as sp
 
 from isodrum.drums import _cross, _sign
 from isodrum.errors import BoundExceeded
-from isodrum.groups import PermGroup, _is_transitive_lists, _row_keys, left_cosets
+from isodrum.groups import PermGroup, _row_keys, is_transitive_on, left_cosets
 from isodrum.limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound, index_bound
 from isodrum.permutations import Permutation
 from isodrum.spectral import GridMask
 from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of
-from isodrum.triples import PairStatus, _subset_search, verify_automorphism
+from isodrum.triples import PairStatus, verify_automorphism
 
 
 def mulclose(gens, maxsize=None):
@@ -620,6 +623,42 @@ def brute_check_pair(t, candidate=None, bound=None):
     return PairStatus.WEAK_EVIDENCE
 
 
+def _subset_search(fixes, r, target, cap):
+    """Lexicographic r-subsets of indices with exact fixed-point sum.
+
+    ``fixes`` must be sorted descending.  Prunes on partial sums; raises
+    BoundExceeded when more than ``cap`` nodes are visited.
+    """
+    n = len(fixes)
+    suffix_min = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_min[i] = fixes[i] if i == n - 1 else min(fixes[i], suffix_min[i + 1])
+    visited = 0
+    chosen = []
+
+    def rec(start, total):
+        nonlocal visited
+        need = r - len(chosen)
+        if need == 0:
+            if total == target:
+                yield tuple(chosen)
+            return
+        for i in range(start, n - need + 1):
+            visited += 1
+            if visited > cap:
+                raise BoundExceeded("involution subset search bound exceeded")
+            # prune: remaining picks bounded by current (max) and suffix min
+            hi = total + fixes[i] + (need - 1) * fixes[i]
+            lo = total + fixes[i] + (need - 1) * suffix_min[i]
+            if hi < target or lo > target:
+                continue
+            chosen.append(i)
+            yield from rec(i + 1, total + fixes[i])
+            chosen.pop()
+
+    yield from rec(0, 0)
+
+
 def brute_inv_witnesses(t, r=3, bound=None, search_bound=INV_SEARCH_BOUND):
     """INV's witnesses with every involution of G (or of its image) listed
     as a candidate, fixed-point-free ones included, in the library's order:
@@ -651,10 +690,37 @@ def brute_inv_witnesses(t, r=3, bound=None, search_bound=INV_SEARCH_BOUND):
         if len(set(img_key)) < r or img_key in seen_image_sets:
             continue
         seen_image_sets.add(img_key)
-        if not _is_transitive_lists(lam, [rows[i] for i in picked]):
+        if not is_transitive_on(lam, [rows[i] for i in picked]):
             continue
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in picked))
         yield tuple(gs[i] for i in picked), sys
+
+
+def brute_class_first(t, witnesses):
+    """The witnesses whose first member no element of G conjugates to an
+    earlier candidate.
+
+    Lists G and images every element on the cosets of H.  Conjugation keeps
+    the fixed count, so in the library's candidate order (descending fixed
+    count, then action key) the earlier candidates of a class are those
+    with a smaller action key; a witness is kept when the first member's
+    action row has the least key of all its conjugates.  ``witnesses`` is
+    consumed lazily, as pairs (G-involution tuple, system).
+    """
+    table = left_cosets(t.G, t.H, index_bound())
+    elements = None
+    least = {}
+    for gs, sys in witnesses:
+        x = sys.perms[0].images
+        key = x.tobytes()
+        if key not in least:
+            if elements is None:
+                elements = table.actions_of(t.G.elements(enumeration_bound()))
+                inverses = np.argsort(elements, axis=1)
+            conjugates = np.take_along_axis(elements, x[inverses], axis=1)
+            least[key] = min(_row_keys(conjugates)) == _row_keys(x[None, :])[0]
+        if least[key]:
+            yield gs, sys
 
 
 def brute_laplacian(mask):

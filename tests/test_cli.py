@@ -127,6 +127,23 @@ def test_construct_type1_flags(specdir, tmp_path, capsys):
     assert built.G.degree == 14
 
 
+def test_verify_type1_wreath_proves_inv_false(specdir, tmp_path, capsys):
+    # 651 candidate involutions fix 7, 9 or 21 of the 49 cosets; the forest
+    # search exhausts them with no tree system, well inside the node bound
+    out = tmp_path / "t1.spec"
+    assert main([
+        "construct", "--spec", str(specdir / "psl32c.spec"), "--type", "1",
+        "--n", "2", "--top-degree", "2", "--top-gens", "[(1 2)]",
+        "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    rc = main(["verify", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ""
+    assert "INV:  none" in captured.out.splitlines()
+
+
 def test_construct_stanza_in_file(specdir, tmp_path):
     base_text = (specdir / "psl32c.spec").read_text()
     spec = tmp_path / "with_stanza.spec"

@@ -1,13 +1,20 @@
-"""INV's candidates from H against the listing of every involution of G.
+"""INV's forest search from H's involutions against the listing of every
+involution of G.
 
 ``triples.inv_witnesses`` answers INV without listing G when it can: by the
 fixed-point certificate r * m < target, or by the closure of H's involutions
-under conjugation.  ``bruteforce.brute_inv_witnesses`` lists every
-involution of G.  Their witness sequences (element keys and formatted
-systems) must agree, on random triples with faithful and unfaithful coset
-actions, on the catalog triples, and on S6 over 6 points, whose first
-witness uses a fixed-point-free involution.  PAIR's batched inner-square
-test is compared with the loop over H's elements.
+under conjugation.  It walks the subsets in one search that keeps the
+gluing graph a forest and tries only the first candidate of each G-class as
+the first member.  ``bruteforce.brute_inv_witnesses`` lists every
+involution of G, searches subsets by fixed-point sum alone and tests each
+for transitivity; ``bruteforce.brute_class_first`` keeps those of its
+witnesses whose first member no element of G conjugates to an earlier
+candidate.  The library's witness sequence (element keys and formatted
+systems) must equal the filtered oracle's, and its first witness and its
+emptiness those of the unfiltered oracle, on random triples with faithful
+and unfaithful coset actions, on the catalog triples, and on S6 over 6
+points, whose first witness uses a fixed-point-free involution.  PAIR's
+batched inner-square test is compared with the loop over H's elements.
 """
 
 import itertools
@@ -18,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_check_pair, brute_inv_witnesses
+from bruteforce import brute_check_pair, brute_class_first, brute_inv_witnesses
 from isodrum import catalog, triples
 from isodrum.catalog import duality_automorphism, psl_triple
 from isodrum.cli import main
@@ -40,8 +47,11 @@ def witnesses(gen, limit=None):
 
 
 def assert_same_witnesses(t, r=3, limit=None):
+    """The library's witnesses equal the class-first oracle's, and its first
+    witness (or none) equals the unfiltered oracle's."""
     mine = witnesses(inv_witnesses(t, r), limit)
-    assert mine == witnesses(brute_inv_witnesses(t, r), limit)
+    assert mine == witnesses(brute_class_first(t, brute_inv_witnesses(t, r)), limit)
+    assert mine[:1] == witnesses(brute_inv_witnesses(t, r), 1)
     return mine
 
 
@@ -104,7 +114,12 @@ def test_fixed_point_free_involution_in_first_witness():
 
 
 def test_psl32_all_witnesses_match():
-    assert len(assert_same_witnesses(psl_triple(3, 2))) == 392
+    # 56 of the 392 witnesses start with the first of the 21 involutions,
+    # which form one class; they are the first 56 of all 392
+    mine = assert_same_witnesses(psl_triple(3, 2))
+    assert len(mine) == 56
+    assert mine == witnesses(brute_inv_witnesses(psl_triple(3, 2)), 56)
+    assert len(witnesses(brute_inv_witnesses(psl_triple(3, 2)))) == 392
 
 
 def test_psl32_kernel_matches():
@@ -115,6 +130,20 @@ def test_psl32_kernel_matches():
 
 def test_psl33_first_witnesses_match():
     assert len(assert_same_witnesses(psl_triple(3, 3), limit=300)) == 300
+
+
+def test_first_witness_where_the_oracle_hits_its_cap():
+    # G of order 1152 on 8 points, H the stabilizer of point 0: the plain
+    # subset search passes 200k nodes before it is exhausted
+    gens = ["(2 3)(5 6)", "(0 5)(1 2)(3 6)(4 7)", "(4 5)"]
+    G = PermGroup(8, [parse_cycles(c, 8) for c in gens])
+    t = Triple(G, G.stabilizer(0), G.stabilizer(0))
+    mine = witnesses(inv_witnesses(t, 4))
+    assert len(mine) == 768
+    assert mine[:1] == witnesses(brute_inv_witnesses(t, 4), 1)
+    with pytest.raises(BoundExceeded, match="involution subset search bound exceeded"):
+        for _ in brute_inv_witnesses(t, 4):
+            pass
 
 
 def test_psl34_has_no_witness():
