@@ -8,7 +8,6 @@ this module is exact; no floating point.
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
 from collections import deque
@@ -26,7 +25,7 @@ from .groups import (
     is_transitive_on,
     left_cosets,
 )
-from .limits import OKADA_SHUDO_NMAX
+from .limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound
 from .permutations import Permutation
 
 
@@ -345,26 +344,29 @@ def detect_isometry(A: InvolutionSystem, B: InvolutionSystem):
     return None
 
 
-def involutions_of(G: PermGroup, bound=None, rows=None):
+def involutions_of(G: PermGroup, bound=None):
     """Order-2 elements of G, sorted by image key.
 
-    Tests every row of ``G.element_rows(bound)`` (or of ``rows``, G's
-    elements when the caller has already built them) on the base of G's
-    chain only.  The pointwise stabilizer of the base is trivial, so an
-    element of G is the identity exactly when it fixes the base, and g is an
+    Tests every row of ``G.element_rows(bound)`` on the base of G's chain
+    only.  The pointwise stabilizer of the base is trivial, so an element of
+    G is the identity exactly when it fixes the base, and g is an
     involution exactly when g moves a base point and g^2 fixes them all.
     The base images of every square are one gather (``_take_rows``); the
     surviving rows are sorted lexicographically (the ``Permutation.key()``
     order) before wrapping.
     """
-    if rows is None:
-        rows = G.element_rows(bound)
+    rows = G.element_rows(bound)
     base = np.array(G.chain().base(), dtype=np.intp)
     at_base = rows[:, base]
     invs = rows[(_take_rows(rows, at_base) == base).all(axis=1) & (at_base != base).any(axis=1)]
     if not len(invs):
         return []
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
+
+
+def _rows(images, degree):
+    """Image rows as one (len(images), degree) int32 array, empty included."""
+    return np.array(images, dtype=np.int32).reshape(-1, degree)
 
 
 def _conjugation_closure(seeds, generators, bound):
@@ -403,104 +405,223 @@ def _conjugation_closure(seeds, generators, bound):
     return [np.concatenate(parts) for parts in found]
 
 
-def _conjugation_action(G: PermGroup, rows, invs):
-    """Array c with c[e, i] the index in ``invs`` of e^-1 * invs[i] * e, for
-    every element e of G given as a row of ``rows``.
+def _conjugation_maps(rows, generators):
+    """Array c with c[j, i] the index in ``rows`` of s^-1 * x * s, for x
+    the element of row i and s that of row j of ``generators``.
 
-    ``invs`` must be closed under conjugation.  An element of G is fixed by
-    its images of the base of G's chain, so each conjugate is matched to its
-    involution by those images alone, all at once.
+    ``rows`` must be pairwise distinct and closed under conjugation by the
+    generators; each conjugate, the row s[x[s^-1]], is matched by its bytes
+    (``_row_keys``).
     """
-    base = np.array(G.chain().base(), dtype=np.intp)
-    inv_rows = np.stack([p.images for p in invs])
-    pre = np.argsort(rows, axis=1)[:, base]  # e^-1 of each base point
-    # conjugate(e, i) maps base point b to e(invs[i](e^-1(b)))
-    images = rows[np.arange(len(rows))[None, :, None], inv_rows[:, pre]]
-    keys = np.concatenate([inv_rows[:, base], images.reshape(-1, len(base))])
-    ids = np.zeros(len(keys), dtype=np.int64)
-    for column in keys.T:  # rank the base-image tuples one coordinate at a time
-        ids = np.unique(ids * G.degree + column, return_inverse=True)[1].reshape(-1)
-    index_of = np.empty(len(invs), dtype=np.intp)
-    index_of[ids[:len(invs)]] = np.arange(len(invs))
-    return index_of[ids[len(invs):]].reshape(len(invs), len(rows)).T
+    index = {key: i for i, key in enumerate(_row_keys(rows))}
+    return np.array([[index[key] for key in _row_keys(s[rows[:, np.argsort(s)]])]
+                     for s in generators], dtype=np.intp).reshape(len(generators), len(rows))
+
+
+def _class_firsts(maps):
+    """Whether each index is the first of its class, a class being an orbit
+    of the conjugation maps ``maps`` (``_conjugation_maps``).
+
+    The maps are union-found with every class rooted at its smallest
+    index, so an index is first exactly when it is its own root.
+    """
+    parent = list(range(maps.shape[1]))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for images in maps.tolist():
+        for i, j in enumerate(images):
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return [find(i) == i for i in range(len(parent))]
+
+
+def _forest_search(acts, first, r, target):
+    """Increasing r-tuples of indices into the involution rows ``acts``
+    whose fixed counts sum to ``target`` and whose 2-cycles form a forest;
+    the first index must be marked in ``first``.
+
+    One depth-first search in lexicographic order.  The fixed counts of
+    ``acts`` must be non-increasing, so a partial sum prunes a whole tail.
+    A union-find over the points holds the forest of the chosen rows; a row
+    whose 2-cycle joins two connected points is rejected, and its unions
+    are undone on the way back.  Raises BoundExceeded after
+    ``INV_SEARCH_BOUND`` nodes.
+    """
+    degree = acts.shape[1]
+    fixes = (acts == np.arange(degree)).sum(axis=1).tolist()
+    # each row's 2-cycles as pairs (a, x[a]) with a < x[a]
+    movers = acts > np.arange(degree)
+    pairs = np.stack([np.nonzero(movers)[1], acts[movers]], axis=1).tolist()
+    ends = np.cumsum(movers.sum(axis=1)).tolist()
+    cycles = [pairs[a:b] for a, b in zip([0] + ends, ends)]
+    parent = list(range(degree))
+    chosen = []
+    visited = 0
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def rec(start, total):
+        nonlocal visited
+        need = r - len(chosen)
+        if need == 0:
+            yield tuple(chosen)
+            return
+        for i in range(start, len(fixes) - need + 1):
+            if not chosen and not first[i]:
+                continue
+            visited += 1
+            if visited > INV_SEARCH_BOUND:
+                raise BoundExceeded("involution subset search bound exceeded")
+            if total + need * fixes[i] < target:
+                break
+            if total + fixes[i] + (need - 1) * fixes[-1] > target:
+                continue
+            joined = []
+            for a, b in cycles[i]:
+                a, b = find(a), find(b)
+                if a == b:
+                    break
+                parent[b] = a
+                joined.append(b)
+            else:
+                chosen.append(i)
+                yield from rec(i + 1, total + fixes[i])
+                chosen.pop()
+            for b in joined:
+                parent[b] = b
+
+    yield from rec(0, 0)
+
+
+def _orbit(maps, tup):
+    """The orbit of an index tuple under the conjugation maps ``maps``
+    applied to every entry at once, one ordered tuple per row."""
+    seen = {tup}
+    frontier = [tup]
+    while frontier:
+        frontier = list(set(map(tuple, maps[:, frontier].reshape(-1, len(tup)).tolist())) - seen)
+        seen.update(frontier)
+    return np.array(list(seen), dtype=np.intp)
 
 
 def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
     """Transplantable nonisometric tree-system pairs from one triple.
 
-    Walks the r-subsets of G's involutions in lexicographic order (as
-    increasing index tuples into ``involutions_of``), images them under
-    both coset actions, keeps those that give tree systems on both sides
-    and generate G, and keeps pairs with an invertible non-permutation
-    intertwiner, deduplicated up to independent tile relabelings of the two
-    sides.  The tests are conjuncts, so they run cheapest first: generation
-    (a Schreier-Sims run, stopped once the order reaches |G|) comes after
-    the validity and tree tests.
+    A pair comes from r involutions of G that give tree systems on the
+    cosets of H and of K (sum Fix = (r-2) * n + 2 and transitive), generate
+    G, and whose two systems have an invertible non-permutation
+    intertwiner.  For each pair of canonical keys (independent tile
+    relabelings of the two sides) the systems of the least such increasing
+    tuple are kept, indices taken in the element-key order of
+    ``involutions_of``: the pairs that examining every r-subset in
+    lexicographic order would keep.  Pairs are sorted by keys.
 
-    Only one representative of each G-orbit of ordered r-tuples under
-    simultaneous conjugation is examined.  Conjugating the tuple by x
-    relabels the tiles of both systems by the actions of x on the cosets of
-    H and of K, so generation, validity, the tree test, the transplantation
-    verdict and the canonical keys are the same on the whole orbit.  When a
-    subset is examined, every increasing tuple in its orbit of ordered
-    tuples is marked as covered and later skipped; the examined subset is
-    therefore the lexicographically first increasing tuple of its orbit,
-    and the first
-    subset that yields a given pair of keys (the one a loop over every
-    subset would keep) is always examined.  The orbit is of ordered tuples:
-    re-sorting a conjugated tuple would permute the colors and change the
-    keys.  The orbit is read off G's element rows, enumerated once (the
-    enumeration bound caps |G|), and the actions of all involutions on both
-    coset spaces come from one ``actions_of`` pass per side (the index is
-    at most ``n_max``).
+    Candidates, as in ``triples.inv_witnesses``.  Let m be the largest fixed
+    count on the H-cosets of an involution of H; an involution fixes the
+    coset Hy exactly when y * x * y^-1 lies in H, so the fixed count of
+    every involution of G is that of an involution of H, or 0.
+
+    * r * m below the target: no r involutions reach the sum, and the
+      census is empty.
+    * (r-1) * m below it: every member of an H-side tree fixes at least
+      target - (r-1) * m > 0 cosets, so it is conjugate into H.  The
+      candidates are the closure of H's involutions under conjugation by
+      G's generators (``_conjugation_closure``, keyed by rows of G), and no
+      tree is lost.  The enumeration bound caps H and the closure.
+    * otherwise all of G's involutions are listed; the bound caps G.
+
+    Search.  ``_forest_search`` walks the H-side trees over the candidates
+    ordered by descending fixed count (a stable sort, so by element key
+    within a count), trying as first member only the first candidate of
+    each class (``_class_firsts`` on the conjugation maps of G's
+    generators; a class has one fixed count, so its first in element-key
+    order is its first in the search).  For the first set yielded from
+    each orbit of sets, the ordered orbit of its tuple is walked
+    (``_orbit``) and all its sets recorded, so later sets of the orbit are
+    skipped; the tuple is tested once, for generation (a Schreier-Sims run
+    stopped at |G|) and then transplantation.  Those two make the K side a
+    tree: a tuple generating G is transitive on the cosets of K, as G is,
+    and an invertible T with T * M_mu = N_mu * T makes each N_mu similar to
+    M_mu, so the K-side fixed counts equal the H-side ones and meet the
+    sum.  No K-side test runs.
+
+    Exactness.  Conjugating a tuple by g relabels the tiles of both systems
+    by g's actions on the cosets, and reordering it reorders the colors of
+    both; every test is invariant under both, so an orbit of sets passes or
+    fails as a whole, and the least set of each H-side tree orbit in search
+    order starts with a class-first candidate, so the search reaches every
+    orbit.  The color pattern of an ordered tuple v of the orbit is the
+    permutation p sorting it (``argsort``).  Two increasing tuples v o p
+    and w o p with one pattern come from ordered conjugates v and w, so
+    they are conjugate as ordered tuples and share their key pair.  So the
+    least passing increasing tuple with a given key pair is the least tuple
+    of its pattern in its orbit; keeping the least tuple of each pattern of
+    each passing orbit, then the least tuple of each key pair, keeps it.
     """
     if not 3 <= r:
         raise ValueError("need at least 3 sides")
     if n_max > OKADA_SHUDO_NMAX:
         raise BoundExceeded(f"n_max {n_max} exceeds census bound {OKADA_SHUDO_NMAX}")
-    G, H, K = t.G, t.H, t.K
-    table_h = left_cosets(G, H)
-    table_k = left_cosets(G, K)
-    if len(table_h) != len(table_k):
+    G = t.G
+    table_h, table_k = left_cosets(G, t.H), left_cosets(G, t.K)
+    n = len(table_h)
+    if n != len(table_k):
         raise ValueError("coset spaces have different sizes")
-    if len(table_h) > n_max:
-        raise BoundExceeded(f"index {len(table_h)} exceeds n_max {n_max}")
-    rows = G.element_rows(bound)
-    invs = involutions_of(G, rows=rows)
-    if len(invs) < r:
+    if n > n_max:
+        raise BoundExceeded(f"index {n} exceeds n_max {n_max}")
+    cap = enumeration_bound(bound)
+    target = (r - 2) * n + 2
+    stab = involutions_of(t.H, cap)
+    m = int((table_h.actions_of(stab) == np.arange(n)).sum(axis=1).max(initial=0))
+    if r * m < target:
         return []
-    conj = _conjugation_action(G, rows, invs)
+    gen_rows = _rows([g.images for g in G.generators], G.degree)
+    if (r - 1) * m < target:
+        (rows,) = _conjugation_closure([_rows([p.images for p in stab], G.degree)], [gen_rows], cap)
+    else:
+        rows = _rows([p.images for p in involutions_of(G, cap)], G.degree)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    invs = [Permutation._wrap(row) for row in rows]
     acts_h, acts_k = table_h.actions_of(invs), table_k.actions_of(invs)
-    results = []
-    seen = set()
-    covered = set()
-    for combo in itertools.combinations(range(len(invs)), r):
-        if combo in covered:
+    maps = _conjugation_maps(rows, gen_rows)
+    order = np.argsort(-(acts_h == np.arange(n)).sum(axis=1), kind="stable")
+
+    def systems(tup):
+        return tuple(InvolutionSystem(n, r, tuple(Permutation._wrap(a[i]) for i in tup))
+                     for a in (acts_h, acts_k))
+
+    walked, kept = set(), {}
+    for combo in _forest_search(acts_h[order], np.array(_class_firsts(maps))[order], r, target):
+        tup = tuple(sorted(order[list(combo)].tolist()))
+        if tup in walked:
             continue
-        orbit = conj[:, combo]
-        covered.update(map(tuple, orbit[(orbit[:, 1:] > orbit[:, :-1]).all(axis=1)].tolist()))
-        imgs_h = tuple(Permutation._wrap(acts_h[i]) for i in combo)
-        imgs_k = tuple(Permutation._wrap(acts_k[i]) for i in combo)
-        try:
-            sys_h = InvolutionSystem(len(table_h), r, imgs_h)
-            sys_k = InvolutionSystem(len(table_k), r, imgs_k)
-        except ValueError:
+        orbit = _orbit(maps, tup)
+        patterns = np.argsort(orbit, axis=1)
+        sets = np.take_along_axis(orbit, patterns, axis=1)
+        walked.update(map(tuple, sets.tolist()))
+        if _group_of_order_at_most(G.degree, [invs[i] for i in tup], G.order).order != G.order:
             continue
-        if not (is_tree(sys_h) and is_tree(sys_k)):
-            continue
-        gens = [invs[i] for i in combo]
-        if _group_of_order_at_most(G.degree, gens, G.order).order != G.order:
-            continue
-        sol = find_transplantation(sys_h, sys_k)
+        sol = find_transplantation(*systems(tup))
         if sol is None or not sol.invertible or sol.permutation_solution is not None:
             continue
-        key = (sys_h.canonical_key(), sys_k.canonical_key())
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append((sys_h, sys_k))
-    results.sort(key=lambda pair: (pair[0].canonical_key(), pair[1].canonical_key()))
-    return results
+        # the least increasing tuple of each color pattern
+        pattern = np.unique(patterns, axis=0, return_inverse=True)[1].ravel()
+        by_pattern = np.lexsort((*sets.T[::-1], pattern))
+        least = sets[by_pattern[np.unique(pattern[by_pattern], return_index=True)[1]]]
+        for u in map(tuple, least.tolist()):
+            pair = systems(u)
+            key = (pair[0].canonical_key(), pair[1].canonical_key())
+            if key not in kept or u < kept[key][0]:
+                kept[key] = (u, pair)
+    return [kept[key][1] for key in sorted(kept)]
 
 
 _SIDE_RE = re.compile(r"side\s+(\d+)\s*:(.*)$")

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundExceeded
 from .groups import (
     PermGroup,
     _group_of_order_at_most,
@@ -45,9 +44,10 @@ from .groups import (
     left_cosets,
     same_group,
 )
-from .limits import INV_SEARCH_BOUND, enumeration_bound, index_bound
+from .limits import enumeration_bound, index_bound
 from .permutations import Permutation
-from .transplant import InvolutionSystem, _conjugation_closure, involutions_of
+from .transplant import (InvolutionSystem, _class_firsts, _conjugation_closure, _conjugation_maps,
+                         _forest_search, _rows, involutions_of)
 
 
 @dataclass
@@ -273,86 +273,6 @@ def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
     return PairStatus.CONFIRMED if inner.any() else PairStatus.WEAK_EVIDENCE
 
 
-def _class_firsts(acts, gen_acts):
-    """Whether each row of ``acts`` is the first of its class.
-
-    ``acts`` holds pairwise distinct rows closed under conjugation by the
-    rows ``gen_acts``; a class is an orbit under that conjugation.  Each
-    generator's conjugation map (s^-1 * x * s is the row s[x[s^-1]]) is
-    union-found with every class rooted at its smallest index, so a row is
-    first exactly when it is its own root.
-    """
-    index = {key: i for i, key in enumerate(_row_keys(acts))}
-    parent = list(range(len(acts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s in gen_acts:
-        for i, key in enumerate(_row_keys(s[acts[:, np.argsort(s)]])):
-            a, b = find(i), find(index[key])
-            parent[max(a, b)] = min(a, b)
-    return [find(i) == i for i in range(len(acts))]
-
-
-def _forest_search(cycles, fixes, first, r, target, degree):
-    """Increasing r-tuples of candidate indices whose fixed counts sum to
-    ``target`` and whose 2-cycles ``cycles[i]``, as edges on
-    0..degree-1, form a forest; the first index must be marked in
-    ``first``.
-
-    One depth-first search in lexicographic order.  ``fixes`` must be
-    non-increasing, so a partial sum prunes a whole tail.  A union-find
-    over the points holds the forest of the chosen candidates; a candidate
-    whose 2-cycle joins two connected points is rejected, and its unions
-    are undone on the way back.  Raises BoundExceeded after
-    ``INV_SEARCH_BOUND`` nodes.
-    """
-    parent = list(range(degree))
-    chosen = []
-    visited = 0
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    def rec(start, total):
-        nonlocal visited
-        need = r - len(chosen)
-        if need == 0:
-            yield tuple(chosen)
-            return
-        for i in range(start, len(fixes) - need + 1):
-            if not chosen and not first[i]:
-                continue
-            visited += 1
-            if visited > INV_SEARCH_BOUND:
-                raise BoundExceeded("involution subset search bound exceeded")
-            if total + need * fixes[i] < target:
-                break
-            if total + fixes[i] + (need - 1) * fixes[-1] > target:
-                continue
-            joined = []
-            for a, b in cycles[i]:
-                a, b = find(a), find(b)
-                if a == b:
-                    break
-                parent[b] = a
-                joined.append(b)
-            else:
-                chosen.append(i)
-                yield from rec(i + 1, total + fixes[i])
-                chosen.pop()
-            for b in joined:
-                parent[b] = b
-
-    yield from rec(0, 0)
-
-
 def inv_witnesses(t: Triple, r: int = 3, bound=None):
     """Involution systems witnessing INV for the H-side coset action, at
     least one from each class of witnesses under conjugation by G.
@@ -386,8 +306,8 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
       from one batched ``CosetTable.actions_of`` pass; the enumeration bound
       caps G.
 
-    One depth-first search (``_forest_search``) walks the subsets, with
-    two exact facts and one symmetry rule:
+    One depth-first search (``transplant._forest_search``, shared with the
+    census) walks the subsets, with two exact facts and one symmetry rule:
 
     * Tree identity.  Color i glues (n - Fix_i) / 2 pairs of tiles, so a
       subset meeting sum Fix = (r-2) * n + 2 has exactly n - 1 gluing
@@ -404,9 +324,10 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
       conjugating the whole witness by g would give a witness of the same
       class whose first position is at most a' < a.  So x_a is the first
       candidate of its G-class, and the first member is tried only among
-      those (``_class_firsts``).  The yielded sequence is the subsequence
-      of all witnesses whose first member is first in its class; its first
-      witness, and whether it is empty, are those of the full sequence.
+      those (``transplant._class_firsts``).  The yielded sequence is the
+      subsequence of all witnesses whose first member is first in its
+      class; its first witness, and whether it is empty, are those of the
+      full sequence.
       ``gww`` takes the first witness that unfolds cleanly under some
       color order; cleanliness is kept by conjugation (a relabeling of
       tiles) and by reordering the colors, so the same argument makes that
@@ -453,21 +374,11 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
     fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
     keys = _row_keys(acts)
     order = sorted(range(len(gs)), key=lambda i: (-fixes[i], keys[i]))
-    acts, gs, fixes = acts[order], [gs[i] for i in order], [fixes[i] for i in order]
-    # each candidate's 2-cycles as pairs (a, x[a]) with a < x[a]
-    movers = acts > np.arange(lam)
-    pairs = np.stack([np.nonzero(movers)[1], acts[movers]], axis=1).tolist()
-    ends = np.cumsum(movers.sum(axis=1)).tolist()
-    cycles = [pairs[a:b] for a, b in zip([0] + ends, ends)]
-    first = _class_firsts(acts, gen_acts)
-    for combo in _forest_search(cycles, fixes, first, r, target, lam):
+    acts, gs = acts[order], [gs[i] for i in order]
+    first = _class_firsts(_conjugation_maps(acts, gen_acts))
+    for combo in _forest_search(acts, first, r, target):
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in combo))
         yield tuple(gs[i] for i in combo), sys
-
-
-def _rows(images, degree):
-    """Image rows as one (len(images), degree) int32 array, empty included."""
-    return np.array(images, dtype=np.int32).reshape(-1, degree)
 
 
 def check_inv(t: Triple, r: int = 3, bound=None):

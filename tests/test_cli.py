@@ -361,3 +361,16 @@ def test_scan_command(tmp_path, capsys, psl32):
     assert rc == 0
     assert "found 14" in out
     assert len(list(outdir.iterdir())) == 28
+
+
+def test_scan_bound_caps_h_and_the_closure(specdir, capsys, monkeypatch):
+    # the census lists H (24 elements) and closes its involutions (21),
+    # never G (168)
+    monkeypatch.setenv("GF_BOUND", "100")
+    assert main(["scan", "--spec", str(specdir / "psl32.spec"), "--nmax", "7"]) == 0
+    assert "found 14" in capsys.readouterr().out
+    monkeypatch.setenv("GF_BOUND", "20")
+    assert main(["scan", "--spec", str(specdir / "psl32.spec"), "--nmax", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "resource bound exceeded: group order 24 exceeds bound 20\n"
+    assert "found" not in captured.out

@@ -1,11 +1,14 @@
 """The census scan over conjugation orbits against the scan of every subset.
 
-``okada_shudo_scan`` examines one involution tuple per G-orbit under
-simultaneous conjugation; ``bruteforce.brute_scan`` examines every subset.
-Their formatted pair files must agree byte for byte, on relabeled copies of
-the PSL(3,2) point triple (which reorder the involutions, and so the orbit
-representatives) and on triples whose generating tuples have nontrivial
-stabilizers (G has a center).
+``okada_shudo_scan`` walks the H-side gluing trees once per G-orbit of
+involution sets under simultaneous conjugation and expands each passing
+orbit by its color patterns; ``bruteforce.brute_scan`` examines every
+subset.  Their formatted pair files must agree byte for byte, on relabeled
+copies of the PSL(3,2) point triple (which reorder the involutions, and so
+the orbit representatives) and on triples whose generating tuples have
+nontrivial stabilizers (G has a center).  Larger triples are pinned by the
+SHA-256 of their pair files, as computed by the earlier scan that walked all
+C(|Inv|, 3) subsets and examined one per conjugation orbit.
 """
 
 import hashlib
@@ -16,11 +19,15 @@ import numpy as np
 import pytest
 
 from bruteforce import brute_scan, mulclose
+from isodrum import transplant
 from isodrum.catalog import psl_triple
-from isodrum.groups import PermGroup
-from isodrum.permutations import Permutation
+from isodrum.groups import PermGroup, is_transitive_on, left_cosets
+from isodrum.limits import OKADA_SHUDO_NMAX
+from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
-    _conjugation_action,
+    _conjugation_maps,
+    _orbit,
+    _rows,
     format_involution_system,
     involutions_of,
     okada_shudo_scan,
@@ -30,6 +37,17 @@ from isodrum.triples import Triple, is_ac
 
 def pair_files(pairs):
     return [(format_involution_system(a), format_involution_system(b)) for a, b in pairs]
+
+
+def file_digest(pairs):
+    """SHA-256 of the pair files written in order, side a then side b."""
+    text = "".join(format_involution_system(a) + format_involution_system(b) for a, b in pairs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def conjugation_maps(G, invs):
+    return _conjugation_maps(_rows([p.images for p in invs], G.degree),
+                             _rows([g.images for g in G.generators], G.degree))
 
 
 def relabeled(t, seed):
@@ -79,14 +97,13 @@ def test_orbit_scan_matches_brute_on_relabeled_psl32(psl32_small, seed):
 def test_orbit_scan_matches_brute_with_central_stabilizers():
     t = affine_triple()
     assert t.G.order == 32 and is_ac(t)
-    rows = t.G.element_rows()
     invs = involutions_of(t.G)
-    conj = _conjugation_action(t.G, rows, invs)
+    maps = conjugation_maps(t.G, invs)
     generating = [(0, *c) for c in itertools.combinations(range(1, len(invs)), 2)
                   if PermGroup(8, [invs[i] for i in (0, *c)]).order == 32]
     assert generating
     # each orbit has 16 ordered tuples: the center x -> x+4 fixes the tuple
-    assert {len(set(map(tuple, conj[:, c].tolist()))) for c in generating} == {16}
+    assert {len(_orbit(maps, c)) for c in generating} == {16}
     assert pair_files(okada_shudo_scan(t, 8, 3)) == pair_files(brute_scan(t, 8, 3))
 
 
@@ -99,18 +116,56 @@ def test_central_extension_keeps_the_census(psl32_small):
     assert keys(okada_shudo_scan(t, 7, 3)) == keys(okada_shudo_scan(psl32_small, 7, 3))
 
 
-def test_conjugation_action_against_conjugate_by(psl32_small):
+def s6_two_actions():
+    """S6 on the cosets of a point stabilizer S5 and of a transitive S5
+    (PGL(2,5) on the projective line over F5, infinity as point 5): both of
+    index 6, not Gassmann."""
+    cyc = lambda text: parse_cycles(text, 6)
+    mobius = lambda f: Permutation([f(x) for x in range(6)])
+    inverse_mod5 = {1: 1, 2: 3, 3: 2, 4: 4}
+    K = PermGroup(6, [mobius(lambda x: 5 if x == 5 else (x + 1) % 5),
+                      mobius(lambda x: 5 if x == 5 else 2 * x % 5),
+                      mobius(lambda x: 0 if x == 5 else 5 if x == 0 else -inverse_mod5[x] % 5)])
+    return Triple(PermGroup(6, [cyc("(0 1)"), cyc("(0 1 2 3 4 5)")]),
+                  PermGroup(6, [cyc("(1 2)"), cyc("(1 2 3 4 5)")]), K)
+
+
+def test_census_runs_no_k_side_test(monkeypatch):
+    # generation and an invertible transplantation make the K side a tree;
+    # here H-side trees generate S6, so the census solves them, and none
+    # has a K-side tree: by the fixed counts, no triple of involutions meets
+    # the sum on both sides
+    t = s6_two_actions()
+    assert t.K.order == 120 and not is_ac(t)
+    invs = involutions_of(t.G)
+    acts = [left_cosets(t.G, S).actions_of(invs) for S in (t.H, t.K)]
+    fh, fk = ((a == np.arange(6)).sum(axis=1).tolist() for a in acts)
+    combos = list(itertools.combinations(range(len(invs)), 3))
+    assert not [c for c in combos if sum(fh[i] for i in c) == sum(fk[i] for i in c) == 8]
+    tree = next(c for c in combos if sum(fh[i] for i in c) == 8
+                and is_transitive_on(6, acts[0][list(c)])
+                and PermGroup(6, [invs[i] for i in c]).order == 720)
+    assert sum(fk[i] for i in tree) != 8
+    solved = []
+    real_solve = transplant.find_transplantation
+    monkeypatch.setattr(transplant, "find_transplantation",
+                        lambda a, b: solved.append(a) or real_solve(a, b))
+    assert okada_shudo_scan(t, 6, 3) == []
+    assert solved
+
+
+def test_conjugation_maps_against_conjugate_by(psl32_small):
     G = relabeled(psl32_small, 3).G
-    rows = G.element_rows()
     invs = involutions_of(G)
-    conj = _conjugation_action(G, rows, invs)
-    assert conj.shape == (G.order, len(invs))
-    elements = {Permutation._wrap(r) for r in rows}
-    assert elements == mulclose(list(G.generators))
-    rng = np.random.default_rng(0)
-    for e in rng.choice(len(rows), 20, replace=False):
-        g = Permutation._wrap(rows[e])
-        assert [invs[j] for j in conj[e]] == [x.conjugate_by(g) for x in invs]
+    maps = conjugation_maps(G, invs)
+    assert maps.shape == (len(G.generators), len(invs))
+    for s, images in zip(G.generators, maps):
+        assert [invs[j] for j in images] == [x.conjugate_by(s) for x in invs]
+    # the maps generate G's conjugation action: the orbit of one involution
+    # is its whole class, all 21 involutions of PSL(3,2)
+    assert len(_orbit(maps, (0,))) == len(invs) == 21
+    ordered = {tuple(x.conjugate_by(g) for x in invs[:3]) for g in mulclose(list(G.generators))}
+    assert {tuple(invs[i] for i in u) for u in _orbit(maps, (0, 1, 2)).tolist()} == ordered
 
 
 def test_psl33_census_pinned():
@@ -121,3 +176,63 @@ def test_psl33_census_pinned():
     assert len(pairs) == 52
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
         "924937de3fe04ffec2b9ea8fafd46191501f8896203decc68d3a5f360511474f")
+
+
+@pytest.fixture(scope="module")
+def spied_census():
+    """Census of a named triple, with the orders of the groups it listed."""
+    def run(name):
+        t = {"psl33": lambda: psl_triple(3, 3),
+             "psl33_relabeled": lambda: relabeled(psl_triple(3, 3), 5),
+             "psl42": lambda: psl_triple(4, 2)}[name]()
+        listed = []
+        real_rows = PermGroup.element_rows
+
+        def rows_spy(self, bound=None):
+            listed.append(self.order)
+            return real_rows(self, bound)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PermGroup, "element_rows", rows_spy)
+            pairs = okada_shudo_scan(t, OKADA_SHUDO_NMAX, 3)
+        return t, pairs, listed
+    cache = {}
+
+    def census(name):
+        if name not in cache:
+            cache[name] = run(name)
+        return cache[name]
+    return census
+
+
+# pair count and pair-file digest, from the scan that examined one subset
+# per conjugation orbit of all C(|Inv|, 3) subsets (on psl(4,2) with its
+# census bound lifted to 15 tiles)
+PAIR_FILES = {
+    "psl33": (52, "dfcbaa7e12af62f137e80e7417f2719e9214ee4c5359eacbde72e8294c94c022"),
+    "psl33_relabeled": (52, "c40731fd1ac90da6ed3b5f3fd8f47f728e58d29dc3d0982b394880cf0df4c5f6"),
+    "psl42": (30, "8421b62e6f4e0723976f36abfd5f8901ed6acc3d159c53eb6d5f3bc793a19127"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_census_pair_files_pinned(spied_census, name):
+    _, pairs, _ = spied_census(name)
+    assert (len(pairs), file_digest(pairs)) == PAIR_FILES[name]
+
+
+@pytest.mark.parametrize("name", ["psl33", "psl42"])
+def test_census_never_lists_g(spied_census, name):
+    # every involution fixes a point, so the candidates are the closure of
+    # H's involutions: H is listed, G is not
+    t, _, listed = spied_census(name)
+    assert listed and t.G.order not in listed and t.H.order in listed
+
+
+def test_psl42_census_pinned(spied_census):
+    # 15 tiles, the Buser-Conway-Doyle-Semmler 15-tile family
+    _, pairs, _ = spied_census("psl42")
+    keys = sorted((a.canonical_key(), b.canonical_key()) for a, b in pairs)
+    assert len(pairs) == 30
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "c46f505646c1b596279f555a1c7be91715d07c17eb963a6fb50593ed91a0d9c0")

@@ -5,6 +5,7 @@ import pytest
 
 from isodrum.errors import BoundExceeded, SpecFormatError
 from isodrum.groups import PermGroup, left_cosets, coset_action
+from isodrum.limits import OKADA_SHUDO_NMAX
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
     InvolutionSystem,
@@ -279,7 +280,7 @@ def test_okada_shudo_bound():
     triv = PermGroup(3, [])
     t = Triple(S3, triv, triv)
     with pytest.raises(BoundExceeded):
-        okada_shudo_scan(t, 14, 3)
+        okada_shudo_scan(t, OKADA_SHUDO_NMAX + 1, 3)
 
 
 def test_ac_iff_invertible_intertwiner_from_generators(psl32_module, a4_triple_local=None):
