@@ -6,11 +6,8 @@ from .groups import (
     ConjugacyClasses,
     CosetTable,
     PermGroup,
-    build_chain,
     conjugacy_classes,
     core,
-    coset_action,
-    is_maximal,
     is_simple,
     is_subgroup,
     left_cosets,
@@ -23,7 +20,6 @@ from .triples import (
     PairStatus,
     PropertyReport,
     Triple,
-    ac_profile,
     check_ff,
     check_inv,
     check_max,
@@ -31,7 +27,6 @@ from .triples import (
     compress,
     is_ac,
     is_ec,
-    permutation_character,
     property_report,
 )
 from .constructions import (
@@ -57,10 +52,9 @@ from .transplant import (
     is_tree,
     okada_shudo_scan,
     parse_involution_system,
-    schreier_system,
 )
 from .drums import BaseTile, TiledDomain, boundary_polygon, export_json, export_svg, unfold
 from .spectral import GridMask, SpectrumResult, dirichlet_eigenvalues, rasterize
-from .catalog import ProjectiveSpace, duality_automorphism, model_fixed_coset, psl_triple
+from .catalog import ProjectiveSpace, duality_automorphism, psl_triple
 
 __version__ = "0.1.0"

@@ -220,22 +220,3 @@ def duality_automorphism(n: int, q: int):
     space = ProjectiveSpace.create(n, q)
     F = space.field
     return [space.realize(_mat_inverse(F, _mat_transpose(m))) for m in _sl_generators(n, q)]
-
-
-def model_fixed_coset(n: int, q: int, a: Permutation, b: Permutation) -> int:
-    """A common point image: least y with a(y) == b(y).
-
-    The inputs must stabilize one common hyperplane; then a*b^-1 fixes a
-    point of the space, which forces such a y to exist.  Absence is a hard
-    failure, not a soft None.
-    """
-    space = ProjectiveSpace.create(n, q)
-    m = space.point_count
-    if a.degree != 2 * m or b.degree != 2 * m:
-        raise ValueError("elements do not act on this space")
-    if not any(int(a.images[i]) == i == int(b.images[i]) for i in range(m, 2 * m)):
-        raise ValueError("elements do not stabilize a common hyperplane")
-    for y in range(m):
-        if int(a.images[y]) == int(b.images[y]):
-            return y
-    raise RuntimeError("no common point image exists; projective fixed-point property violated")

@@ -21,14 +21,12 @@ from .constructions import type1, type2, type3
 from .drums import BaseTile, boundary_polygon, export_json, export_svg, load_domain_json, unfold
 from .errors import BoundExceeded, SettingError, SpecFormatError
 from .groups import left_cosets
-from .limits import enumeration_bound
 from .permutations import format_cycles
 from .spectral import dirichlet_eigenvalues, pairwise_relative_gaps, rasterize
 from .specio import (
     construction_from_stanza,
     format_triple_spec,
     parse_triple_spec,
-    stanza_from_construction,
 )
 from .transplant import (
     InvolutionSystem,
@@ -41,7 +39,7 @@ from .transplant import (
     parse_involution_system,
     verify_intertwiner,
 )
-from .triples import compress, inv_witnesses, property_report
+from .triples import PROPERTIES, PairStatus, compress, inv_witnesses, is_ac, property_report
 
 
 def _read(path: str) -> str:
@@ -55,19 +53,12 @@ def _parse_h(text: str) -> Fraction:
 
 def cmd_verify(args) -> int:
     triple, pair, _ = parse_triple_spec(_read(args.spec))
-    requested = [p.strip() for p in args.props.split(",")] if args.props else \
-        ["ac", "ec", "ff", "max", "pair", "inv"]
-    known = {"ac", "ec", "ff", "max", "pair", "inv"}
-    unknown = set(requested) - known
+    requested = [p.strip() for p in args.props.split(",")] if args.props else list(PROPERTIES)
+    unknown = set(requested) - set(PROPERTIES)
     if unknown:
         raise SpecFormatError(f"unknown properties: {sorted(unknown)}")
-    report = property_report(
-        triple,
-        pair_candidate=pair,
-        r=args.sides,
-        bound=args.bound,
-        check_inv_property="inv" in requested,
-    )
+    report = property_report(triple, pair_candidate=pair, r=args.sides, bound=args.bound,
+                             props=requested)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
     else:
@@ -81,7 +72,7 @@ def cmd_verify(args) -> int:
         "ec": report.ec,
         "ff": report.ff,
         "max": report.max,
-        "pair": report.pair.value != "failed",
+        "pair": report.pair != PairStatus.FAILED,
         "inv": report.inv is not None,
     }
     return 0 if all(status[p] for p in requested) else 1
@@ -262,11 +253,10 @@ def cmd_gww(args) -> int:
             print(f"{name}: {value}")
 
     triple = cat.psl_triple(3, 2)
-    rep = property_report(triple, pair_candidate=cat.duality_automorphism(3, 2),
-                          check_inv_property=False)
+    ac = is_ac(triple)
     stage("catalog", f"psl(3,2): |G| = {triple.G.order}, index {triple.G.order // triple.H.order}")
-    stage("ac", rep.ac)
-    if not rep.ac:
+    stage("ac", ac)
+    if not ac:
         print("ABORT at stage ac")
         return 1
     tile = BaseTile.named(args.tile)

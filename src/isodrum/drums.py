@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -235,22 +235,6 @@ def _polygon_signed_area(points):
         x2, y2 = points[(i + 1) % n]
         s = s + (x1 * y2 - x2 * y1)
     return s / 2
-
-
-def polygon_area(points):
-    s = _polygon_signed_area(points)
-    return s if _sign(s) > 0 else -s
-
-
-def polygon_perimeter_sq_multiset(points):
-    """Squared edge lengths (exact), sorted; a congruence invariant."""
-    out = []
-    n = len(points)
-    for i in range(n):
-        dx = points[i][0] - points[(i + 1) % n][0]
-        dy = points[i][1] - points[(i + 1) % n][1]
-        out.append(dx * dx + dy * dy)
-    return sorted(out)
 
 
 def export_svg(domain: TiledDomain, path, boundary=None):

@@ -358,15 +358,6 @@ class PermGroup:
         """All elements, as Permutations in ``element_rows`` order."""
         return [Permutation._wrap(r) for r in self.element_rows(bound)]
 
-    def random_element(self, rng) -> Permutation:
-        """Uniform element: one transversal factor per level of the chain."""
-        chain = self.chain()
-        p = self.identity
-        for lvl in chain.levels:
-            pts = sorted(lvl.sv)
-            p = lvl.transversal(pts[rng.randrange(len(pts))]) * p
-        return p
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
@@ -408,12 +399,6 @@ def is_transitive_on(degree: int, rows) -> bool:
                 count += 1
                 stack.append(q)
     return count == degree
-
-
-def build_chain(G: PermGroup) -> PermGroup:
-    """Force construction of the stabilizer chain; returns the same group."""
-    G.chain()
-    return G
 
 
 def orbit(G: PermGroup, x: int) -> frozenset:
@@ -708,19 +693,6 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
     return table
 
 
-def coset_action(G: PermGroup, H: PermGroup, bound=None):
-    """Action of G on the cosets of H.
-
-    Returns (image group, mapping from each generator to its image).  The
-    image is transitive of degree [G:H] and the kernel of the map is
-    core(G, H).
-    """
-    table = left_cosets(G, H, bound)
-    mapping = dict(zip(G.generators, table.generator_actions))
-    image = PermGroup(len(table), table.generator_actions)
-    return image, mapping
-
-
 def core(G: PermGroup, H: PermGroup, bound=None) -> PermGroup:
     """Largest normal subgroup of G inside H.
 
@@ -845,17 +817,6 @@ def _intermediate_block(table: CosetTable):
         if block is not None:
             return block
     return None
-
-
-def is_maximal(G: PermGroup, H: PermGroup, bound=None) -> bool:
-    """Whether H is maximal in G: the coset action has no block strictly
-    between {0} and everything (it is primitive).  ``bound`` caps the coset
-    count."""
-    if not is_subgroup(H, G):
-        raise ValueError("H is not a subgroup of G")
-    if H.order == G.order:
-        raise ValueError("H equals G; maximality undefined")
-    return left_cosets(G, H, bound).intermediate_block() is None
 
 
 def normal_closure(G: PermGroup, S, bound=None) -> PermGroup:

@@ -71,15 +71,6 @@ class InvolutionSystem:
                     out.append((i, j, mu))
         return out
 
-    def boundary_sides(self):
-        """Pairs (tile, mu) lying on the billiard boundary."""
-        out = []
-        for mu, p in enumerate(self.perms):
-            for i in range(self.n_tiles):
-                if int(p.images[i]) == i:
-                    out.append((i, mu))
-        return out
-
     def relabel(self, p: Permutation) -> "InvolutionSystem":
         """Rename tile i to p(i)."""
         return InvolutionSystem(self.n_tiles, self.r, tuple(m.conjugate_by(p) for m in self.perms))
@@ -116,25 +107,6 @@ class InvolutionSystem:
         return best
 
 
-def schreier_system(G: PermGroup, gens) -> InvolutionSystem:
-    """System built from involution generators of a transitive action.
-
-    M_ij = 1 when generator mu swaps tiles i and j; M_ii = 1 when it fixes
-    tile i (that side lies on the boundary).
-    """
-    gens = tuple(gens)
-    for g in gens:
-        if g.degree != G.degree:
-            raise ValueError("generator degree mismatch")
-        if g not in G:
-            raise ValueError("generator is not a member of the acting group")
-        if not (g * g).is_identity():
-            raise ValueError("generator is not an involution")
-    if not is_transitive_on(G.degree, [g.images for g in gens]):
-        raise ValueError("involutions do not generate a transitive group")
-    return InvolutionSystem(G.degree, len(gens), gens)
-
-
 def fixeq_check(sys: InvolutionSystem) -> bool:
     """The fixed-point identity (r-2) * tiles == sum of traces - 2."""
     return (sys.r - 2) * sys.n_tiles == sum(sys.traces()) - 2
@@ -149,11 +121,6 @@ def is_tree(sys: InvolutionSystem) -> bool:
     connected graph on n vertices is a tree exactly when it has n - 1 edges.
     """
     return fixeq_check(sys)
-
-
-def has_dominant_involution(sys: InvolutionSystem) -> bool:
-    """Whether some side fixes more than a third of the tiles (strict)."""
-    return any(3 * t > sys.n_tiles for t in sys.traces())
 
 
 @dataclass

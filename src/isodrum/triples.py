@@ -15,9 +15,10 @@ index bound only: AC by equal double-coset counts |H\G/H| == |H\G/K| ==
 |K\G/K| (equal permutation characters), FF by the order of each
 subgroup's image, MAX by block closure; sides equal as sets share one
 table, with its image, block verdict and element actions (``left_cosets``).
-EC follows from AC; when AC fails, each class representative of one side
-must fix a coset of the other.  G's conjugacy classes are built only for
-the AC-failure witness (``ac_profile``) and ``permutation_character``.
+EC follows from AC.  When AC fails, EC and both witnesses are read from
+the fixed counts of the class representatives of H and of K on the two
+coset tables (``_class_fixed_counts``); G's conjugacy classes are never
+built here, only by ``groups.is_simple``.
 PAIR verifies the swap automorphism by the order of its graph subgroup and
 lists only H.  INV takes its candidates from H's involutions and lists G's
 only when a witness may contain a fixed-point-free involution; one forest
@@ -28,7 +29,6 @@ conjugation classes, yields the witnesses.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,15 +76,6 @@ class PairStatus(enum.Enum):
     FAILED = "failed"
 
 
-def ac_profile(t: Triple, bound=None):
-    """Per-class membership counts: list of (class rep, |class ∩ H|, |class ∩ K|)."""
-    cap = enumeration_bound(bound)
-    classes = cached_classes(t.G, cap)
-    ch = Counter(classes.index_of(h) for h in t.H.elements(cap))
-    ck = Counter(classes.index_of(k) for k in t.K.elements(cap))
-    return [(rep, ch.get(i, 0), ck.get(i, 0)) for i, rep in enumerate(classes.reps)]
-
-
 def rank(G: PermGroup, A: PermGroup, B: PermGroup) -> int:
     r"""|A\G/B|: the number of orbits of B on the cosets of A."""
     table = left_cosets(G, A)
@@ -105,32 +96,38 @@ def is_ac(t: Triple, bound=None) -> bool:
     return rank(t.G, t.H, t.H) == rank(t.G, t.H, t.K) == rank(t.G, t.K, t.K)
 
 
-def _conjugate_into(G: PermGroup, g: Permutation, K: PermGroup) -> bool:
-    """Whether some G-conjugate of g lies in K, i.e. g fixes a coset Kx."""
-    return left_cosets(G, K).action_of(g).fixed_point_count() > 0
+def _class_fixed_counts(t: Triple, bound=None):
+    """(x, a, b) for the lex-least member x of every conjugacy class of H and
+    of K, sorted by key: x fixes a cosets of H and b cosets of K.
+
+    x fixes the coset Hy exactly when y * x * y^-1 lies in H, so a fixed
+    count is constant on conjugacy classes of G and an element that fixes a
+    coset of H is conjugate into H.  So AC (equal fixed counts on all of G)
+    holds exactly when a == b for every x, and EC exactly when no count is
+    0.  The least element of H or K with either property is the least of
+    its class, hence among the x.  The enumeration bound caps |H| and |K|;
+    G is never listed.
+    """
+    cap = enumeration_bound(bound)
+    by_key = {x.key(): x for sub in (t.H, t.K) for x in cached_classes(sub, cap).reps}
+    reps = [by_key[k] for k in sorted(by_key)]
+    counts = []
+    for sub in (t.H, t.K):
+        table = left_cosets(t.G, sub)
+        counts.append((table.actions_of(reps) == np.arange(len(table))).sum(axis=1).tolist())
+    return list(zip(reps, *counts))
 
 
 def is_ec(t: Triple, bound=None) -> bool:
     """Elementwise conjugate in both directions.
 
     AC implies EC.  Otherwise every class representative of H must fix a
-    coset of K and vice versa; this enumerates H and K (enumeration bound)
-    but never G.
+    coset of K and vice versa (``_class_fixed_counts``); this enumerates H
+    and K (enumeration bound) but never G.
     """
     if same_group(t.H, t.K) or is_ac(t):
         return True
-    cap = enumeration_bound(bound)
-    return all(_conjugate_into(t.G, rep, other)
-               for sub, other in ((t.H, t.K), (t.K, t.H))
-               for rep in cached_classes(sub, cap).reps)
-
-
-def ec_witness_element(t: Triple, bound=None):
-    """Least element of H not conjugate into K, or of K not into H; None if EC."""
-    cap = enumeration_bound(bound)
-    bad = [next((x for x in sorted(sub.elements(cap), key=Permutation.key) if not _conjugate_into(t.G, x, other)), None)
-           for sub, other in ((t.H, t.K), (t.K, t.H))]
-    return min((x for x in bad if x is not None), default=None)
+    return all(a and b for _, a, b in _class_fixed_counts(t, bound))
 
 
 def check_ff(t: Triple, bound=None) -> bool:
@@ -188,18 +185,6 @@ def compress(t: Triple, bound=None) -> Triple:
                                  t.H.order)
     K2 = PermGroup(len(table), [table.action_of(k) for k in t.K.generators])
     return Triple(G2, H2, K2, label=f"{t.label or 'triple'} (coset action)")
-
-
-def permutation_character(G: PermGroup, H: PermGroup, bound=None):
-    """Fixed-coset counts per conjugacy class representative."""
-    cap = enumeration_bound(bound)
-    classes = cached_classes(G, cap)
-    table = left_cosets(G, H, index_bound())
-    out = {}
-    for rep in classes.reps:
-        act = table.action_of(rep)
-        out[rep] = act.fixed_point_count()
-    return out
 
 
 def verify_automorphism(G: PermGroup, images):
@@ -396,19 +381,26 @@ def check_inv(t: Triple, r: int = 3, bound=None):
     return None
 
 
+PROPERTIES = ("ac", "ec", "ff", "max", "pair", "inv")
+
+
 @dataclass
 class PropertyReport:
-    """Outcome of the full property suite on one triple."""
+    """Outcome of the full property suite on one triple.
+
+    ``checked`` holds the requested properties; PAIR and INV outside it
+    were not run (``pair`` is then None) and read "not checked".
+    """
 
     label: str
     ac: bool
     ec: bool
     ff: bool
     max: bool
-    pair: PairStatus
+    pair: PairStatus | None
     inv: InvolutionSystem | None
     witnesses: dict = field(default_factory=dict)
-    inv_checked: bool = True
+    checked: frozenset = frozenset(PROPERTIES)
 
     def __post_init__(self):
         if self.ac and not self.ec:
@@ -420,15 +412,18 @@ class PropertyReport:
             ok = ok and self.inv is not None
         return ok
 
+    def _pair_text(self) -> str:
+        return self.pair.value if "pair" in self.checked else "not checked"
+
     def lines(self):
         out = [
             f"AC:   {'true' if self.ac else 'false'}",
             f"EC:   {'true' if self.ec else 'false'}",
             f"FF:   {'true' if self.ff else 'false'}",
             f"MAX:  {'true' if self.max else 'false'}",
-            f"PAIR: {self.pair.value}",
+            f"PAIR: {self._pair_text()}",
         ]
-        if not self.inv_checked:
+        if "inv" not in self.checked:
             out.append("INV:  not checked")
         elif self.inv is None:
             out.append("INV:  none")
@@ -439,7 +434,7 @@ class PropertyReport:
         return out
 
     def to_json_dict(self):
-        inv = "not checked" if not self.inv_checked else None
+        inv = "not checked" if "inv" not in self.checked else None
         if self.inv is not None:
             from .transplant import format_involution_system
 
@@ -451,31 +446,35 @@ class PropertyReport:
             "ec": self.ec,
             "ff": self.ff,
             "max": self.max,
-            "pair": self.pair.value,
+            "pair": self._pair_text(),
             "inv": inv,
             "witnesses": {k: str(v) for k, v in self.witnesses.items()},
         }
 
 
 def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
-                    check_inv_property: bool = True) -> PropertyReport:
-    """Run the whole property suite, collecting witnesses for failures.
+                    props=PROPERTIES) -> PropertyReport:
+    """Run the property suite, collecting witnesses for failures.
 
-    A resource bound hit anywhere, INV's enumeration and subset search
-    included, raises ``BoundExceeded``; no verdict is reported unproved.
+    AC, EC, FF and MAX always run; PAIR and INV run only when named in
+    ``props``.  When AC fails, one ``_class_fixed_counts`` pass decides EC
+    and gives both witnesses: for AC the least element of H or K whose
+    fixed counts on the two coset tables differ, for EC the least one that
+    fixes no coset of the other side.  A resource bound hit anywhere, INV's
+    enumeration and subset search included, raises ``BoundExceeded``; no
+    verdict is reported unproved.
     """
     witnesses = {}
     ac = is_ac(t, bound)
-    ec = ac or is_ec(t, bound)
-    if not ac and t.G.order <= enumeration_bound(bound):
-        prof = [(rep, nh, nk) for rep, nh, nk in ac_profile(t, bound) if nh != nk]
-        if prof:
-            rep, nh, nk = prof[0]
-            witnesses["ac"] = f"class of {rep} meets H {nh} times, K {nk} times"
-    if not ec:
-        w = ec_witness_element(t, bound)
-        if w is not None:
-            witnesses["ec"] = f"element {w} conjugate into one side only"
+    ec = True
+    if not ac:
+        counts = _class_fixed_counts(t, bound)
+        x, a, b = next(c for c in counts if c[1] != c[2])
+        witnesses["ac"] = f"element {x} fixes {a} cosets of H, {b} of K"
+        missing = [x for x, a, b in counts if not (a and b)]
+        ec = not missing
+        if missing:
+            witnesses["ec"] = f"element {missing[0]} conjugate into one side only"
     ffw = ff_witness(t, bound)
     if ffw is not None:
         side, sub = ffw
@@ -486,8 +485,8 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
         side, sub = maxw
         witnesses["max"] = f"{side} is contained in a proper subgroup of order {sub.order}"
         witnesses["max_subgroup"] = sub
-    pair = check_pair(t, pair_candidate, bound)
-    inv = check_inv(t, r, bound) if check_inv_property else None
+    pair = check_pair(t, pair_candidate, bound) if "pair" in props else None
+    inv = check_inv(t, r, bound) if "inv" in props else None
     return PropertyReport(
         label=t.label,
         ac=ac,
@@ -497,5 +496,5 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
         pair=pair,
         inv=inv,
         witnesses=witnesses,
-        inv_checked=check_inv_property,
+        checked=frozenset(props),
     )

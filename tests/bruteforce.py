@@ -9,14 +9,19 @@ with code of its own: the library's Schreier-Sims loop written on
 ``Permutation`` objects, which the library's row kernel must reproduce level
 for level.  ``triangles_overlap`` and ``walk_self_crosses`` decide overlap
 and crossing by exact pairwise geometry, without the tessellation argument
-the library's unfolding relies on; ``brute_is_tree`` searches the gluing
+the library's unfolding relies on; ``polygon_area`` and
+``polygon_perimeter_sq_multiset`` measure a boundary by the shoelace
+formula and its squared edge lengths; ``brute_is_tree`` searches the gluing
 graph instead of using the fixed-point identity.  ``brute_inv_witnesses``
 lists every involution of G as an INV candidate instead of deriving the
 candidates from H, runs the plain fixed-point subset search and tests each
 subset for transitivity; ``brute_class_first`` filters those witnesses by
 listing every G-conjugate of each first member, and ``brute_check_pair``
 conjugates by one element of H at a time; all three use the library's
-chains to list elements.
+chains to list elements.  So do ``permutation_character`` and
+``ac_profile``, which then count fixed cosets and class meets by definition,
+without coset tables.  ``random_element`` is no oracle: it draws test
+inputs from the library's chain.
 """
 
 import itertools
@@ -216,6 +221,16 @@ def brute_elements(G):
     return elems
 
 
+def random_element(G, rng):
+    """Uniform element of G: one transversal factor per level of its chain,
+    each drawn with ``rng.randrange`` over the level's sorted orbit."""
+    p = G.identity
+    for lvl in G.chain().levels:
+        pts = sorted(lvl.sv)
+        p = lvl.transversal(pts[rng.randrange(len(pts))]) * p
+    return p
+
+
 def brute_involutions(elements):
     """The elements p with p * p == 1 != p, sorted by image key."""
     return sorted(p for p in elements if (p * p).is_identity() and not p.is_identity())
@@ -300,6 +315,26 @@ def brute_classes(elements):
         for x in cls:
             left.pop(x.key(), None)
     return classes
+
+
+def brute_fixed_cosets(G_elements, H_set, x):
+    """Cosets Hy of H fixed by x: x fixes Hy exactly when y * x * y^-1 lies
+    in H, and |H| of the y in G name each coset."""
+    return sum(y * x * y.inverse() in H_set for y in G_elements) // len(H_set)
+
+
+def permutation_character(G, H):
+    """The permutation character 1_H^G as {least member of a conjugacy class
+    of G: cosets of H it fixes}."""
+    ge = G.elements()
+    hset = set(H.elements())
+    return {min(cls): brute_fixed_cosets(ge, hset, min(cls)) for cls in brute_classes(ge)}
+
+
+def ac_profile(t):
+    """(least member, |class ∩ H|, |class ∩ K|) per conjugacy class of G."""
+    hset, kset = set(t.H.elements()), set(t.K.elements())
+    return [(min(cls), len(cls & hset), len(cls & kset)) for cls in brute_classes(t.G.elements())]
 
 
 def brute_core(G_elements, H_elements):
@@ -543,6 +578,23 @@ def triangles_overlap(t1, t2) -> bool:
         if _strictly_inside(v, t1):
             return True
     return _strictly_inside(_centroid(t1), t2) or _strictly_inside(_centroid(t2), t1)
+
+
+def polygon_area(points):
+    """Unsigned shoelace area, exact over rational or quadratic coordinates."""
+    n = len(points)
+    s = sum(points[i][0] * points[(i + 1) % n][1] - points[(i + 1) % n][0] * points[i][1]
+            for i in range(n))
+    return (s if _sign(s) > 0 else -s) / 2
+
+
+def polygon_perimeter_sq_multiset(points):
+    """Squared edge lengths (exact), sorted; a congruence invariant."""
+    out = []
+    for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
+        dx, dy = x1 - x2, y1 - y2
+        out.append(dx * dx + dy * dy)
+    return sorted(out)
 
 
 def brute_overlap(tiles) -> bool:

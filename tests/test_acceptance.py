@@ -25,7 +25,7 @@ from isodrum.constructions import (
     type3,
     _direct_power_group,
 )
-from isodrum.groups import PermGroup, coset_action, left_cosets
+from isodrum.groups import PermGroup, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.spectral import dirichlet_eigenvalues, pairwise_relative_gaps, rasterize
 from isodrum.drums import BaseTile, boundary_polygon, unfold
@@ -53,7 +53,7 @@ from isodrum.triples import (
     is_ec,
 )
 
-from bruteforce import brute_is_ac, brute_is_ec
+from bruteforce import brute_is_ac, brute_is_ec, random_element
 
 
 def _report(num, ok, elapsed, budget, detail=""):
@@ -209,9 +209,9 @@ def test_criterion_7_oracle_equivalence(flagship_small, a4_triple, a5_triple):
         # transplantability: AC iff an invertible intertwiner of the coset
         # actions exists
         if t.G.order // t.H.order == t.G.order // t.K.order:
-            img_h, _ = coset_action(t.G, t.H)
-            img_k, _ = coset_action(t.G, t.K)
-            basis = intertwiner_basis(img_h.generators, img_k.generators, img_h.degree)
+            table_h, table_k = left_cosets(t.G, t.H), left_cosets(t.G, t.K)
+            basis = intertwiner_basis(table_h.generator_actions, table_k.generator_actions,
+                                      len(table_h))
             invertible = any(_int_det(m) != 0 for m in basis)
             if not invertible and ac:
                 sol_found = False
@@ -245,7 +245,7 @@ def test_criterion_9_ec_witness_randomized(flagship_small):
     for trial in range(100):
         n = 2 if trial % 2 == 0 else 3
         gamma = parse_cycles("(0 1)", 2) if n == 2 else parse_cycles("(0 1 2)", 3)
-        avec = [base.K.random_element(rng) for _ in range(n)]
+        avec = [random_element(base.K, rng) for _ in range(n)]
         ls = ec_witness(base, gamma, avec)
         for w in range(n):
             r = ls[w].inverse() * avec[w] * ls[int(gamma.images[w])]

@@ -4,7 +4,6 @@ from isodrum.catalog import (
     ProjectiveSpace,
     SUPPORTED,
     duality_automorphism,
-    model_fixed_coset,
     psl_group,
     psl_order,
     psl_triple,
@@ -12,7 +11,7 @@ from isodrum.catalog import (
 )
 from isodrum.triples import PairStatus, check_ff, check_max, check_pair, is_ac, is_ec
 
-from bruteforce import is_conjugate
+from bruteforce import is_conjugate, random_element
 
 
 def test_field_tables():
@@ -119,6 +118,25 @@ def test_unsupported_field():
         psl_triple(3, 5)
 
 
+def model_fixed_coset(n, q, a, b):
+    """A common point image of a and b: the least point y with a(y) == b(y).
+
+    a and b must fix one common hyperplane.  Then so does a * b^-1, and a
+    projective map with a fixed hyperplane (an eigenvector of its transpose)
+    has a fixed point y, an eigenvector of its own; b^-1(a(y)) == y says
+    a(y) == b(y).
+    """
+    m = ProjectiveSpace.create(n, q).point_count
+    if a.degree != 2 * m or b.degree != 2 * m:
+        raise ValueError("elements do not act on this space")
+    if not any(int(a.images[i]) == i == int(b.images[i]) for i in range(m, 2 * m)):
+        raise ValueError("elements do not stabilize a common hyperplane")
+    for y in range(m):
+        if int(a.images[y]) == int(b.images[y]):
+            return y
+    raise AssertionError("no common point image: the projective fixed-point property fails")
+
+
 def test_model_fixed_coset_trivial(psl32):
     e = psl32.G.identity
     assert model_fixed_coset(3, 2, e, e) == 0
@@ -129,7 +147,7 @@ def test_model_fixed_coset_equal_elements(psl32):
 
     rng = random.Random(0)
     for _ in range(10):
-        a = psl32.K.random_element(rng)
+        a = random_element(psl32.K, rng)
         y = model_fixed_coset(3, 2, a, a)
         assert 0 <= y < 7
 
@@ -139,8 +157,8 @@ def test_model_fixed_coset_random_pairs(psl32):
 
     rng = random.Random(1)
     for _ in range(25):
-        a = psl32.K.random_element(rng)
-        b = psl32.K.random_element(rng)
+        a = random_element(psl32.K, rng)
+        b = random_element(psl32.K, rng)
         y = model_fixed_coset(3, 2, a, b)
         assert int(a.images[y]) == int(b.images[y])
         assert y == min(p for p in range(7) if int(a.images[p]) == int(b.images[p]))
@@ -150,11 +168,11 @@ def test_model_fixed_coset_requires_common_hyperplane(psl32):
     import random
 
     rng = random.Random(2)
-    a = psl32.K.random_element(rng)
+    a = random_element(psl32.K, rng)
     # an element moving every hyperplane that H fixes pointwise is unlikely;
     # build one that fixes no common hyperplane with a by taking b in H-side
     for _ in range(50):
-        b = psl32.G.random_element(rng)
+        b = random_element(psl32.G, rng)
         common = any(int(a.images[i]) == i == int(b.images[i]) for i in range(7, 14))
         if not common:
             with pytest.raises(ValueError):

@@ -79,6 +79,24 @@ def test_verify_bound_hit_in_inv_exits_3(specdir, tmp_path, capsys, monkeypatch)
     assert "INV:" not in captured.out
 
 
+def test_verify_props_skip_pair_and_inv(specdir, capsys, monkeypatch):
+    # AC, EC, FF and MAX list no elements on this AC triple; PAIR and INV,
+    # which list H (24 elements), run only when requested
+    monkeypatch.setenv("GF_BOUND", "20")
+    spec = str(specdir / "psl32.spec")
+    rc = main(["verify", spec, "--props", "ac,ec,ff,max"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert "PAIR: not checked" in captured.out and "INV:  not checked" in captured.out
+    rc = main(["verify", spec, "--props", "ac,ec,ff,max", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0 and data["pair"] == data["inv"] == "not checked"
+    rc = main(["verify", spec, "--props", "ac,pair"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "resource bound exceeded: group order 24 exceeds bound 20\n"
+
+
 def test_verify_inv_within_bound_lists_h_and_closure(specdir, capsys, monkeypatch):
     # INV lists H (24 elements) and the closure of its involutions (21), not
     # G (168), so a bound of 100 proves INV

@@ -20,7 +20,7 @@ from isodrum.groups import PermGroup, is_subgroup, same_group
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.triples import Triple, check_ff, check_max, compress, is_ac, is_ec
 
-from bruteforce import brute_is_ec, is_conjugate, mulclose
+from bruteforce import brute_is_ec, is_conjugate, mulclose, random_element
 
 
 def rand_perm(rng, n):
@@ -282,7 +282,7 @@ def test_ec_witness_n1_definition(psl32_small):
     rng = random.Random(5)
     gamma = Permutation.identity(1)
     for _ in range(20):
-        a = psl32_small.K.random_element(rng)
+        a = random_element(psl32_small.K, rng)
         (l1,) = ec_witness(psl32_small, gamma, [a])
         assert l1.inverse() * a * l1 in psl32_small.H
 
@@ -292,7 +292,7 @@ def test_ec_witness_two_and_three_cycles(psl32_small):
     for n, cyc in ((2, "(0 1)"), (3, "(0 1 2)")):
         gamma = parse_cycles(cyc, n)
         for _ in range(25):
-            avec = [psl32_small.K.random_element(rng) for _ in range(n)]
+            avec = [random_element(psl32_small.K, rng) for _ in range(n)]
             ls = ec_witness(psl32_small, gamma, avec)
             for w in range(n):
                 r = ls[w].inverse() * avec[w] * ls[int(gamma.images[w])]
@@ -310,7 +310,7 @@ def test_ec_witness_realized_conjugation(psl32_small):
         + [W.embed_top(gamma)],
     )
     for _ in range(10):
-        avec = [psl32_small.K.random_element(rng) for _ in range(n)]
+        avec = [random_element(psl32_small.K, rng) for _ in range(n)]
         ls = ec_witness(psl32_small, gamma, avec)
         lw = WreathElement(tuple(ls), Permutation.identity(n)).realize()
         aw = WreathElement(tuple(avec), gamma).realize()

@@ -4,10 +4,13 @@ AC is decided by double-coset counts, EC by fixed cosets and the
 invertibility of a transplantation by intertwiner dimensions.  Each is
 compared with an oracle that enumerates whole groups: conjugacy classes by
 scanning all conjugations, double cosets by multiplying elements, and
-characters by closing the paired gluing generators.
+characters by closing the paired gluing generators.  The AC and EC
+witnesses that ``property_report`` prints are compared with the least
+element found from the definitions.
 """
 
 import random
+import re
 from functools import lru_cache
 
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -17,11 +20,12 @@ from isodrum.catalog import psl_triple
 from isodrum.groups import PermGroup, conjugacy_classes, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import InvolutionSystem, find_transplantation, verify_intertwiner
-from isodrum.triples import Triple, compress, ec_witness_element, is_ac, is_ec, rank
+from isodrum.triples import Triple, compress, is_ac, is_ec, property_report, rank
 
 from bruteforce import (
     brute_classes,
     brute_double_coset_count,
+    brute_fixed_cosets,
     brute_is_ac,
     brute_is_ec,
     brute_same_character,
@@ -103,6 +107,25 @@ def test_rank_ac_and_ec_against_bruteforce(t):
     assert is_ec(t) == is_ec(swapped) == brute_is_ec(ge, he, ke)
 
 
+WITNESS_TEXT = {"ac": re.compile(r"element (.*) fixes (\d+) cosets of H, (\d+) of K"),
+                "ec": re.compile(r"element (.*) conjugate into one side only")}
+
+
+def witness(t, prop):
+    """(element, counts...) parsed from ``property_report``'s witness for
+    ``prop``, or None when the report gives none."""
+    text = property_report(t, props=()).witnesses.get(prop)
+    if text is None:
+        return None
+    x, *counts = WITNESS_TEXT[prop].fullmatch(text).groups()
+    return (parse_cycles(x, t.G.degree), *map(int, counts))
+
+
+def ec_witness_element(t):
+    w = witness(t, "ec")
+    return None if w is None else w[0]
+
+
 @SETTINGS
 @given(conjugate_triple())
 @example(A4_EC)
@@ -119,6 +142,30 @@ def test_ec_witness_against_class_definition(t):
     expected = min(bad, default=None)
     assert ec_witness_element(t) == expected
     assert (expected is None) == is_ec(t)
+
+
+@SETTINGS
+@given(conjugate_triple())
+@example(S4_NOT_EC)
+@example(S7_YOUNG)
+def test_ac_witness_against_fixed_coset_definition(t):
+    # the least element of either side whose fixed counts on the cosets of H
+    # and of K differ, each count taken from the definition
+    ge, he, ke = t.G.elements(), elements_of(t.H), elements_of(t.K)
+    expected = None
+    for x in sorted(he | ke):
+        a, b = brute_fixed_cosets(ge, he, x), brute_fixed_cosets(ge, ke, x)
+        if a != b:
+            expected = (x, a, b)
+            break
+    assert witness(t, "ac") == expected
+    assert is_ac(t) == (expected is None)
+
+
+def test_ac_witness_text_pinned():
+    lines = property_report(S4_NOT_EC, props=()).lines()
+    assert "witness[ac]: element (0 1) fixes 2 cosets of H, 0 of K" in lines
+    assert "witness[ec]: element (0 1) conjugate into one side only" in lines
 
 
 def system(*images):

@@ -11,8 +11,6 @@ from isodrum.drums import (
     export_json,
     export_svg,
     load_domain_json,
-    polygon_area,
-    polygon_perimeter_sq_multiset,
     unfold,
     _reflect_point,
 )
@@ -20,7 +18,7 @@ from isodrum.permutations import Permutation, parse_cycles
 from isodrum.quadratic import QuadExt
 from isodrum.transplant import InvolutionSystem
 
-from bruteforce import triangles_overlap
+from bruteforce import polygon_area, polygon_perimeter_sq_multiset, triangles_overlap
 
 
 def single_tile_system():

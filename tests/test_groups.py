@@ -5,11 +5,8 @@ import pytest
 from isodrum.errors import BoundExceeded
 from isodrum.groups import (
     PermGroup,
-    build_chain,
     conjugacy_classes,
     core,
-    coset_action,
-    is_maximal,
     is_simple,
     is_subgroup,
     is_transitive_on,
@@ -18,6 +15,7 @@ from isodrum.groups import (
     same_group,
 )
 from isodrum.permutations import Permutation, parse_cycles
+from isodrum.triples import Triple, check_max, max_witness
 
 from bruteforce import (
     all_subgroups,
@@ -26,6 +24,7 @@ from bruteforce import (
     brute_core,
     is_conjugate,
     mulclose,
+    random_element,
 )
 
 
@@ -74,7 +73,7 @@ def test_chain_order_matches_closure(name, G, order):
 
 def test_s3_from_spec_generators():
     G = PermGroup(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
-    assert build_chain(G).order == 6
+    assert G.chain().order() == G.order == 6
 
 
 def test_a4_order_by_closure():
@@ -221,7 +220,8 @@ def test_coset_signature_constant_on_cosets():
 def test_coset_action_s3_natural():
     G = S(3)
     H = PermGroup(3, [parse_cycles("(0 1)", 3)])
-    image, mapping = coset_action(G, H)
+    table = left_cosets(G, H)
+    image = PermGroup(len(table), table.generator_actions)
     assert image.degree == 3
     assert image.is_transitive()
     assert image.order == 6
@@ -237,7 +237,8 @@ def test_coset_action_projection():
     ]
     G = PermGroup(5, gens)
     H = PermGroup(5, gens[:2])
-    image, _ = coset_action(G, H)
+    table = left_cosets(G, H)
+    image = PermGroup(len(table), table.generator_actions)
     assert image.degree == 2
     assert image.order == 2
     K = core(G, H)
@@ -246,7 +247,9 @@ def test_coset_action_projection():
 
 def test_coset_action_not_subgroup_error():
     with pytest.raises(ValueError):
-        left_cosets(S(3), PermGroup(3, [parse_cycles("(0 1 2)", 3)]).stabilizer(0) if False else PermGroup(4, []))
+        left_cosets(S(3), PermGroup(4, []))  # another degree
+    with pytest.raises(ValueError):
+        left_cosets(A4(), PermGroup(4, [parse_cycles("(0 1)", 4)]))  # odd, so not in A4
 
 
 def test_core_h_equals_g():
@@ -281,15 +284,18 @@ def table_fixes_all(table, g):
 def test_is_maximal_examples():
     G = A4()
     H = PermGroup(4, [parse_cycles("(0 1)(2 3)", 4)])
-    assert is_maximal(G, H) is False  # inside the Klein four-group
-    assert is_maximal(G, klein()) is True
+    assert check_max(Triple(G, H, H)) is False  # inside the Klein four-group
+    assert check_max(Triple(G, klein(), klein())) is True
     S4 = S(4)
-    assert is_maximal(S4, PermGroup(4, [parse_cycles("(0 1 2)", 4), parse_cycles("(1 2 3)", 4)])) is True
+    A4_in_S4 = PermGroup(4, [parse_cycles("(0 1 2)", 4), parse_cycles("(1 2 3)", 4)])
+    assert check_max(Triple(S4, A4_in_S4, A4_in_S4)) is True
 
 
 def test_is_maximal_rejects_equal():
-    with pytest.raises(ValueError):
-        is_maximal(S(3), S(3))
+    # a side equal to G is not maximal: G itself is the witness
+    G = S(3)
+    assert max_witness(Triple(G, G, G)) == ("H", G)
+    assert check_max(Triple(G, G, G)) is False
 
 
 def test_is_maximal_against_subgroup_lattice():
@@ -304,7 +310,7 @@ def test_is_maximal_against_subgroup_lattice():
                 continue
             H = PermGroup(G.degree, sorted(sub))
             expected = not any(sub < other < gset for other in subgroups)
-            assert is_maximal(G, H) is expected, f"{sorted(map(str, sub))}"
+            assert check_max(Triple(G, H, H)) is expected, f"{sorted(map(str, sub))}"
 
 
 def test_normal_closure_trivial():
@@ -352,7 +358,7 @@ def test_random_element_uniformish_and_member():
     G = S(4)
     seen = set()
     for _ in range(300):
-        p = G.random_element(rng)
+        p = random_element(G, rng)
         assert p in G
         seen.add(p)
     assert len(seen) == 24

@@ -26,7 +26,7 @@ from isodrum.groups import (
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.triples import Triple, max_witness, property_report
 
-from bruteforce import brute_minimal_block, mulclose
+from bruteforce import brute_minimal_block, mulclose, random_element
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -60,7 +60,7 @@ def group_and_subgroup(draw, max_degree=6, max_order=720, max_index=120):
         gens = [perm() for _ in range(rng.randint(2, 3))]
     G = PermGroup(n, gens)
     assume(6 <= G.order <= max_order)
-    H = PermGroup(n, [G.random_element(rng) for _ in range(rng.randint(1, 2))])
+    H = PermGroup(n, [random_element(G, rng) for _ in range(rng.randint(1, 2))])
     assume(G.order // max_index <= H.order < G.order)
     return G, H, rng
 
@@ -106,7 +106,7 @@ def test_bounded_chain_matches_full_chain(drawn):
     table = left_cosets(G, H)
     cases = [(n, G.generators, G.order),
              (len(table), table.subgroup_image().generators, H.order),
-             (n, [G.random_element(rng) for _ in range(2)], G.order)]
+             (n, [random_element(G, rng) for _ in range(2)], G.order)]
     for degree, gens, bound in cases:
         full = PermGroup(degree, gens).chain()
         bounded = _group_of_order_at_most(degree, gens, bound).chain()
@@ -134,7 +134,7 @@ def test_unreached_bound_gives_exact_order():
 def test_actions_of_matches_action_of(drawn):
     G, H, rng = drawn
     table = left_cosets(G, H)
-    elements = [G.random_element(rng) for _ in range(6)] + [G.identity]
+    elements = [random_element(G, rng) for _ in range(6)] + [G.identity]
     batch = table.actions_of(elements)
     assert batch.shape == (len(elements), len(table))
     assert [Permutation(row) for row in batch] == [table.action_of(x) for x in elements]
@@ -198,7 +198,7 @@ def test_orbit_block_matches_union_find(drawn):
     assert _intermediate_block(table) == oracle
     # max_witness's subgroup, and the order in the report's witness text
     witness = max_witness(Triple(G, H, H))
-    report = property_report(Triple(G, H, H), check_inv_property=False)
+    report = property_report(Triple(G, H, H), props=())
     if oracle is None:
         assert witness is None and "max" not in report.witnesses
     else:
@@ -213,7 +213,7 @@ def test_orbit_block_on_larger_actions():
     # seed checked
     t = psl_triple(3, 2)
     rng = random.Random(3)
-    for H in (t.H, PermGroup(t.G.degree, [t.G.random_element(rng)])):
+    for H in (t.H, PermGroup(t.G.degree, [random_element(t.G, rng)])):
         table = left_cosets(t.G, H)
         m = len(table)
         gens = [a.images.tolist() for a in table.generator_actions]

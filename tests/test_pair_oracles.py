@@ -21,7 +21,8 @@ from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import involutions_of
 from isodrum.triples import PairStatus, check_pair, verify_automorphism
 
-from bruteforce import brute_automorphism, brute_elements, brute_involutions, mulclose
+from bruteforce import (brute_automorphism, brute_elements, brute_involutions, mulclose,
+                        random_element)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -78,7 +79,7 @@ def test_sigma_matches_table_closure(drawn, kind):
         G = doubled(G)
         c = Permutation(list(range(n, 2 * n)) + list(range(n)))
     elif kind == "inner":
-        c = G.random_element(rng)
+        c = random_element(G, rng)
     else:
         p = list(range(G.degree))
         rng.shuffle(p)

@@ -94,7 +94,7 @@ def test_orbit_scan_matches_brute_on_relabeled_psl32(psl32_small, seed):
     assert pair_files(pairs) == pair_files(brute_scan(t, 7, 3))
 
 
-def test_orbit_scan_matches_brute_with_central_stabilizers():
+def test_orbit_scan_matches_brute_with_central_stabilizers(psl32_small):
     t = affine_triple()
     assert t.G.order == 32 and is_ac(t)
     invs = involutions_of(t.G)
@@ -104,7 +104,13 @@ def test_orbit_scan_matches_brute_with_central_stabilizers():
     assert generating
     # each orbit has 16 ordered tuples: the center x -> x+4 fixes the tuple
     assert {len(_orbit(maps, c)) for c in generating} == {16}
-    assert pair_files(okada_shudo_scan(t, 8, 3)) == pair_files(brute_scan(t, 8, 3))
+    # the affine triple has no pairs at 8 tiles; PSL(3,2) x C2 has 14, and
+    # its center fixes every generating tuple
+    assert pair_files(okada_shudo_scan(t, 8, 3)) == pair_files(brute_scan(t, 8, 3)) == []
+    t = times_c2(psl32_small)
+    pairs = okada_shudo_scan(t, 7, 3)
+    assert len(pairs) == 14
+    assert pair_files(pairs) == pair_files(brute_scan(t, 7, 3))
 
 
 def test_central_extension_keeps_the_census(psl32_small):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from isodrum.errors import BoundExceeded, SpecFormatError
-from isodrum.groups import PermGroup, left_cosets, coset_action
+from isodrum.groups import PermGroup, left_cosets
 from isodrum.limits import OKADA_SHUDO_NMAX
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
@@ -13,13 +13,11 @@ from isodrum.transplant import (
     find_transplantation,
     fixeq_check,
     format_involution_system,
-    has_dominant_involution,
     intertwiner_basis,
     involutions_of,
     is_tree,
     okada_shudo_scan,
     parse_involution_system,
-    schreier_system,
     verify_intertwiner,
 )
 from isodrum.triples import Triple, inv_witnesses, is_ac
@@ -76,19 +74,23 @@ def test_matrices_symmetric_involutive(gww_pair):
 
 
 def test_schreier_system_single_tile():
-    G = PermGroup(1, [])
-    sys = schreier_system(G, [Permutation.identity(1)] * 3)
+    # three sides of the one coset of the trivial group in itself
+    table = left_cosets(PermGroup(1, []), PermGroup(1, []))
+    sys = InvolutionSystem(len(table), 3, tuple(table.action_of(Permutation.identity(1)) for _ in range(3)))
     assert sys.traces() == [1, 1, 1]
     assert is_tree(sys)
     assert fixeq_check(sys)  # 1 == 3 - 2
 
 
 def test_schreier_system_validates():
+    # S3 on the cosets of the trivial group is regular; a 3-cycle is no side,
+    # and one transposition does not glue the six tiles together
     G = PermGroup(3, [parse_cycles("(0 1 2)", 3), parse_cycles("(0 1)", 3)])
+    table = left_cosets(G, PermGroup(3, []))
     with pytest.raises(ValueError):
-        schreier_system(G, [parse_cycles("(0 1 2)", 3)])
+        InvolutionSystem(len(table), 1, (table.action_of(parse_cycles("(0 1 2)", 3)),))
     with pytest.raises(ValueError):
-        schreier_system(G, [parse_cycles("(0 1)", 3)])  # intransitive
+        InvolutionSystem(len(table), 1, (table.action_of(parse_cycles("(0 1)", 3)),))  # intransitive
 
 
 def test_gww_systems_structure(gww_pair):
@@ -289,9 +291,8 @@ def test_ac_iff_invertible_intertwiner_from_generators(psl32_module, a4_triple_l
 
     t = psl32_module
     assert is_ac(t)
-    img_h, _ = coset_action(t.G, t.H)
-    img_k, _ = coset_action(t.G, t.K)
-    basis = intertwiner_basis(img_h.generators, img_k.generators, img_h.degree)
+    table_h, table_k = left_cosets(t.G, t.H), left_cosets(t.G, t.K)
+    basis = intertwiner_basis(table_h.generator_actions, table_k.generator_actions, len(table_h))
     assert any(_int_det(m) != 0 for m in basis)
 
 
@@ -312,12 +313,17 @@ def test_parse_rejects_malformed():
         parse_involution_system("tiles: 2\nsides: 1\nside 1: ; boundary: 1\n")
 
 
+def dominant_involution(sys):
+    """Whether some side fixes more than a third of the tiles (strict)."""
+    return any(3 * t > sys.n_tiles for t in sys.traces())
+
+
 def test_dominant_involution():
-    assert has_dominant_involution(single_tile())  # 1 > 1/3
+    assert dominant_involution(single_tile())  # 1 > 1/3
     sys = InvolutionSystem(4, 3, (
         parse_cycles("(0 1)(2 3)", 4),
         parse_cycles("(1 2)", 4),
         parse_cycles("(0 3)", 4),
     ))
     # traces 0, 2, 2: 3*2 > 4
-    assert has_dominant_involution(sys)
+    assert dominant_involution(sys)

@@ -6,24 +6,21 @@ from isodrum.permutations import parse_cycles
 from isodrum.triples import (
     PairStatus,
     Triple,
-    ac_profile,
     check_ff,
     check_inv,
     check_max,
     check_pair,
     compress,
-    ec_witness_element,
     ff_witness,
     is_ac,
     is_ec,
     max_witness,
-    permutation_character,
     property_report,
     verify_automorphism,
 )
-from isodrum.transplant import fixeq_check, has_dominant_involution, is_tree
+from isodrum.transplant import fixeq_check, is_tree
 
-from bruteforce import brute_is_ac, brute_is_ec
+from bruteforce import ac_profile, brute_is_ac, brute_is_ec, permutation_character
 
 
 def S4():
@@ -114,12 +111,12 @@ def test_character_involution_fixes_three(psl32):
 
 
 def test_ec_witness_element(a4_triple):
-    assert ec_witness_element(a4_triple) is None  # EC holds
+    assert "ec" not in property_report(a4_triple, props=()).witnesses  # EC holds
     S = S4()
     t = Triple(S, PermGroup(4, [parse_cycles("(0 1)", 4)]),
                PermGroup(4, [parse_cycles("(0 1)(2 3)", 4)]))
-    w = ec_witness_element(t)
-    assert w is not None and (w in t.H.elements() or w in t.K.elements())
+    # (0 1) lies in H, and no transposition lies in K
+    assert property_report(t, props=()).witnesses["ec"] == "element (0 1) conjugate into one side only"
 
 
 def test_ac_implies_equal_orders_converse_fails(psl32, a4_triple):
@@ -261,7 +258,7 @@ def test_check_inv_psl(psl32):
     assert sum(sys.traces()) == (3 - 2) * 7 + 2 == 9
     assert fixeq_check(sys)
     assert is_tree(sys)
-    assert has_dominant_involution(sys)  # 3 > 7/3
+    assert 3 * max(sys.traces()) > sys.n_tiles  # a dominant involution: 3 > 7/3
 
 
 def test_check_inv_trivial_action():
@@ -317,7 +314,7 @@ def test_property_report_flagship(psl32):
 
 
 def test_property_report_witnesses(a4_triple):
-    rep = property_report(a4_triple, check_inv_property=False)
+    rep = property_report(a4_triple, props=("pair",))
     assert not rep.ac and rep.ec
     assert not rep.ff and "ff" in rep.witnesses
     assert not rep.max and "max" in rep.witnesses
