@@ -3,8 +3,10 @@
 Subcommands: verify, construct, transplant, unfold, spectrum,
 spectrum-compare, catalog, scan, gww.  Exit codes: 0 success / property
 holds, 1 a checked property fails, 2 invalid input (a spec that does not
-parse, a GF_BOUND that is not a positive integer, or a construction whose
-hypotheses fail on the given base), 3 a resource bound was exceeded.
+parse, a GF_BOUND that is not a positive integer, a construction whose
+hypotheses fail on the given base, fewer than 3 sides for INV or the
+census, or a census on subgroups of different indices), 3 a resource bound
+was exceeded.
 GF_BOUND in the environment overrides the enumeration bound.
 """
 
@@ -57,8 +59,12 @@ def cmd_verify(args) -> int:
     unknown = set(requested) - set(PROPERTIES)
     if unknown:
         raise SpecFormatError(f"unknown properties: {sorted(unknown)}")
-    report = property_report(triple, pair_candidate=pair, r=args.sides, bound=args.bound,
-                             props=requested)
+    try:
+        report = property_report(triple, pair_candidate=pair, r=args.sides, bound=args.bound,
+                                 props=requested)
+    except ValueError as exc:  # too few sides, or a pair candidate that is no automorphism
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
     else:
@@ -122,7 +128,7 @@ def cmd_construct(args) -> int:
         raise SpecFormatError("--type disagrees with the construct stanza")
     try:
         if args.compress_base:
-            base = compress(base, args.bound)
+            base = compress(base)
         data = construction_from_stanza(base, stanza)
         result = {1: type1, 2: type2, 3: type3}[data.variant](data, args.bound)
     except SpecFormatError:
@@ -230,7 +236,11 @@ def cmd_spectrum_compare(args) -> int:
 
 def cmd_scan(args) -> int:
     triple, _, _ = parse_triple_spec(_read(args.spec))
-    pairs = okada_shudo_scan(triple, args.nmax, args.r, args.bound)
+    try:
+        pairs = okada_shudo_scan(triple, args.nmax, args.r, args.bound)
+    except ValueError as exc:  # too few sides, or H and K of different indices
+        print(f"scan: {exc}", file=sys.stderr)
+        return 2
     print(f"found {len(pairs)} transplantable nonisometric pair(s)")
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)

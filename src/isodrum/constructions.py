@@ -23,6 +23,12 @@ class NotElementwiseConjugate(ValueError):
     """Raised when a construction's EC hypothesis is refuted by computation."""
 
 
+def _shift_degree(p: Permutation, offset: int, total: int) -> Permutation:
+    images = np.arange(total, dtype=np.int32)
+    images[offset:offset + p.degree] = offset + p.images
+    return Permutation(images)
+
+
 @dataclass(frozen=True)
 class WreathElement:
     """(base vector, top permutation) with the twisted product."""
@@ -90,9 +96,7 @@ class WreathGroup:
 
     def embed_base(self, i: int, s: Permutation) -> Permutation:
         d = self.base_group.degree
-        images = np.arange(self.n * d, dtype=np.int32)
-        images[i * d:(i + 1) * d] = i * d + s.images
-        return Permutation(images)
+        return _shift_degree(s, i * d, self.n * d)
 
     def embed_top(self, t: Permutation) -> Permutation:
         d = self.base_group.degree
@@ -133,26 +137,9 @@ class ConstructionData:
 
 
 def _direct_power_group(S: PermGroup, k: int) -> PermGroup:
+    """S^k on k consecutive blocks of S's points, block by block."""
     d = S.degree
-    gens = []
-    for i in range(k):
-        for s in S.generators:
-            images = np.arange(k * d, dtype=np.int32)
-            images[i * d:(i + 1) * d] = i * d + s.images
-            gens.append(Permutation(images))
-    return PermGroup(k * d, gens)
-
-
-def _embed_at_block(p: Permutation, block: int, block_size: int, total: int) -> Permutation:
-    images = np.arange(total, dtype=np.int32)
-    images[block * block_size:(block + 1) * block_size] = block * block_size + p.images
-    return Permutation(images)
-
-
-def _shift_degree(p: Permutation, offset: int, total: int) -> Permutation:
-    images = np.arange(total, dtype=np.int32)
-    images[offset:offset + p.degree] = offset + p.images
-    return Permutation(images)
+    return PermGroup(k * d, [_shift_degree(s, i * d, k * d) for i in range(k) for s in S.generators])
 
 
 def add_kernel(t: Triple, kext: PermGroup, bound=None) -> Triple:
@@ -177,23 +164,15 @@ def direct_power(t: Triple, k: int, bound=None) -> Triple:
         return t
     if not is_ec(t, bound):
         raise NotElementwiseConjugate("base triple is not elementwise conjugate")
-    if not check_ff(t, bound):
+    if not check_ff(t):
         raise ValueError("base triple is not FF")
     cap = enumeration_bound(bound)
     if k * t.G.order > cap:
         raise BoundExceeded("direct power exceeds realization bounds")
     G = _direct_power_group(t.G, k)
-    H = _direct_power_group_sub(t.H, k, t.G.degree)
-    K = _direct_power_group_sub(t.K, k, t.G.degree)
+    H = _direct_power_group(t.H, k)
+    K = _direct_power_group(t.K, k)
     return Triple(G, H, K, label=f"{t.label or 'triple'} ^ {k}")
-
-
-def _direct_power_group_sub(S: PermGroup, k: int, d: int) -> PermGroup:
-    gens = []
-    for i in range(k):
-        for s in S.generators:
-            gens.append(_embed_at_block(s, i, d, k * d))
-    return PermGroup(k * d, gens)
 
 
 def type1(data: ConstructionData, bound=None) -> Triple:
@@ -208,7 +187,7 @@ def type1(data: ConstructionData, bound=None) -> Triple:
         raise ValueError("top group degree must equal n")
     if not is_ec(base, bound):
         raise NotElementwiseConjugate("base triple is not elementwise conjugate")
-    if not check_ff(base, bound):
+    if not check_ff(base):
         raise ValueError("base triple is not FF")
     if data.n == 1 and T.order == 1:
         return base
@@ -216,9 +195,9 @@ def type1(data: ConstructionData, bound=None) -> Triple:
     total = W.realized.degree
     d = base.G.degree
     top_gens = [W.embed_top(tg) for tg in T.generators]
-    H = PermGroup(total, [_embed_at_block(h, i, d, total)
+    H = PermGroup(total, [_shift_degree(h, i * d, total)
                           for i in range(data.n) for h in base.H.generators] + top_gens)
-    K = PermGroup(total, [_embed_at_block(k, i, d, total)
+    K = PermGroup(total, [_shift_degree(k, i * d, total)
                           for i in range(data.n) for k in base.K.generators] + top_gens)
     return Triple(W.realized, H, K,
                   label=f"type1({base.label or 'base'}, n={data.n}, |T|={T.order})")
@@ -252,6 +231,20 @@ def _is_diagonal_subgroup(L: PermGroup, S: PermGroup, n: int) -> bool:
     return True
 
 
+def _simple_factor(base: Triple, copies: int, bound=None) -> PermGroup:
+    """The factor S of a base triple (S^copies, diagonal, diagonal), read off
+    block 0; raises ValueError unless S is simple, G is S^copies and H and K
+    are diagonal copies of S."""
+    S = _block_restriction(base.G, 0, base.G.degree // copies)
+    if not same_group(base.G, _direct_power_group(S, copies)):
+        raise ValueError("base group is not the direct power of its first block")
+    if not is_simple(S, bound):
+        raise ValueError("base factor is not simple")
+    if not (_is_diagonal_subgroup(base.H, S, copies) and _is_diagonal_subgroup(base.K, S, copies)):
+        raise ValueError("subgroups are not diagonal copies of the factor")
+    return S
+
+
 def _t_stabilizes(W: WreathGroup, sub: PermGroup) -> bool:
     for tg in W.top_group.generators:
         tp = W.embed_top(tg)
@@ -278,14 +271,7 @@ def type2(data: ConstructionData, bound=None) -> Triple:
         raise ValueError("top group must be transitive of degree n")
     if base.G.degree % n:
         raise ValueError("base group degree is not divisible by n")
-    d = base.G.degree // n
-    S = _block_restriction(base.G, 0, d)
-    if not same_group(base.G, _direct_power_group(S, n)):
-        raise ValueError("base group is not the direct power of its first block")
-    if not is_simple(S, bound):
-        raise ValueError("base factor is not simple")
-    if not _is_diagonal_subgroup(base.H, S, n) or not _is_diagonal_subgroup(base.K, S, n):
-        raise ValueError("subgroups are not diagonal copies of the factor")
+    S = _simple_factor(base, n, bound)
     W = WreathGroup(S, T)
     if not _t_stabilizes(W, base.H) or not _t_stabilizes(W, base.K):
         raise ValueError("top group does not stabilize the diagonal subgroups")
@@ -316,17 +302,10 @@ def type3(data: ConstructionData, bound=None) -> Triple:
                 raise ValueError("top group does not preserve the block system")
     if base.G.degree % k:
         raise ValueError("base group degree is not divisible by k")
-    d = base.G.degree // k
-    S = _block_restriction(base.G, 0, d)
-    if not same_group(base.G, _direct_power_group(S, k)):
-        raise ValueError("base group is not the direct power of its first block")
-    if not is_simple(S, bound):
-        raise ValueError("base factor is not simple")
-    if not _is_diagonal_subgroup(base.H, S, k) or not _is_diagonal_subgroup(base.K, S, k):
-        raise ValueError("subgroups are not diagonal copies of the factor")
+    S = _simple_factor(base, k, bound)
     if not is_ec(base, bound):
         raise NotElementwiseConjugate("base triple is not elementwise conjugate")
-    if not check_ff(base, bound):
+    if not check_ff(base):
         raise ValueError("base triple is not FF")
     W = WreathGroup(S, T)
     total = W.realized.degree
@@ -335,7 +314,7 @@ def type3(data: ConstructionData, bound=None) -> Triple:
     seg = base.G.degree
     for tau in block_stab:
         coord = Permutation([int(tau.images[x]) for x in range(k)])
-        tp = WreathElement(tuple(Permutation.identity(d) for _ in range(k)), coord).realize()
+        tp = WreathElement(tuple(Permutation.identity(S.degree) for _ in range(k)), coord).realize()
         for sub in (base.H, base.K):
             for g in sub.generators:
                 if g.conjugate_by(tp) not in sub:
@@ -372,7 +351,7 @@ def diagonal_subgroup(S: PermGroup, n: int, gen_images=None) -> PermGroup:
     return PermGroup(n * d, gens)
 
 
-def ec_witness(base: Triple, gamma: Permutation, elements, bound=None):
+def ec_witness(base: Triple, gamma: Permutation, elements):
     """Solve the conjugation identity for one wreath element of the K side.
 
     Given a = (a_1..a_n) with entries in K and a top permutation gamma,

@@ -438,31 +438,19 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(G: PermGroup, bound=None) -> ConjugacyClasses:
-    """Conjugacy classes by full enumeration; reps are lex-least members."""
-    elems = G.elements(bound)
-    by_key = {e.key(): e for e in elems}
-    class_of = {}
-    reps = []
-    sizes = []
-    for key in sorted(by_key):
-        if key in class_of:
-            continue
-        rep = by_key[key]
-        ci = len(reps)
-        class_of[key] = ci
-        size = 1
-        queue = deque([rep])
-        while queue:
-            x = queue.popleft()
-            for g in G.generators:
-                y = x.conjugate_by(g)
-                if y.key() not in class_of:
-                    class_of[y.key()] = ci
-                    size += 1
-                    queue.append(y)
-        reps.append(rep)
-        sizes.append(size)
-    return ConjugacyClasses(G, reps, sizes, class_of, elems)
+    """Conjugacy classes by full enumeration; reps are lex-least members.
+
+    The element rows, sorted by key, are union-found under conjugation by
+    G's generators (``_class_roots``); classes are numbered by their roots.
+    """
+    rows = G.element_rows(bound)
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    maps = _conjugation_maps(ordered, _rows([g.images for g in G.generators], G.degree))
+    roots, class_of, sizes = np.unique(_class_roots(maps), return_inverse=True,
+                                       return_counts=True)
+    return ConjugacyClasses(G, [Permutation._wrap(ordered[i]) for i in roots], sizes.tolist(),
+                            dict(zip(_row_keys(ordered), class_of.ravel().tolist())),
+                            [Permutation._wrap(r) for r in rows])
 
 
 def cached_classes(G: PermGroup, bound=None) -> ConjugacyClasses:
@@ -633,6 +621,45 @@ def _row_keys(rows: np.ndarray) -> list:
     if not width:
         return [b""] * len(rows)
     return np.ascontiguousarray(rows, dtype=">i4").view(f"V{width}").ravel().tolist()
+
+
+def _rows(images, degree):
+    """Image rows as one (len(images), degree) int32 array, empty included."""
+    return np.array(images, dtype=np.int32).reshape(-1, degree)
+
+
+def _conjugation_maps(rows, generators):
+    """Array c with c[j, i] the index in ``rows`` of s^-1 * x * s, for x
+    the element of row i and s that of row j of ``generators``.
+
+    ``rows`` must be pairwise distinct and closed under conjugation by the
+    generators; each conjugate, the row s[x[s^-1]], is matched by its bytes
+    (``_row_keys``).
+    """
+    index = {key: i for i, key in enumerate(_row_keys(rows))}
+    return np.array([[index[key] for key in _row_keys(s[rows[:, np.argsort(s)]])]
+                     for s in generators], dtype=np.intp).reshape(len(generators), len(rows))
+
+
+def _class_roots(maps):
+    """The root of each index's class, a class being an orbit of the
+    conjugation maps ``maps`` (``_conjugation_maps``): its smallest index,
+    by union-find.  For rows sorted by key the root is the lex-least member,
+    and an index is first in its class exactly when it is its own root.
+    """
+    parent = list(range(maps.shape[1]))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for images in maps.tolist():
+        for i, j in enumerate(images):
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return np.array([find(i) for i in range(len(parent))], dtype=np.intp)
 
 
 def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:

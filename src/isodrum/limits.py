@@ -5,10 +5,10 @@ conjugacy classes, EC when AC fails (the classes of H and K), the AC and EC
 witnesses, the inner-square search of PAIR (which lists H only; the swap
 automorphism itself is verified without listing elements), and the
 candidates of INV and of the census: H's involutions and their closure
-under conjugation, and G's involutions only in the fixed-point-free branch,
-when a gluing tree may contain a fixed-point-free involution (see
-``triples.inv_witnesses`` and ``transplant.okada_shudo_scan``).  The index
-bound caps coset enumerations, so it alone caps AC, FF and MAX.
+under conjugation, and G's involutions only when a gluing tree may contain
+a fixed-point-free involution (``transplant._tree_candidates`` holds the
+three cases and their proof).  The index bound caps coset enumerations,
+so it alone caps AC, FF and MAX.
 The involution search bound caps the nodes of the forest search
 (``transplant._forest_search``) that both INV and the census run: each
 candidate tried as the next member of a subset counts once, and first

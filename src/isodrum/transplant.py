@@ -19,8 +19,11 @@ import numpy as np
 from .errors import BoundExceeded, SpecFormatError
 from .groups import (
     PermGroup,
+    _class_roots,
+    _conjugation_maps,
     _group_of_order_at_most,
     _row_keys,
+    _rows,
     _take_rows,
     is_transitive_on,
     left_cosets,
@@ -331,11 +334,6 @@ def involutions_of(G: PermGroup, bound=None):
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
 
 
-def _rows(images, degree):
-    """Image rows as one (len(images), degree) int32 array, empty included."""
-    return np.array(images, dtype=np.int32).reshape(-1, degree)
-
-
 def _conjugation_closure(seeds, generators, bound):
     """Closure of a set of elements under conjugation by generators.
 
@@ -372,39 +370,62 @@ def _conjugation_closure(seeds, generators, bound):
     return [np.concatenate(parts) for parts in found]
 
 
-def _conjugation_maps(rows, generators):
-    """Array c with c[j, i] the index in ``rows`` of s^-1 * x * s, for x
-    the element of row i and s that of row j of ``generators``.
+def _involution_roots(group, tables, bound):
+    """The lex-least involution of each class of ``group`` (``_class_roots``):
+    its rows, then its actions on each coset table in ``tables``, the only
+    rows canonicalized.  The enumeration bound caps ``group``."""
+    rows = _rows([p.images for p in involutions_of(group, bound)], group.degree)
+    maps = _conjugation_maps(rows, _rows([g.images for g in group.generators], group.degree))
+    rows = rows[_class_roots(maps) == np.arange(len(rows))]
+    elements = [Permutation._wrap(x) for x in rows]
+    return [rows] + [table.actions_of(elements) for table in tables]
 
-    ``rows`` must be pairwise distinct and closed under conjugation by the
-    generators; each conjugate, the row s[x[s^-1]], is matched by its bytes
-    (``_row_keys``).
+
+def _tree_candidates(G, H, tables, r, bound):
+    """The involutions of G that may lie in a gluing tree of r colors on the
+    cosets of H, or None when the fixed-point certificate proves there is no
+    tree.
+
+    Returns one array per action, one row per candidate: the rows in G, then
+    the actions on each coset table of G in ``tables``, the first H's.  With
+    no tables G acts on the cosets itself, H being the stabilizer of point 0,
+    as INV passes the images of an unfaithful action.  The candidates are
+    distinct and closed under conjugation by G, in closure order; each
+    caller sorts them.
+
+    An involution x fixes the coset Hy exactly when y * x * y^-1 lies in H,
+    so every involution with a fixed coset is G-conjugate into H, and fixed
+    counts are class functions.  So m, the largest fixed count of an
+    involution of H (0 if none), is read on one involution per class of H
+    (``_involution_roots``).  A tree on the n cosets needs fixed counts
+    summing to target = (r-2) * n + 2, and there are three cases:
+
+    * r * m < target: no r involutions reach the sum; None.
+    * (r-1) * m < target: every member of a tree fixes at least
+      target - (r-1) * m > 0 cosets, so it is conjugate into H.  The
+      candidates are the closure of H's involutions under conjugation by
+      G's generators (``_conjugation_closure``), which is the union of
+      their G-classes, so it is seeded with the roots alone and carries
+      every action side by side.  These are all involutions but the
+      fixed-point-free ones, which no tree touches.  The enumeration bound
+      caps H and the closure.
+    * otherwise a tree may hold a fixed-point-free involution, and the
+      candidates are all of G's: the closure of the roots of G's involution
+      classes.  The enumeration bound caps G.
     """
-    index = {key: i for i, key in enumerate(_row_keys(rows))}
-    return np.array([[index[key] for key in _row_keys(s[rows[:, np.argsort(s)]])]
-                     for s in generators], dtype=np.intp).reshape(len(generators), len(rows))
-
-
-def _class_firsts(maps):
-    """Whether each index is the first of its class, a class being an orbit
-    of the conjugation maps ``maps`` (``_conjugation_maps``).
-
-    The maps are union-found with every class rooted at its smallest
-    index, so an index is first exactly when it is its own root.
-    """
-    parent = list(range(maps.shape[1]))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for images in maps.tolist():
-        for i, j in enumerate(images):
-            a, b = find(i), find(j)
-            parent[max(a, b)] = min(a, b)
-    return [find(i) == i for i in range(len(parent))]
+    cap = enumeration_bound(bound)
+    gens = [_rows([g.images for g in G.generators], G.degree)]
+    gens += [_rows([a.images for a in table.generator_actions], len(table)) for table in tables]
+    side = 1 if tables else 0
+    n = gens[side].shape[1]
+    seeds = _involution_roots(H, tables, cap)
+    m = int((seeds[side] == np.arange(n)).sum(axis=1).max(initial=0))
+    target = (r - 2) * n + 2
+    if r * m < target:
+        return None
+    if (r - 1) * m >= target:
+        seeds = _involution_roots(G, tables, cap)
+    return _conjugation_closure(seeds, gens, cap)
 
 
 def _forest_search(acts, first, r, target):
@@ -491,24 +512,15 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
     ``involutions_of``: the pairs that examining every r-subset in
     lexicographic order would keep.  Pairs are sorted by keys.
 
-    Candidates, as in ``triples.inv_witnesses``.  Let m be the largest fixed
-    count on the H-cosets of an involution of H; an involution fixes the
-    coset Hy exactly when y * x * y^-1 lies in H, so the fixed count of
-    every involution of G is that of an involution of H, or 0.
-
-    * r * m below the target: no r involutions reach the sum, and the
-      census is empty.
-    * (r-1) * m below it: every member of an H-side tree fixes at least
-      target - (r-1) * m > 0 cosets, so it is conjugate into H.  The
-      candidates are the closure of H's involutions under conjugation by
-      G's generators (``_conjugation_closure``, keyed by rows of G), and no
-      tree is lost.  The enumeration bound caps H and the closure.
-    * otherwise all of G's involutions are listed; the bound caps G.
+    Candidates.  ``_tree_candidates`` gives the involutions that may lie in
+    an H-side tree, with their actions on both coset spaces side by side,
+    or proves by the fixed-point certificate that the census is empty; it
+    holds the three cases and their proof.  They are sorted by element key.
 
     Search.  ``_forest_search`` walks the H-side trees over the candidates
     ordered by descending fixed count (a stable sort, so by element key
     within a count), trying as first member only the first candidate of
-    each class (``_class_firsts`` on the conjugation maps of G's
+    each class (``groups._class_roots`` on the conjugation maps of G's
     generators; a class has one fixed count, so its first in element-key
     order is its first in the search).  For the first set yielded from
     each orbit of sets, the ordered orbit of its tuple is walked
@@ -544,21 +556,15 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
         raise ValueError("coset spaces have different sizes")
     if n > n_max:
         raise BoundExceeded(f"index {n} exceeds n_max {n_max}")
-    cap = enumeration_bound(bound)
-    target = (r - 2) * n + 2
-    stab = involutions_of(t.H, cap)
-    m = int((table_h.actions_of(stab) == np.arange(n)).sum(axis=1).max(initial=0))
-    if r * m < target:
+    found = _tree_candidates(G, t.H, [table_h, table_k], r, bound)
+    if found is None:
         return []
-    gen_rows = _rows([g.images for g in G.generators], G.degree)
-    if (r - 1) * m < target:
-        (rows,) = _conjugation_closure([_rows([p.images for p in stab], G.degree)], [gen_rows], cap)
-    else:
-        rows = _rows([p.images for p in involutions_of(G, cap)], G.degree)
-    rows = rows[np.lexsort(rows.T[::-1])]
+    by_key = np.lexsort(found[0].T[::-1])
+    rows, acts_h, acts_k = (a[by_key] for a in found)
     invs = [Permutation._wrap(row) for row in rows]
-    acts_h, acts_k = table_h.actions_of(invs), table_k.actions_of(invs)
-    maps = _conjugation_maps(rows, gen_rows)
+    maps = _conjugation_maps(rows, _rows([g.images for g in G.generators], G.degree))
+    first = _class_roots(maps) == np.arange(len(rows))
+    target = (r - 2) * n + 2
     order = np.argsort(-(acts_h == np.arange(n)).sum(axis=1), kind="stable")
 
     def systems(tup):
@@ -566,7 +572,7 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
                      for a in (acts_h, acts_k))
 
     walked, kept = set(), {}
-    for combo in _forest_search(acts_h[order], np.array(_class_firsts(maps))[order], r, target):
+    for combo in _forest_search(acts_h[order], first[order], r, target):
         tup = tuple(sorted(order[list(combo)].tolist()))
         if tup in walked:
             continue

@@ -35,8 +35,11 @@ import numpy as np
 
 from .groups import (
     PermGroup,
+    _class_roots,
+    _conjugation_maps,
     _group_of_order_at_most,
     _row_keys,
+    _rows,
     _take_rows,
     cached_classes,
     core,
@@ -46,8 +49,7 @@ from .groups import (
 )
 from .limits import enumeration_bound, index_bound
 from .permutations import Permutation
-from .transplant import (InvolutionSystem, _class_firsts, _conjugation_closure, _conjugation_maps,
-                         _forest_search, _rows, involutions_of)
+from .transplant import InvolutionSystem, _forest_search, _tree_candidates
 
 
 @dataclass
@@ -82,7 +84,7 @@ def rank(G: PermGroup, A: PermGroup, B: PermGroup) -> int:
     return len(PermGroup(len(table), [table.action_of(b) for b in B.generators]).orbits())
 
 
-def is_ac(t: Triple, bound=None) -> bool:
+def is_ac(t: Triple) -> bool:
     r"""Almost conjugate: equal permutation characters 1_H^G == 1_K^G.
 
     By Frobenius reciprocity <1_H^G, 1_K^G> = |H\G/K|, and by
@@ -130,7 +132,7 @@ def is_ec(t: Triple, bound=None) -> bool:
     return all(a and b for _, a, b in _class_fixed_counts(t, bound))
 
 
-def check_ff(t: Triple, bound=None) -> bool:
+def check_ff(t: Triple) -> bool:
     """Faithful coset actions: both cores trivial.
 
     Decided by the order of each subgroup's image on its cosets; no elements
@@ -139,7 +141,7 @@ def check_ff(t: Triple, bound=None) -> bool:
     return all(left_cosets(t.G, sub).is_faithful() for sub in (t.H, t.K))
 
 
-def ff_witness(t: Triple, bound=None):
+def ff_witness(t: Triple):
     """The offending normal subgroup (with its side) when FF fails."""
     for name, sub in (("H", t.H), ("K", t.K)):
         if not left_cosets(t.G, sub).is_faithful():
@@ -147,12 +149,12 @@ def ff_witness(t: Triple, bound=None):
     return None
 
 
-def check_max(t: Triple, bound=None) -> bool:
+def check_max(t: Triple) -> bool:
     """Both subgroups maximal."""
-    return max_witness(t, bound) is None
+    return max_witness(t) is None
 
 
-def max_witness(t: Triple, bound=None):
+def max_witness(t: Triple):
     """An intermediate subgroup strictly between G and a side, when one exists.
 
     The subgroup is generated by the side and the representatives of the
@@ -169,7 +171,7 @@ def max_witness(t: Triple, bound=None):
     return None
 
 
-def compress(t: Triple, bound=None) -> Triple:
+def compress(t: Triple) -> Triple:
     """Transport a triple onto its H-coset action.
 
     Needs a faithful action (trivial core of H), so the image triple is
@@ -264,32 +266,13 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
 
     Yields (G-involution tuple, system on the coset space) in a fixed order:
     candidate involutions sorted by descending fixed-point count in the
-    action, then by action key, subsets lexicographically.  For a faithful
-    action the candidates are involutions of G, which keeps preimages
-    available; otherwise they are involutions of G's image and the
-    preimage slot is None.  In every case the candidates act by pairwise
-    distinct rows and are closed under conjugation by G.
-
-    The candidates come from H, not from a listing of G.  An involution x
-    fixes the coset Hy exactly when y * x * y^-1 lies in H, so every
-    involution with a fixed coset is G-conjugate to an involution of H's
-    image (the stabilizer of coset 0), and the fixed count is constant on
-    conjugacy classes.  With m the largest fixed count of an involution of
-    H's image (0 if it has none) and target = (r-2) * n + 2 the sum a
-    witness needs, there are three cases:
-
-    * r * m < target: no r involutions reach the sum; nothing is yielded.
-    * (r-1) * m < target: every member of a witness fixes at least
-      target - (r-1) * m > 0 cosets, so the candidates are the closure of
-      H's involutions under conjugation by G's generators
-      (``transplant._conjugation_closure``), carried as rows of G and of
-      the action side by side.  The enumeration bound caps H and the
-      closure.  This is the sorted list of all involutions without its
-      fixed-point-free tail, which no witness touches.
-    * otherwise a witness may contain a fixed-point-free involution, and
-      all of G's involutions are listed (``involutions_of``), their actions
-      from one batched ``CosetTable.actions_of`` pass; the enumeration bound
-      caps G.
+    action, then by action key, subsets lexicographically.  The candidates
+    come from ``transplant._tree_candidates``, which holds the fixed-point
+    certificate and the three cases of candidates with their proof; they
+    act by pairwise distinct rows and are closed under conjugation by G.
+    For a faithful action they are involutions of G, which keeps preimages
+    available; otherwise the same routine runs on G's image on the cosets,
+    with H's image as the stabilizer, and the preimage slot is None.
 
     One depth-first search (``transplant._forest_search``, shared with the
     census) walks the subsets, with two exact facts and one symmetry rule:
@@ -309,7 +292,7 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
       conjugating the whole witness by g would give a witness of the same
       class whose first position is at most a' < a.  So x_a is the first
       candidate of its G-class, and the first member is tried only among
-      those (``transplant._class_firsts``).  The yielded sequence is the
+      those (``groups._class_roots``).  The yielded sequence is the
       subsequence of all witnesses whose first member is first in its
       class; its first witness, and whether it is empty, are those of the
       full sequence.
@@ -325,45 +308,27 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
     """
     if r < 3:
         raise ValueError("need at least 3 sides")
-    cap = enumeration_bound(bound)
     table = left_cosets(t.G, t.H, index_bound())
     lam = len(table)
-    target = (r - 2) * lam + 2
-    faithful = table.is_faithful()
-    gen_acts = _rows([a.images for a in table.generator_actions], lam)
-    if faithful:
-        stab_invs = involutions_of(t.H, cap)
-        stab_acts = table.actions_of(stab_invs)
-        stab = _rows([p.images for p in stab_invs], t.G.degree)
+    if table.is_faithful():
+        found = _tree_candidates(t.G, t.H, [table], r, bound)
+        preimage = Permutation._wrap
     else:
-        stab_acts = _rows([p.images for p in involutions_of(table.subgroup_image(), cap)], lam)
-    m = int((stab_acts == np.arange(lam)).sum(axis=1).max(initial=0))
-    if r * m < target:
+        found = _tree_candidates(PermGroup(lam, table.generator_actions), table.subgroup_image(),
+                                 [], r, bound)
+        preimage = lambda row: None
+    if found is None:
         return
-    if (r - 1) * m < target:
-        if faithful:
-            acts, g_rows = _conjugation_closure(
-                [stab_acts, stab], [gen_acts, _rows([g.images for g in t.G.generators], t.G.degree)],
-                cap)
-            gs = [Permutation._wrap(row) for row in g_rows]
-        else:
-            (acts,) = _conjugation_closure([stab_acts], [gen_acts], cap)
-            gs = [None] * len(acts)
-    elif faithful:
-        gs = involutions_of(t.G, cap)
-        acts = table.actions_of(gs)
-    else:
-        invs = involutions_of(PermGroup(lam, table.generator_actions), cap)
-        gs = [None] * len(invs)
-        acts = _rows([p.images for p in invs], lam)
+    rows, acts = found[0], found[-1]
     fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
     keys = _row_keys(acts)
-    order = sorted(range(len(gs)), key=lambda i: (-fixes[i], keys[i]))
-    acts, gs = acts[order], [gs[i] for i in order]
-    first = _class_firsts(_conjugation_maps(acts, gen_acts))
-    for combo in _forest_search(acts, first, r, target):
+    order = sorted(range(len(acts)), key=lambda i: (-fixes[i], keys[i]))
+    rows, acts = rows[order], acts[order]
+    maps = _conjugation_maps(acts, _rows([a.images for a in table.generator_actions], lam))
+    first = _class_roots(maps) == np.arange(len(acts))
+    for combo in _forest_search(acts, first, r, (r - 2) * lam + 2):
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in combo))
-        yield tuple(gs[i] for i in combo), sys
+        yield tuple(preimage(rows[i]) for i in combo), sys
 
 
 def check_inv(t: Triple, r: int = 3, bound=None):
@@ -371,8 +336,9 @@ def check_inv(t: Triple, r: int = 3, bound=None):
 
     None is proved by the fixed-point certificate (r times the largest
     fixed count of an involution of H's image below (r-2) * n + 2) or by an
-    exhausted search over the candidates; see ``inv_witnesses`` for the
-    three cases of candidates, the tree identity and the class-first rule.
+    exhausted search over the candidates; see ``transplant._tree_candidates``
+    for the three cases of candidates and ``inv_witnesses`` for the tree
+    identity and the class-first rule.
     The class-first rule drops witnesses but never the first one, so the
     answer is the first witness of the full lexicographic sequence.
     """
@@ -465,7 +431,7 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
     verdict is reported unproved.
     """
     witnesses = {}
-    ac = is_ac(t, bound)
+    ac = is_ac(t)
     ec = True
     if not ac:
         counts = _class_fixed_counts(t, bound)
@@ -475,12 +441,12 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
         ec = not missing
         if missing:
             witnesses["ec"] = f"element {missing[0]} conjugate into one side only"
-    ffw = ff_witness(t, bound)
+    ffw = ff_witness(t)
     if ffw is not None:
         side, sub = ffw
         witnesses["ff"] = f"core of {side} has order {sub.order}; generators {[str(g) for g in sub.generators]}"
         witnesses["ff_subgroup"] = sub
-    maxw = max_witness(t, bound)
+    maxw = max_witness(t)
     if maxw is not None:
         side, sub = maxw
         witnesses["max"] = f"{side} is contained in a proper subgroup of order {sub.order}"

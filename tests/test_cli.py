@@ -392,3 +392,30 @@ def test_scan_bound_caps_h_and_the_closure(specdir, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "resource bound exceeded: group order 24 exceeds bound 20\n"
     assert "found" not in captured.out
+
+
+def test_invalid_verify_and_scan_input_exits_2(specdir, tmp_path, capsys):
+    # exit 1 means a checked property fails; too few sides, a census on
+    # subgroups of different indices or a pair candidate that is no
+    # automorphism is invalid input: one stderr line, exit 2
+    psl32, psl32c = specdir / "psl32.spec", specdir / "psl32c.spec"
+
+    def edited(path, key, value):
+        out = tmp_path / f"{key}.spec"
+        out.write_text("".join(f"{key}: {value}\n" if line.startswith(f"{key}:") else line
+                               for line in path.read_text().splitlines(keepends=True)))
+        return str(out)
+
+    cases = [
+        (["scan", "--spec", str(psl32c), "--nmax", "7", "--r", "2"], "scan: need at least 3 sides"),
+        (["verify", str(psl32), "--sides", "2"], "verify: need at least 3 sides"),
+        (["scan", "--spec", edited(psl32c, "K", "[]"), "--nmax", "7"],
+         "scan: coset spaces have different sizes"),
+        (["verify", edited(psl32, "pair", "[(1 2), (1 2)]")],
+         "verify: image is not a member of the group"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+    assert main(["verify", str(psl32), "--sides", "2", "--props", "ac,ec,ff,max"]) == 0

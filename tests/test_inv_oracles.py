@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_check_pair, brute_class_first, brute_inv_witnesses, random_element
-from isodrum import catalog, triples
+from isodrum import catalog, transplant
 from isodrum.catalog import duality_automorphism, psl_triple
 from isodrum.cli import main
 from isodrum.constructions import add_kernel
@@ -173,7 +173,7 @@ def test_catalog_verify_never_lists_g(tmp_path, capsys, monkeypatch):
     # psl(4,2) takes the closure; psl(3,4) is decided by the certificate
     # before any closure is built
     listed, closures = [], []
-    real_rows, real_closure = PermGroup.element_rows, triples._conjugation_closure
+    real_rows, real_closure = PermGroup.element_rows, transplant._conjugation_closure
 
     def rows_spy(self, bound=None):
         listed.append(self.order)
@@ -184,7 +184,7 @@ def test_catalog_verify_never_lists_g(tmp_path, capsys, monkeypatch):
         return real_closure(*args)
 
     monkeypatch.setattr(PermGroup, "element_rows", rows_spy)
-    monkeypatch.setattr(triples, "_conjugation_closure", closure_spy)
+    monkeypatch.setattr(transplant, "_conjugation_closure", closure_spy)
     for (n, q), rc, closed in (((4, 2), 0, 1), ((3, 4), 1, 0)):
         spec = tmp_path / f"psl{n}{q}.spec"
         assert main(["catalog", "emit", "--nq", f"{n},{q}", "--out", str(spec)]) == 0

@@ -21,7 +21,7 @@ import pytest
 from bruteforce import brute_scan, mulclose
 from isodrum import transplant
 from isodrum.catalog import psl_triple
-from isodrum.groups import PermGroup, is_transitive_on, left_cosets
+from isodrum.groups import CosetTable, PermGroup, is_transitive_on, left_cosets
 from isodrum.limits import OKADA_SHUDO_NMAX
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
@@ -186,22 +186,29 @@ def test_psl33_census_pinned():
 
 @pytest.fixture(scope="module")
 def spied_census():
-    """Census of a named triple, with the orders of the groups it listed."""
+    """Census of a named triple, with the orders of the groups it listed and
+    the sizes of the batches it canonicalized on coset tables."""
     def run(name):
         t = {"psl33": lambda: psl_triple(3, 3),
              "psl33_relabeled": lambda: relabeled(psl_triple(3, 3), 5),
              "psl42": lambda: psl_triple(4, 2)}[name]()
-        listed = []
-        real_rows = PermGroup.element_rows
+        listed, batches = [], []
+        real_rows, real_actions = PermGroup.element_rows, CosetTable.actions_of
 
         def rows_spy(self, bound=None):
             listed.append(self.order)
             return real_rows(self, bound)
 
+        def actions_spy(self, elements):
+            elements = list(elements)
+            batches.append(len(elements))
+            return real_actions(self, elements)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(PermGroup, "element_rows", rows_spy)
+            mp.setattr(CosetTable, "actions_of", actions_spy)
             pairs = okada_shudo_scan(t, OKADA_SHUDO_NMAX, 3)
-        return t, pairs, listed
+        return t, pairs, listed, batches
     cache = {}
 
     def census(name):
@@ -223,7 +230,7 @@ PAIR_FILES = {
 
 @pytest.mark.parametrize("name", sorted(PAIR_FILES))
 def test_census_pair_files_pinned(spied_census, name):
-    _, pairs, _ = spied_census(name)
+    _, pairs, _, _ = spied_census(name)
     assert (len(pairs), file_digest(pairs)) == PAIR_FILES[name]
 
 
@@ -231,14 +238,27 @@ def test_census_pair_files_pinned(spied_census, name):
 def test_census_never_lists_g(spied_census, name):
     # every involution fixes a point, so the candidates are the closure of
     # H's involutions: H is listed, G is not
-    t, _, listed = spied_census(name)
+    t, _, listed, _ = spied_census(name)
     assert listed and t.G.order not in listed and t.H.order in listed
 
 
 def test_psl42_census_pinned(spied_census):
     # 15 tiles, the Buser-Conway-Doyle-Semmler 15-tile family
-    _, pairs, _ = spied_census("psl42")
+    _, pairs, _, _ = spied_census("psl42")
     keys = sorted((a.canonical_key(), b.canonical_key()) for a, b in pairs)
     assert len(pairs) == 30
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
         "c46f505646c1b596279f555a1c7be91715d07c17eb963a6fb50593ed91a0d9c0")
+
+
+@pytest.mark.parametrize("name", ["psl33", "psl42"])
+def test_census_canonicalizes_only_class_roots(spied_census, name):
+    # the fixed-point certificate and the closure need the actions of one
+    # involution per class of H only, on the H and the K side; the closure
+    # carries them to its 117 (psl(3,3)) or 315 (psl(4,2)) candidates
+    t, _, _, batches = spied_census(name)
+    roots = len(transplant._involution_roots(t.H, [], None)[0])
+    candidates = len(transplant._tree_candidates(
+        t.G, t.H, [left_cosets(t.G, t.H)], 3, None)[0])
+    assert (roots, candidates) == {"psl33": (2, 117), "psl42": (3, 315)}[name]
+    assert [b for b in batches if b > 1] == [roots, roots]

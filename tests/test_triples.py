@@ -154,11 +154,13 @@ def test_check_inv_on_unfaithful_action(a4_triple, psl32_small):
 
 def test_bound_exceeded_signalled(monkeypatch):
     # AC counts double cosets on coset tables, so only the index bound caps
-    # it; a fresh triple, so no coset table is cached yet
+    # it, not an enumeration bound of 5; a fresh triple, so no coset table
+    # is cached yet
     from isodrum import limits
     from isodrum.catalog import psl_triple
 
-    assert is_ac(psl_triple(3, 2), bound=5)
+    monkeypatch.setenv("GF_BOUND", "5")
+    assert is_ac(psl_triple(3, 2))
     monkeypatch.setattr(limits, "INDEX_BOUND", 6)
     with pytest.raises(BoundExceeded):
         is_ac(psl_triple(3, 2))  # 7 cosets
@@ -198,16 +200,17 @@ def test_check_max(psl32, a4_triple):
     assert t_strictly_between(a4_triple.G, a4_triple.H, sub)
 
 
-def test_ff_max_ignore_enumeration_bound():
+def test_ff_max_ignore_enumeration_bound(monkeypatch):
     # FF and MAX enumerate no elements: an enumeration bound of 5 must not
     # cap the 7 cosets (a fresh triple, so no coset table is cached yet)
     from isodrum.catalog import psl_triple
 
+    monkeypatch.setenv("GF_BOUND", "5")
     t = psl_triple(3, 2)
-    assert check_ff(t, bound=5) and ff_witness(t, bound=5) is None
-    assert check_max(t, bound=5) and max_witness(t, bound=5) is None
-    assert compress(t, bound=5).G.degree == 7
-    assert is_ac(t, bound=5)  # AC counts double cosets, enumerating nothing
+    assert check_ff(t) and ff_witness(t) is None
+    assert check_max(t) and max_witness(t) is None
+    assert compress(t).G.degree == 7
+    assert is_ac(t)  # AC counts double cosets, enumerating nothing
 
 
 def t_strictly_between(G, H, M):
@@ -331,7 +334,7 @@ def test_report_rejects_ac_without_ec():
                        pair=PairStatus.WEAK_EVIDENCE, inv=None)
 
 
-def test_big_group_cluster_path(a5_triple):
+def test_big_group_cluster_path(a5_triple, monkeypatch):
     # a bound below |G| but above |H|, |K|: EC without AC enumerates only the
     # subgroups, never G
     assert a5_triple.G.order == 60
@@ -340,4 +343,5 @@ def test_big_group_cluster_path(a5_triple):
     t = Triple(S, PermGroup(4, [parse_cycles("(0 1)", 4)]),
                PermGroup(4, [parse_cycles("(0 1)(2 3)", 4)]))
     assert is_ec(t, bound=20) is False
-    assert is_ac(t, bound=20) is False
+    monkeypatch.setenv("GF_BOUND", "20")
+    assert is_ac(t) is False
