@@ -2,11 +2,14 @@
 
 Subcommands: verify, construct, transplant, unfold, spectrum,
 spectrum-compare, catalog, scan, gww.  Exit codes: 0 success / property
-holds, 1 a checked property fails, 2 invalid input (a spec that does not
-parse, a GF_BOUND that is not a positive integer, a construction whose
-hypotheses fail on the given base, fewer than 3 sides for INV or the
-census, or a census on subgroups of different indices), 3 a resource bound
-was exceeded.
+holds, 1 a checked property fails, 2 invalid input (a command line argparse
+rejects, such as an unknown tile, a spacing h that is not a positive rational
+or a k that is not a positive integer; a spec, system or domain file that
+does not parse; a GF_BOUND that is not a positive integer; a construction
+whose hypotheses fail on the given base; fewer than 3 sides for INV or the
+census; a census on subgroups of different indices; two systems of different
+sizes for transplant; a system with a cycle for unfold; or fewer than k
+interior nodes at h), 3 a resource bound was exceeded.
 GF_BOUND in the environment overrides the enumeration bound.
 """
 
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from . import catalog as cat
 from .constructions import type1, type2, type3
-from .drums import BaseTile, boundary_polygon, export_json, export_svg, load_domain_json, unfold
+from .drums import TILES, boundary_polygon, export_json, export_svg, load_domain_json, unfold
 from .errors import BoundExceeded, SettingError, SpecFormatError
 from .groups import left_cosets
 from .permutations import format_cycles
@@ -49,8 +52,38 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _parse_h(text: str) -> Fraction:
-    return Fraction(text)
+def _spacing(text: str) -> Fraction:
+    try:
+        h = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if h <= 0:
+        raise argparse.ArgumentTypeError(f"spacing must be positive: {text!r}")
+    return h
+
+
+def _positive_int(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return k
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line on one stderr line and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _spectra(domains, args):
+    """The k smallest eigenvalues of each (boundary polygon, Gram matrix) at
+    spacing h; ValueError when a mask has fewer than k nodes."""
+    return [dirichlet_eigenvalues(rasterize(poly, args.h, gram), args.k, seed=args.seed)
+            for poly, gram in domains]
 
 
 def cmd_verify(args) -> int:
@@ -151,7 +184,11 @@ def cmd_construct(args) -> int:
 def cmd_transplant(args) -> int:
     A = parse_involution_system(_read(args.a))
     B = parse_involution_system(_read(args.b))
-    sol = find_transplantation(A, B)
+    try:
+        sol = find_transplantation(A, B)
+    except ValueError as exc:  # different tile or side counts
+        print(f"transplant: {exc}", file=sys.stderr)
+        return 2
     iso = detect_isometry(A, B)
     out = {
         "schema": 1,
@@ -176,8 +213,11 @@ def cmd_transplant(args) -> int:
 
 def cmd_unfold(args) -> int:
     sys_ = parse_involution_system(_read(args.system))
-    tile = BaseTile.named(args.tile)
-    domain = unfold(sys_, tile)
+    try:
+        domain = unfold(sys_, TILES[args.tile]())
+    except ValueError as exc:  # the gluing graph has a cycle
+        print(f"unfold: {exc}", file=sys.stderr)
+        return 2
     print(f"tiles: {domain.n_tiles}, overlap: {domain.overlap_flag}")
     boundary = None
     if not domain.overlap_flag:
@@ -193,21 +233,21 @@ def cmd_unfold(args) -> int:
         if boundary is None:
             print("no exact boundary; skipping JSON export")
         else:
-            try:
-                export_json(domain, args.json_out, boundary)
-            except ValueError as exc:  # the tile has irrational coordinates
-                print(f"unfold: {exc}", file=sys.stderr)
-                return 2
+            export_json(domain, args.json_out, boundary)
             print(f"wrote {args.json_out}")
     return 0 if not domain.overlap_flag else 1
 
 
 def cmd_spectrum(args) -> int:
-    _, boundary = load_domain_json(args.domain)
+    _, boundary, gram = load_domain_json(args.domain)
     if boundary is None:
         raise SpecFormatError("domain json has no boundary polygon")
-    mask = rasterize(boundary, _parse_h(args.h))
-    res = dirichlet_eigenvalues(mask, args.k, seed=args.seed)
+    try:
+        mask = rasterize(boundary, args.h, gram)
+        res = dirichlet_eigenvalues(mask, args.k, seed=args.seed)
+    except ValueError as exc:  # a degenerate polygon, or fewer than k interior nodes
+        print(f"spectrum: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps({"schema": 1, "h": str(res.h), "eigenvalues": res.eigenvalues}, indent=1))
     else:
@@ -218,13 +258,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_spectrum_compare(args) -> int:
-    _, pa = load_domain_json(args.a)
-    _, pb = load_domain_json(args.b)
+    _, pa, gram_a = load_domain_json(args.a)
+    _, pb, gram_b = load_domain_json(args.b)
     if pa is None or pb is None:
         raise SpecFormatError("domain json has no boundary polygon")
-    h = _parse_h(args.h)
-    ra = dirichlet_eigenvalues(rasterize(pa, h), args.k, seed=args.seed)
-    rb = dirichlet_eigenvalues(rasterize(pb, h), args.k, seed=args.seed)
+    try:
+        ra, rb = _spectra([(pa, gram_a), (pb, gram_b)], args)
+    except ValueError as exc:  # fewer than k interior nodes
+        print(f"spectrum-compare: {exc}", file=sys.stderr)
+        return 2
     gaps = pairwise_relative_gaps(ra, rb)
     for i, (x, y, g) in enumerate(zip(ra.eigenvalues, rb.eigenvalues, gaps), 1):
         print(f"  lambda_{i:<2d}: {x:12.6f} {y:12.6f}  gap {g:.2e}")
@@ -269,10 +311,9 @@ def cmd_gww(args) -> int:
     if not ac:
         print("ABORT at stage ac")
         return 1
-    tile = BaseTile.named(args.tile)
+    tile = TILES[args.tile]()
     table_k = left_cosets(triple.G, triple.K)
     chosen = None
-    rational_tile = args.tile == "half-square"
     for gs, sys_a in inv_witnesses(triple, 3):
         sys_b = InvolutionSystem(len(table_k), 3, tuple(table_k.action_of(g) for g in gs))
         if not is_tree(sys_b):
@@ -280,16 +321,13 @@ def cmd_gww(args) -> int:
         for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             a2, b2 = sys_a.permute_colors(order), sys_b.permute_colors(order)
             da, db = unfold(a2, tile), unfold(b2, tile)
-            if rational_tile:
-                if da.overlap_flag or db.overlap_flag:
-                    continue
-                try:
-                    pa, pb = boundary_polygon(da), boundary_polygon(db)
-                except ValueError:
-                    continue
-                chosen = (a2, b2, da, db, pa, pb)
-            else:
-                chosen = (a2, b2, da, db, None, None)
+            if da.overlap_flag or db.overlap_flag:
+                continue
+            try:
+                pa, pb = boundary_polygon(da), boundary_polygon(db)
+            except ValueError:
+                continue
+            chosen = (a2, b2, da, db, pa, pb)
             break
         if chosen:
             break
@@ -313,17 +351,13 @@ def cmd_gww(args) -> int:
         with open(os.path.join(outdir, f"gww_{side}.ivs"), "w") as fh:
             fh.write(format_involution_system(sys_))
         export_svg(domain, os.path.join(outdir, f"gww_{side}.svg"), poly)
-        if poly is not None:
-            export_json(domain, os.path.join(outdir, f"gww_{side}.json"), poly)
+        export_json(domain, os.path.join(outdir, f"gww_{side}.json"), poly)
     stage("artifacts", f"written to {outdir}")
-    if pa is None:
-        stage("spectra", "skipped (non-rational tile coordinates)")
-        if args.json:
-            print(json.dumps(report, indent=1))
-        return 0
-    h = _parse_h(args.h)
-    ra = dirichlet_eigenvalues(rasterize(pa, h), args.k, seed=args.seed)
-    rb = dirichlet_eigenvalues(rasterize(pb, h), args.k, seed=args.seed)
+    try:
+        ra, rb = _spectra([(pa, tile.gram), (pb, tile.gram)], args)
+    except ValueError as exc:  # fewer than k interior nodes
+        print(f"gww: {exc}", file=sys.stderr)
+        return 2
     gaps = pairwise_relative_gaps(ra, rb)
     stage("spectrum_a", [round(x, 6) for x in ra.eigenvalues])
     stage("spectrum_b", [round(x, 6) for x in rb.eigenvalues])
@@ -334,12 +368,12 @@ def cmd_gww(args) -> int:
         print(json.dumps(report, indent=1))
     else:
         print(f"{'PASS' if ok else 'FAIL'}: first {args.k} eigenvalues agree within "
-              f"{args.tol:.2%} at h = {h}")
+              f"{args.tol:.2%} at h = {args.h}")
     return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="isodrum",
         description="Construct and verify group triples and isospectral drums.",
     )
@@ -384,23 +418,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unfold", help="unfold an involution system into a planar domain")
     p.add_argument("--system", required=True)
-    p.add_argument("--tile", default="half-square")
+    p.add_argument("--tile", default="half-square", choices=list(TILES))
     p.add_argument("--svg", default=None)
     p.add_argument("--json", dest="json_out", default=None, help="exact JSON output path")
     p.set_defaults(func=cmd_unfold)
 
     p = sub.add_parser("spectrum", help="Dirichlet eigenvalues of a domain")
     p.add_argument("--domain", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--h", default="1/64")
+    p.add_argument("--k", type=_positive_int, default=10)
+    p.add_argument("--h", type=_spacing, default="1/64")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("spectrum-compare", help="pairwise eigenvalue gaps of two domains")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--h", default="1/64")
+    p.add_argument("--k", type=_positive_int, default=10)
+    p.add_argument("--h", type=_spacing, default="1/64")
     p.add_argument("--tol", type=float, default=0.01)
     p.set_defaults(func=cmd_spectrum_compare)
 
@@ -413,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("gww", help="the full flagship pipeline")
-    p.add_argument("--h", default="1/64")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--h", type=_spacing, default="1/64")
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--tile", default="half-square")
+    p.add_argument("--tile", default="half-square", choices=list(TILES))
     p.add_argument("--outdir", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gww)
@@ -425,7 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help or its one-line error
+        return exc.code
     try:
         return args.func(args)
     except SpecFormatError as exc:

@@ -1,9 +1,7 @@
 """Planar unfolding of involution systems into tiled domains.
 
 Tiles are placed by breadth-first reflection along the tree edges of the
-gluing graph.  Coordinates are exact: rationals for the half-square tile,
-numbers in Q(sqrt(d)) otherwise.  Side mu of a triangle is the edge opposite
-vertex mu.
+gluing graph.  Side mu of a triangle is the edge opposite vertex mu.
 
 A base tile must be a Euclidean reflection (Coxeter) triangle: its squared
 side lengths are in ratio 1:1:1 (equilateral), 1:1:2 (half-square) or 1:3:4
@@ -14,33 +12,43 @@ cells either coincide or have disjoint interiors, and two cell edges never
 cross properly.  So two placed tiles overlap exactly when they have the same
 vertex set, and a boundary made of tile edges cannot self-intersect; both are
 decided by these identities, with no geometric search.
+
+Every vertex of such a tessellation lies in one lattice, which the
+tessellation's reflections map to itself: Z^2 for the half-square, the
+Eisenstein lattice for the equilateral tile, a sixth of it for the 30-60-90
+tile.  So coordinates are exact rationals in a basis of that lattice, and a
+tile carries the basis's Gram matrix.  Reflections and the side-ratio test
+use the Gram dot product; overlap, orientation and the boundary walk are
+affine invariant and need no metric.  The half-square's basis is orthonormal
+(Gram matrix the identity), so its coordinates are Cartesian.  The
+equilateral tile is (0,0), (1,0), (0,1) on two unit vectors at 60 degrees,
+Gram matrix ((1, 1/2), (1/2, 1)).  Areas are in units of the basis
+parallelogram: the Euclidean area is the lattice area times sqrt(det Gram).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 from .errors import SpecFormatError
-from .quadratic import QuadExt
+from .spectral import SQUARE
 from .transplant import InvolutionSystem, is_tree
 
-
-def _sign(x) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return (x > 0) - (x < 0)
+EISENSTEIN = ((1, Fraction(1, 2)), (Fraction(1, 2), 1))
 
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
+def _dot(u, v, gram):
+    (g11, g12), (_, g22) = gram
+    return g11 * u[0] * v[0] + g12 * (u[0] * v[1] + u[1] * v[0]) + g22 * u[1] * v[1]
 
 
 # squared side lengths of the triangles whose reflections tile the plane
@@ -49,20 +57,25 @@ _COXETER_RATIOS = ((1, 1, 1), (1, 1, 2), (1, 3, 4))
 
 @dataclass(frozen=True)
 class BaseTile:
-    """A triangle with exact coordinates and one color per side."""
+    """A triangle with rational coordinates in a lattice basis whose Gram
+    matrix is ``gram``, and one color per side."""
 
     vertices: tuple
+    gram: tuple = SQUARE
 
     def __post_init__(self):
         if len(self.vertices) != 3:
             raise ValueError("a base tile has three vertices")
-        if _sign(_cross(*self.vertices)) == 0:
+        (g11, g12), (g21, g22) = self.gram
+        if g12 != g21 or g11 <= 0 or g11 * g22 <= g12 * g12:
+            raise ValueError("Gram matrix must be symmetric positive definite")
+        if _cross(*self.vertices) == 0:
             raise ValueError("degenerate triangle")
         sq = []
         for mu in range(3):
             p, q = self.side(mu)
             d = (q[0] - p[0], q[1] - p[1])
-            sq.append(_dot(d, d))
+            sq.append(_dot(d, d, self.gram))
         if not any(sq[i] * b == sq[j] * a and sq[i] * c == sq[k] * a
                    for a, b, c in _COXETER_RATIOS for i, j, k in permutations(range(3))):
             raise ValueError("base tile is not a Coxeter triangle "
@@ -74,38 +87,34 @@ class BaseTile:
         return self.vertices[a], self.vertices[b]
 
     def area(self):
-        s = _cross(*self.vertices) * Fraction(1, 2)
-        return s if _sign(s) > 0 else -s
+        return _triangle_area(self.vertices)
 
     @staticmethod
     def half_square() -> "BaseTile":
-        z, one = Fraction(0), Fraction(1)
-        return BaseTile(((z, z), (one, z), (z, one)))
+        return BaseTile(_UNIT_CORNER)
 
     @staticmethod
     def equilateral() -> "BaseTile":
-        z = QuadExt(0, 0, 3)
-        one = QuadExt(1, 0, 3)
-        half = QuadExt(Fraction(1, 2), 0, 3)
-        height = QuadExt(0, Fraction(1, 2), 3)
-        return BaseTile(((z, z), (one, z), (half, height)))
-
-    @staticmethod
-    def named(name: str) -> "BaseTile":
-        if name == "half-square":
-            return BaseTile.half_square()
-        if name == "equilateral":
-            return BaseTile.equilateral()
-        raise ValueError(f"unknown tile {name!r}; use half-square or equilateral")
+        return BaseTile(_UNIT_CORNER, EISENSTEIN)
 
 
-def _reflect_point(x, p, q):
-    """Mirror image of x across the line through p and q."""
+_UNIT_CORNER = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+# the one table of tile names; a domain JSON lattice must be one of theirs
+TILES = {"half-square": BaseTile.half_square, "equilateral": BaseTile.equilateral}
+
+
+def _reflect(points, p, q, gram):
+    """Mirror images of the points across the line through p and q."""
+    (g11, g12), (_, g22) = gram
     d = (q[0] - p[0], q[1] - p[1])
-    v = (x[0] - p[0], x[1] - p[1])
-    t = _dot(v, d) / _dot(d, d)
-    foot = (p[0] + t * d[0], p[1] + t * d[1])
-    return (2 * foot[0] - x[0], 2 * foot[1] - x[1])
+    gd = (g11 * d[0] + g12 * d[1], g12 * d[0] + g22 * d[1])  # G d, so <v, d> = v . gd
+    dd = d[0] * gd[0] + d[1] * gd[1]
+    images = []
+    for x in points:
+        t = ((x[0] - p[0]) * gd[0] + (x[1] - p[1]) * gd[1]) / dd
+        images.append((2 * (p[0] + t * d[0]) - x[0], 2 * (p[1] + t * d[1]) - x[1]))
+    return tuple(images)
 
 
 @dataclass
@@ -131,10 +140,7 @@ class TiledDomain:
 
 
 def _triangle_area(tri):
-    s = _cross(*tri)
-    half = Fraction(1, 2)
-    s = s * half
-    return s if _sign(s) > 0 else -s
+    return abs(_cross(*tri) * Fraction(1, 2))
 
 
 def unfold(sys: InvolutionSystem, base: BaseTile) -> TiledDomain:
@@ -164,7 +170,7 @@ def unfold(sys: InvolutionSystem, base: BaseTile) -> TiledDomain:
                 continue
             a, b = (mu + 1) % 3, (mu + 2) % 3
             pa, pb = tiles[i][a], tiles[i][b]
-            tiles[j] = tuple(_reflect_point(v, pa, pb) for v in tiles[i])
+            tiles[j] = _reflect(tiles[i], pa, pb, base.gram)
             orientations[j] = -orientations[i]
             adjacency.append((i, j, mu))
             placed.add(j)
@@ -222,7 +228,7 @@ def boundary_polygon(domain: TiledDomain):
         walk.append(current)
     if len(walk) != len(edges):
         raise ValueError("boundary is not a single closed walk")
-    if _sign(_polygon_signed_area(walk)) < 0:
+    if _polygon_signed_area(walk) < 0:
         walk.reverse()
     return walk
 
@@ -237,11 +243,22 @@ def _polygon_signed_area(points):
     return s / 2
 
 
+def _plane(gram):
+    """Cartesian floats of lattice coordinates, on the basis (sqrt(g11), 0),
+    (g12 / sqrt(g11), sqrt(det / g11)) that has this Gram matrix.  For the
+    identity each coordinate is just converted to float."""
+    (g11, g12), (_, g22) = gram
+    shear = Fraction(g12) / g11
+    sx, sy = math.sqrt(g11), math.sqrt(Fraction(g11 * g22 - g12 * g12) / g11)
+    return lambda p: (sx * float(p[0] + shear * p[1]), sy * float(p[1]))
+
+
 def export_svg(domain: TiledDomain, path, boundary=None):
-    """One path per tile plus the boundary outline."""
-    pts = [v for tri in domain.tiles for v in tri]
-    xs = [float(p[0]) for p in pts]
-    ys = [float(p[1]) for p in pts]
+    """One path per tile plus the boundary outline, drawn in the plane."""
+    plane = _plane(domain.base.gram)
+    tiles = [[plane(v) for v in tri] for tri in domain.tiles]
+    xs = [x for tri in tiles for x, _ in tri]
+    ys = [y for tri in tiles for _, y in tri]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
     pad = 0.1 * max(maxx - minx, maxy - miny, 1.0)
@@ -251,13 +268,13 @@ def export_svg(domain: TiledDomain, path, boundary=None):
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{minx - pad:.4f} '
         f'{-maxy - pad:.4f} {w:.4f} {h:.4f}" width="400" height="400">'
     ]
-    for tri in domain.tiles:
-        p = " ".join(f"{float(x):.6f},{-float(y):.6f}" for x, y in tri)
+    for tri in tiles:
+        p = " ".join(f"{x:.6f},{-y:.6f}" for x, y in tri)
         lines.append(f'  <polygon points="{p}" fill="#cfe2ff" stroke="#6688aa" stroke-width="0.01"/>')
     if boundary is None and not domain.overlap_flag:
         boundary = boundary_polygon(domain)
     if boundary is not None:
-        p = " ".join(f"{float(x):.6f},{-float(y):.6f}" for x, y in boundary)
+        p = " ".join(f"{x:.6f},{-y:.6f}" for x, y in map(plane, boundary))
         lines.append(f'  <polygon points="{p}" fill="none" stroke="#000000" stroke-width="0.03"/>')
     lines.append("</svg>")
     with open(path, "w") as fh:
@@ -265,16 +282,13 @@ def export_svg(domain: TiledDomain, path, boundary=None):
 
 
 def _frac_pair(x):
-    if isinstance(x, QuadExt):
-        if x.b != 0:
-            raise ValueError("exact JSON export needs rational coordinates")
-        x = x.a
     f = Fraction(x)
     return [f.numerator, f.denominator]
 
 
 def export_json(domain: TiledDomain, path, boundary=None):
-    """Exact rational coordinates as numerator/denominator pairs."""
+    """Exact lattice coordinates as numerator/denominator pairs, with the
+    lattice's Gram matrix when it is not the identity."""
     if boundary is None and not domain.overlap_flag:
         boundary = boundary_polygon(domain)
     data = {
@@ -287,16 +301,20 @@ def export_json(domain: TiledDomain, path, boundary=None):
         else None,
         "area": _frac_pair(domain.total_area()),
     }
+    if domain.base.gram != SQUARE:
+        data["lattice"] = [[_frac_pair(g) for g in row] for row in domain.base.gram]
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
 
 
 def load_domain_json(path):
-    """Boundary polygon and tiles back from the exact JSON form."""
+    """Tiles, boundary polygon and lattice Gram matrix back from the exact
+    JSON form; a missing ``lattice`` means the identity."""
     with open(path) as fh:
-        data = json.load(fh)
+        text = fh.read()
     try:
+        data = json.loads(text)
         tiles = [
             tuple((Fraction(x[0], x[1]), Fraction(y[0], y[1])) for x, y in tri["vertices"])
             for tri in data["tiles"]
@@ -306,6 +324,11 @@ def load_domain_json(path):
             boundary = [
                 (Fraction(x[0], x[1]), Fraction(y[0], y[1])) for x, y in data["boundary"]
             ]
-    except (KeyError, TypeError, IndexError, ZeroDivisionError) as exc:
+        gram = SQUARE
+        if "lattice" in data:
+            gram = tuple(tuple(Fraction(g[0], g[1]) for g in row) for row in data["lattice"])
+    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"bad domain json: {exc}") from exc
-    return tiles, boundary
+    if gram not in {tile().gram for tile in TILES.values()}:
+        raise SpecFormatError("bad domain json: lattice is not the Gram matrix of a named tile")
+    return tiles, boundary, gram

@@ -1,16 +1,21 @@
 """Discrete Dirichlet Laplacian spectra on rasterized domains.
 
-The domain is sampled on the lattice h*Z^2: a node is occupied when it lies
-strictly inside the boundary polygon (decided exactly, in integer arithmetic
-on coordinates scaled to a common denominator).  The operator is the
-standard 5-point Laplacian with zero boundary values, scaled by 1/h^2; the
-k smallest eigenvalues come from a shift-invert Lanczos iteration with a
-fixed starting vector, so results are reproducible bit for bit across runs.
-The inverse is one sparse LU factorization with a symmetric minimum-degree
-ordering and no pivoting, which the operator, a positive definite
-M-matrix, permits.  scipy, needed only for the factorization and the
-Lanczos iteration, is imported on first use, so importing this module (and
-the package) loads numpy alone.
+Coordinates are in a basis of a planar lattice L with Gram matrix G (the
+identity for Z^2, ((1, 1/2), (1/2, 1)) for the Eisenstein lattice of the
+equilateral tile).  The domain is sampled on h*L: a node is occupied when
+it lies strictly inside the boundary polygon, which is affine invariant and
+so decided on the coordinates alone, exactly, in integer arithmetic on
+coordinates scaled to a common denominator.  The operator is the lattice's
+stencil with zero boundary values: its k shortest vectors (unit length), each
+with weight 4/(k*h^2), and 4/h^2 on the diagonal, which is the 5-point
+Laplacian on Z^2 and the 7-point one on the Eisenstein lattice.  The k
+smallest eigenvalues come from a shift-invert Lanczos iteration with a fixed
+starting vector, so results are reproducible bit for bit across runs.  The
+inverse is one sparse LU factorization with a symmetric minimum-degree
+ordering and no pivoting, which the operator, a positive definite M-matrix,
+permits.  scipy, needed only for the factorization and the Lanczos
+iteration, is imported on first use, so importing this module (and the
+package) loads numpy alone.
 """
 
 from __future__ import annotations
@@ -19,28 +24,60 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 
 import numpy as np
+
+SQUARE = ((1, 0), (0, 1))  # the Gram matrix of Z^2
+
+
+def _stencil(gram):
+    """The shortest nonzero vectors of the lattice with Gram matrix ``gram``
+    among the coefficient vectors with entries -1, 0, 1, which hold them
+    whenever the basis is reduced.
+
+    Weight 4/(k*h^2) on each of the k vectors gives a consistent Laplacian
+    exactly when they have unit length and sum_v (v.x)^2 = (k/2) |x|^2 for
+    every x, which in lattice coordinates reads sum_v v v^T G = (k/2) I;
+    anything else raises.
+    """
+    (g11, g12), (_, g22) = gram
+    norms = {v: g11 * v[0] ** 2 + 2 * g12 * v[0] * v[1] + g22 * v[1] ** 2
+             for v in product((-1, 0, 1), repeat=2) if v != (0, 0)}
+    shortest = min(norms.values())
+    vectors = [v for v, n in norms.items() if n == shortest]
+    k = len(vectors)
+    moment = [[sum(v[r] * v[c] for v in vectors) for c in range(2)] for r in range(2)]
+    if shortest != 1 or any(
+            2 * sum(moment[r][m] * gram[m][c] for m in range(2)) != k * (r == c)
+            for r in range(2) for c in range(2)):
+        raise ValueError("the lattice's shortest vectors give no consistent Laplacian stencil")
+    return vectors
 
 
 @dataclass
 class GridMask:
-    """Occupied lattice nodes (i, j) meaning the point (i*h, j*h)."""
+    """Occupied lattice nodes (i, j) meaning the point i*h*e1 + j*h*e2 of the
+    lattice with Gram matrix ``gram`` in the basis e1, e2."""
 
     h: Fraction
     i0: int
     j0: int
     cells: np.ndarray  # boolean, indexed [i - i0, j - j0]
+    gram: tuple = SQUARE
 
     @property
     def occupied_count(self) -> int:
         return int(self.cells.sum())
 
     def area_estimate(self) -> float:
-        return self.occupied_count * float(self.h) ** 2
+        (g11, g12), (_, g22) = self.gram
+        return self.occupied_count * float(self.h) ** 2 * math.sqrt(g11 * g22 - g12 * g12)
 
     def component_count(self) -> int:
-        """Connected components of the occupied set (4-neighborhood)."""
+        """Connected components of the occupied set under the stencil's
+        neighborhood."""
+        offsets = _stencil(self.gram)
         cells = self.cells
         seen = np.zeros_like(cells)
         count = 0
@@ -52,7 +89,7 @@ class GridMask:
             seen[si, sj] = True
             while stack:
                 ci, cj = stack.pop()
-                for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+                for ni, nj in ((ci + di, cj + dj) for di, dj in offsets):
                     if (
                         0 <= ni < cells.shape[0]
                         and 0 <= nj < cells.shape[1]
@@ -80,18 +117,20 @@ class SpectrumResult:
             raise ValueError("Dirichlet eigenvalues must be positive")
 
 
-def rasterize(poly, h) -> GridMask:
-    """Mask of lattice nodes strictly inside a simple polygon.
+def rasterize(poly, h, gram=SQUARE) -> GridMask:
+    """Mask of the nodes of the lattice with Gram matrix ``gram``, scaled by
+    h, strictly inside a simple polygon given in the lattice's basis.
 
-    Exact, in integers.  Every vertex coordinate is divided by h and scaled
-    by the lcm L of the resulting denominators, so the vertices become
-    integer points (X, Y) and node (i, j) becomes (i*L, j*L).  Row j meets
-    the non-horizontal edges at crossings X = num/den, counted by the
-    half-open rule (an edge owns its low endpoint, not its high one); the
-    interior runs between consecutive crossing pairs are the i with
-    a < i*L < b, found by floor division and filled by one slice each.
-    Nodes on a horizontal edge that runs along the row are boundary, never
-    interior, and are cleared afterwards.
+    Exact, in integers, and the same code for every lattice, since being
+    strictly inside is affine invariant.  Every vertex coordinate is divided
+    by h and scaled by the lcm L of the resulting denominators, so the
+    vertices become integer points (X, Y) and node (i, j) becomes
+    (i*L, j*L).  Row j meets the non-horizontal edges at crossings
+    X = num/den, counted by the half-open rule (an edge owns its low
+    endpoint, not its high one); the interior runs between consecutive
+    crossing pairs are the i with a < i*L < b, found by floor division and
+    filled by one slice each.  Nodes on a horizontal edge that runs along
+    the row are boundary, never interior, and are cleared afterwards.
     """
     h = Fraction(h)
     if h <= 0:
@@ -129,29 +168,31 @@ def rasterize(poly, h) -> GridMask:
             cells[i_lo - i_min:i_hi - i_min + 1, col] = True  # empty if i_lo > i_hi
         for x_lo, x_hi in flat.get(y, ()):
             cells[-(-x_lo // L) - i_min:x_hi // L - i_min + 1, col] = False
-    return GridMask(h, i_min, j_min, cells)
+    return GridMask(h, i_min, j_min, cells, gram)
 
 
 def _dirichlet_laplacian(mask: GridMask):
-    """The 5-point Dirichlet Laplacian on the occupied nodes, scaled by 1/h^2.
+    """The mask lattice's Dirichlet Laplacian on the occupied nodes: 4/h^2 on
+    the diagonal and -4/(k*h^2) for each of the k stencil neighbors.
 
     Node k is the k-th occupied cell in ``np.nonzero`` order.  The entries
-    are listed node by node, the diagonal first and then the up, down, left
-    and right neighbors that are occupied; missing neighbors contribute zero
-    (the Dirichlet condition).  All nodes are handled in one batch; the
-    entries come in the order a node-by-node loop emits them, so the CSR
-    arrays, and with them the eigenvalues, equal the loop's bit for bit.
+    are listed node by node, the diagonal first and then the stencil
+    neighbors that are occupied; missing neighbors contribute zero (the
+    Dirichlet condition).  All nodes are handled in one batch; the entries
+    are those a node-by-node loop emits, so the CSR arrays, and with them
+    the eigenvalues, equal the loop's bit for bit.
     """
     import scipy.sparse as sp
 
+    offsets = _stencil(mask.gram)
     n = mask.occupied_count
     ci, cj = np.nonzero(mask.cells)
     idx = -np.ones((mask.cells.shape[0] + 2, mask.cells.shape[1] + 2), dtype=np.int64)
     idx[ci + 1, cj + 1] = np.arange(n)
-    cols = np.stack([idx[ci + 1, cj + 1], idx[ci, cj + 1], idx[ci + 2, cj + 1],
-                     idx[ci + 1, cj], idx[ci + 1, cj + 2]], axis=1)
+    cols = np.stack([idx[ci + 1, cj + 1]] + [idx[ci + 1 + di, cj + 1 + dj] for di, dj in offsets],
+                    axis=1)
     h2 = float(mask.h) ** 2
-    vals = np.full(cols.shape, -1.0 / h2)
+    vals = np.full(cols.shape, -(4 / len(offsets)) / h2)
     vals[:, 0] = 4.0 / h2
     keep = cols >= 0
     rows = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], cols.shape)
@@ -160,7 +201,7 @@ def _dirichlet_laplacian(mask: GridMask):
 
 def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
                           maxiter: int = 5000) -> SpectrumResult:
-    """k smallest eigenvalues of the 5-point Dirichlet Laplacian on the mask.
+    """k smallest eigenvalues of the mask lattice's Dirichlet Laplacian.
 
     Missing neighbors contribute zero (the Dirichlet condition).  Solved in
     shift-invert mode about zero, which targets the smallest eigenvalues of
@@ -168,12 +209,13 @@ def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
     SuperLU: a minimum-degree ordering of A^T + A applied symmetrically
     (``SymmetricMode``), with diagonal pivots always taken
     (``diag_pivot_thresh=0``).  That is safe here: the Laplacian is a
-    symmetric M-matrix, diagonally dominant and strictly so at a boundary
-    node of every connected component, hence positive definite, and
-    Gaussian elimination on a symmetrically permuted positive
-    definite matrix meets only positive pivots, so no row exchange is
-    needed.  The factor's solve is Lanczos's inverse operator.  scipy is
-    imported here, on first use, so the exact pipeline never loads it.
+    symmetric M-matrix whose off-diagonal weights sum to the diagonal, so it
+    is diagonally dominant and strictly so at a boundary node of every
+    connected component, hence positive definite, and Gaussian elimination
+    on a symmetrically permuted positive definite matrix meets only positive
+    pivots, so no row exchange is needed.  The factor's solve is Lanczos's
+    inverse operator.  scipy is imported here, on first use, so the exact
+    pipeline never loads it.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 

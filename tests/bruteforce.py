@@ -11,11 +11,17 @@ for level.  ``triangles_overlap`` and ``walk_self_crosses`` decide overlap
 and crossing by exact pairwise geometry, without the tessellation argument
 the library's unfolding relies on; ``polygon_area`` and
 ``polygon_perimeter_sq_multiset`` measure a boundary by the shoelace
-formula and its squared edge lengths; ``brute_is_tree`` searches the gluing
-graph instead of using the fixed-point identity.  ``brute_inv_witnesses``
-lists every involution of G as an INV candidate instead of deriving the
-candidates from H, runs the plain fixed-point subset search and tests each
-subset for transitivity; ``brute_class_first`` filters those witnesses by
+formula and its squared edge lengths; all four work on Cartesian
+coordinates in Q(sqrt 3) (``QuadExt``) as well as on rationals.
+``brute_unfold`` places tiles by Euclidean reflection in Cartesian
+coordinates, with no lattice basis, and ``cartesian`` maps the library's
+lattice coordinates into the plane to compare with it.  ``brute_laplacian``
+assembles the Dirichlet Laplacian node by node on the nearest neighbors
+that ``brute_neighbors`` finds by search.  ``brute_is_tree`` searches the
+gluing graph instead of using the fixed-point identity.
+``brute_inv_witnesses`` lists every involution of G as an INV candidate
+instead of deriving the candidates from H, runs the plain fixed-point subset
+search and tests each subset for transitivity; ``brute_class_first`` filters those witnesses by
 listing every G-conjugate of each first member, and ``brute_check_pair``
 conjugates by one element of H at a time; all three use the library's
 chains to list elements.  So do ``permutation_character`` and
@@ -25,13 +31,13 @@ inputs from the library's chain.
 """
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
-from isodrum.drums import _cross, _sign
 from isodrum.errors import BoundExceeded
 from isodrum.groups import PermGroup, _row_keys, is_transitive_on, left_cosets
 from isodrum.limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound, index_bound
@@ -39,6 +45,177 @@ from isodrum.permutations import Permutation
 from isodrum.spectral import GridMask
 from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of
 from isodrum.triples import PairStatus, verify_automorphism
+
+
+class QuadExt:
+    """a + b*sqrt(d), exact, with rational a, b and a squarefree positive d
+    shared across operands.  Rationals embed with b = 0 and compare equal to
+    plain Fractions and ints."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b=0, d=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.d = int(d)
+        if self.b != 0 and self.d <= 0:
+            raise ValueError("need a positive discriminant for an irrational part")
+        if self.b == 0:
+            self.d = 0
+
+    @staticmethod
+    def _coerce(x, d):
+        if isinstance(x, QuadExt):
+            return x
+        return QuadExt(Fraction(x), 0, d)
+
+    def _match(self, other):
+        other = QuadExt._coerce(other, self.d)
+        if self.d and other.d and self.d != other.d:
+            raise ValueError("mixed discriminants")
+        return other, (self.d or other.d)
+
+    def __add__(self, other):
+        o, d = self._match(other)
+        return QuadExt(self.a + o.a, self.b + o.b, d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadExt(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + (-QuadExt._coerce(other, self.d))
+
+    def __rsub__(self, other):
+        return QuadExt._coerce(other, self.d) - self
+
+    def __mul__(self, other):
+        o, d = self._match(other)
+        return QuadExt(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o, d = self._match(other)
+        norm = o.a * o.a - o.b * o.b * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero element")
+        inv = QuadExt(o.a / norm, -o.b / norm, d)
+        return self * inv
+
+    def __rtruediv__(self, other):
+        return QuadExt._coerce(other, self.d) / self
+
+    def sign(self) -> int:
+        """Exact sign of a + b*sqrt(d)."""
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        if self.a == 0:
+            return (self.b > 0) - (self.b < 0)
+        sa = 1 if self.a > 0 else -1
+        sb = 1 if self.b > 0 else -1
+        if sa == sb:
+            return sa
+        # compare a^2 with b^2 d; signs differ, so the bigger magnitude wins
+        lhs = self.a * self.a
+        rhs = self.b * self.b * self.d
+        if lhs == rhs:
+            return 0
+        return sa if lhs > rhs else sb
+
+    def __eq__(self, other):
+        try:
+            o, _ = self._match(other)
+        except (ValueError, TypeError):
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __lt__(self, other):
+        o, _ = self._match(other)
+        return (self - o).sign() < 0
+
+    def __gt__(self, other):
+        o, _ = self._match(other)
+        return (self - o).sign() > 0
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self):
+        if self.b == 0:
+            return f"QuadExt({self.a})"
+        return f"QuadExt({self.a} + {self.b}*sqrt({self.d}))"
+
+
+def _sign(x) -> int:
+    if isinstance(x, QuadExt):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _sqrt_in_q3(r):
+    """sqrt(r) in Q(sqrt 3) for a rational r that is a square or three times
+    one."""
+    for d, unit in ((1, QuadExt(1)), (3, QuadExt(0, 1, 3))):
+        q = Fraction(r) / d
+        num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if Fraction(num * num, den * den) == q:
+            return unit * Fraction(num, den)
+    raise ValueError(f"sqrt({r}) is not in Q(sqrt 3)")
+
+
+def cartesian(point, gram):
+    """Cartesian coordinates in Q(sqrt 3) of lattice coordinates, on the
+    basis (sqrt(g11), 0), (g12 / sqrt(g11), sqrt(det / g11)) whose Gram
+    matrix is ``gram``."""
+    (g11, g12), (_, g22) = gram
+    r11 = _sqrt_in_q3(g11)
+    x = r11 * point[0] + g12 / r11 * point[1]
+    return (x, _sqrt_in_q3((g11 * g22 - g12 * g12) / g11) * point[1])
+
+
+# the named tiles in Cartesian coordinates, as drawn before lattice coordinates
+CARTESIAN_TILES = {
+    "half-square": ((QuadExt(0), QuadExt(0)), (QuadExt(1), QuadExt(0)), (QuadExt(0), QuadExt(1))),
+    "equilateral": ((QuadExt(0), QuadExt(0)), (QuadExt(1), QuadExt(0)),
+                    (QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 2), 3))),
+}
+
+
+def _euclidean_reflection(x, p, q):
+    """Mirror image of x across the line through p and q, in Cartesian
+    coordinates."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    vx, vy = x[0] - p[0], x[1] - p[1]
+    t = (vx * dx + vy * dy) / (dx * dx + dy * dy)
+    return (2 * (p[0] + t * dx) - x[0], 2 * (p[1] + t * dy) - x[1])
+
+
+def brute_unfold(sys: InvolutionSystem, vertices):
+    """Tiles of a tree system placed from the Cartesian base triangle
+    ``vertices``: tile j, glued to tile i by color mu, is tile i reflected
+    across its side mu.  Depth-first, so the placing order differs from the
+    library's breadth-first one; in a tree each tile's position is the same
+    either way."""
+    tiles = [None] * sys.n_tiles
+    tiles[0] = tuple(vertices)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for mu, p in enumerate(sys.perms):
+            j = int(p.images[i])
+            if tiles[j] is None:
+                a, b = tiles[i][(mu + 1) % 3], tiles[i][(mu + 2) % 3]
+                tiles[j] = tuple(_euclidean_reflection(v, a, b) for v in tiles[i])
+                stack.append(j)
+    return tiles
 
 
 def mulclose(gens, maxsize=None):
@@ -775,25 +952,36 @@ def brute_class_first(t, witnesses):
             yield gs, sys
 
 
+def brute_neighbors(gram):
+    """The shortest nonzero vectors of the lattice with Gram matrix ``gram``,
+    searched over every coefficient vector with entries from -2 to 2: the
+    four axis steps on Z^2, six steps on the Eisenstein lattice."""
+    norm = {v: gram[0][0] * v[0] ** 2 + 2 * gram[0][1] * v[0] * v[1] + gram[1][1] * v[1] ** 2
+            for v in itertools.product(range(-2, 3), repeat=2) if v != (0, 0)}
+    return [v for v in norm if norm[v] == min(norm.values())]
+
+
 def brute_laplacian(mask):
-    """The 5-point Dirichlet Laplacian assembled one node at a time: the
-    diagonal, then the up, down, left and right neighbors that exist."""
+    """The mask lattice's Dirichlet Laplacian assembled one node at a time:
+    the diagonal 4/h^2, then -4/(k*h^2) for each of the k nearest neighbors
+    that exist."""
     n = mask.occupied_count
     idx = -np.ones(mask.cells.shape, dtype=np.int64)
     pts = np.nonzero(mask.cells)
     idx[pts] = np.arange(n)
     rows, cols, vals = [], [], []
     h2 = float(mask.h) ** 2
+    steps = brute_neighbors(mask.gram)
     for ci, cj in zip(*pts):
         me = idx[ci, cj]
         rows.append(me)
         cols.append(me)
         vals.append(4.0 / h2)
-        for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+        for ni, nj in ((ci + di, cj + dj) for di, dj in steps):
             if 0 <= ni < idx.shape[0] and 0 <= nj < idx.shape[1] and idx[ni, nj] >= 0:
                 rows.append(me)
                 cols.append(idx[ni, nj])
-                vals.append(-1.0 / h2)
+                vals.append(-(4 / len(steps)) / h2)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 

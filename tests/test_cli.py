@@ -252,17 +252,17 @@ def test_unfold_equilateral(tmp_path, capsys):
     assert "overlap: False" in capsys.readouterr().out
 
 
-def test_unfold_json_on_irrational_tile_is_invalid_input(tmp_path, capsys):
-    # the equilateral tile has coordinates in Q(sqrt 3), which the exact
-    # JSON form cannot hold: a one-line error, no traceback
+def test_unfold_json_on_equilateral_tile(tmp_path, capsys):
+    # the equilateral tile's coordinates are rational in its lattice basis,
+    # so the exact JSON form holds them, with the lattice's Gram matrix
     path = tmp_path / "gww_a.ivs"
     path.write_text(GOLDEN_A)
     jsn = tmp_path / "a.json"
     rc = main(["unfold", "--system", str(path), "--tile", "equilateral", "--json", str(jsn)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == "unfold: exact JSON export needs rational coordinates\n"
-    assert not jsn.exists()
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert "boundary vertices: 9, area: 7/2" in captured.out
+    assert json.loads(jsn.read_text())["lattice"] == [[[1, 1], [1, 2]], [[1, 2], [1, 1]]]
 
 
 def test_construct_type2_and_type3_via_files(tmp_path, capsys, a5_group):
@@ -332,15 +332,23 @@ def test_verify_type3_decides_ac(tmp_path, capsys, a5_group):
     assert data["ac"] is True and data["ec"] and data["ff"] and data["max"]
 
 
-def test_gww_equilateral_geometry(tmp_path, capsys):
+def test_gww_equilateral_spectra(tmp_path, capsys):
+    # the whole pipeline on the equilateral tile: clean domains, exact JSON,
+    # and discrete spectra equal to rounding; spectrum on the written file
+    # reads the lattice back and gives gww's eigenvalues
     outdir = tmp_path / "eq"
-    rc = main(["gww", "--tile", "equilateral", "--outdir", str(outdir)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "overlap_a" in out
-    assert "skipped (non-rational tile coordinates)" in out
-    assert (outdir / "gww_a.svg").exists()
-    assert not (outdir / "gww_a.json").exists()
+    rc = main(["gww", "--tile", "equilateral", "--outdir", str(outdir), "--h", "1/16", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["pass"]
+    stages = report["stages"]
+    assert not stages["overlap_a"] and not stages["overlap_b"]
+    assert stages["max_relative_gap"] <= 1e-9
+    for side in "ab":
+        assert (outdir / f"gww_{side}.svg").exists()
+        assert main(["spectrum", "--domain", str(outdir / f"gww_{side}.json"), "--h", "1/16",
+                     "--json"]) == 0
+        eigenvalues = json.loads(capsys.readouterr().out)["eigenvalues"]
+        assert [round(x, 6) for x in eigenvalues] == stages[f"spectrum_{side}"]
 
 
 GOLDEN_A = (
@@ -419,3 +427,51 @@ def test_invalid_verify_and_scan_input_exits_2(specdir, tmp_path, capsys):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message + "\n")
     assert main(["verify", str(psl32), "--sides", "2", "--props", "ac,ec,ff,max"]) == 0
+
+
+def test_invalid_cli_input_exits_2(tmp_path, capsys):
+    # exit 1 means a checked property fails; a rejected command line or an
+    # input the command cannot work on is invalid input: one stderr line,
+    # no traceback, exit 2
+    gww_a = tmp_path / "gww_a.ivs"
+    gww_a.write_text(GOLDEN_A)
+    three = tmp_path / "three.ivs"
+    three.write_text("tiles: 3\nsides: 3\nside 1: (1 2) ; boundary: 3\n"
+                     "side 2: (2 3) ; boundary: 1\nside 3: ; boundary: 1 2 3\n")
+    cycle = tmp_path / "cycle.ivs"
+    cycle.write_text("tiles: 3\nsides: 3\nside 1: (1 2) ; boundary: 3\n"
+                     "side 2: (2 3) ; boundary: 1\nside 3: (1 3) ; boundary: 2\n")
+    domain = tmp_path / "a.json"
+    assert main(["unfold", "--system", str(gww_a), "--tile", "equilateral",
+                 "--json", str(domain)]) == 0
+    data = json.loads(domain.read_text())
+    data["lattice"] = [[[1, 1], [0, 1]], [[0, 1], [2, 1]]]
+    bad_lattice = tmp_path / "bad.json"
+    bad_lattice.write_text(json.dumps(data))
+    capsys.readouterr()
+    spectrum, compare = ["spectrum", "--domain", str(domain)], [
+        "spectrum-compare", "--a", str(domain), "--b", str(domain)]
+    cases = [
+        (["transplant", "--a", str(gww_a), "--b", str(three)],
+         "transplant: dimension mismatch between systems"),
+        (["unfold", "--system", str(gww_a), "--tile", "nosuch"], "invalid choice: 'nosuch'"),
+        (["gww", "--tile", "nosuch"], "invalid choice: 'nosuch'"),
+        (["unfold", "--system", str(cycle)], "unfold: system is not a tree; unfolding undefined"),
+        (spectrum + ["--h", "0"], "spacing must be positive: '0'"),
+        (spectrum + ["--h", "abc"], "not a rational number: 'abc'"),
+        (spectrum + ["--k", "0"], "must be at least 1: '0'"),
+        (compare + ["--h", "0"], "spacing must be positive: '0'"),
+        (compare + ["--h", "abc"], "not a rational number: 'abc'"),
+        (compare + ["--k", "0"], "must be at least 1: '0'"),
+        (["gww", "--h", "0"], "spacing must be positive: '0'"),
+        (["gww", "--h", "abc"], "not a rational number: 'abc'"),
+        (["gww", "--k", "0"], "must be at least 1: '0'"),
+        (spectrum + ["--k", "100000"], "spectrum: need 1 <= k <= 14049 occupied nodes"),
+        (["spectrum", "--domain", str(bad_lattice)],
+         "parse error: bad domain json: lattice is not the Gram matrix of a named tile"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from isodrum.drums import (
+    EISENSTEIN,
+    SQUARE,
     BaseTile,
     TiledDomain,
     boundary_polygon,
@@ -12,13 +14,21 @@ from isodrum.drums import (
     export_svg,
     load_domain_json,
     unfold,
-    _reflect_point,
+    _reflect,
 )
+from isodrum.errors import SpecFormatError
 from isodrum.permutations import Permutation, parse_cycles
-from isodrum.quadratic import QuadExt
 from isodrum.transplant import InvolutionSystem
 
-from bruteforce import polygon_area, polygon_perimeter_sq_multiset, triangles_overlap
+from bruteforce import (
+    QuadExt,
+    _cross,
+    _sign,
+    cartesian,
+    polygon_area,
+    polygon_perimeter_sq_multiset,
+    triangles_overlap,
+)
 
 
 def single_tile_system():
@@ -56,13 +66,14 @@ def test_half_square_area():
 
 def test_reflection_is_exact_involution():
     rng = random.Random(0)
-    for _ in range(50):
-        p = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
-        q = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
-        if p == q:
-            continue
-        x = (Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 4))
-        assert _reflect_point(_reflect_point(x, p, q), p, q) == x
+    for gram in (SQUARE, EISENSTEIN):
+        for _ in range(50):
+            p = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+            q = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+            if p == q:
+                continue
+            x = (Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 4))
+            assert _reflect(_reflect((x,), p, q, gram), p, q, gram) == (x,)
 
 
 def test_unfold_single():
@@ -116,8 +127,6 @@ def test_gww_domains_equal_perimeters(gww_domains):
 
 def test_gww_domains_not_congruent(gww_domains):
     # same edge lengths but different turn sequences: genuinely different shapes
-    from isodrum.drums import _cross, _sign
-
     def shape_word(poly):
         n = len(poly)
         out = []
@@ -158,18 +167,21 @@ def test_quadext_tile():
     tile = BaseTile.equilateral()
     d = unfold(two_tile_system(mu=0), tile)
     assert not d.overlap_flag
-    area = polygon_area(boundary_polygon(d))
-    # rhombus of two unit equilateral triangles: area sqrt(3)/2
-    assert area == QuadExt(0, Fraction(1, 2), 3)
+    poly = boundary_polygon(d)
+    # rhombus of two unit equilateral triangles: one lattice cell, whose
+    # Cartesian image has area sqrt(3)/2
+    assert polygon_area(poly) == d.total_area() == 1
+    assert polygon_area([cartesian(p, tile.gram) for p in poly]) == QuadExt(0, Fraction(1, 2), 3)
 
 
 def test_export_and_reload_round_trip(tmp_path, gww_domains):
     da, _ = gww_domains
     path = tmp_path / "a.json"
     export_json(da, path)
-    tiles, boundary = load_domain_json(path)
+    tiles, boundary, gram = load_domain_json(path)
     assert tiles == [tuple(t) for t in da.tiles]
     assert boundary == boundary_polygon(da)
+    assert gram == SQUARE and "lattice" not in json.loads(path.read_text())
     # exactness: repeated export is byte-identical
     path2 = tmp_path / "b.json"
     export_json(da, path2)
@@ -185,10 +197,37 @@ def test_export_svg_has_tiles_and_boundary(tmp_path, gww_domains):
     assert text.startswith("<svg")
 
 
-def test_export_json_rejects_irrational(tmp_path):
+def test_export_json_carries_the_lattice(tmp_path):
+    # the equilateral tile's coordinates are rational in its lattice basis;
+    # the Gram matrix travels in a "lattice" field and comes back exactly
     d = unfold(two_tile_system(mu=0), BaseTile.equilateral())
-    with pytest.raises(ValueError):
-        export_json(d, tmp_path / "x.json")
+    path = tmp_path / "x.json"
+    export_json(d, path)
+    data = json.loads(path.read_text())
+    assert data["lattice"] == [[[1, 1], [1, 2]], [[1, 2], [1, 1]]]
+    assert data["area"] == [1, 1]
+    tiles, boundary, gram = load_domain_json(path)
+    assert gram == EISENSTEIN
+    assert tiles == [tuple(t) for t in d.tiles] and boundary == boundary_polygon(d)
+
+
+@pytest.mark.parametrize("lattice", [
+    [[[1, 1], [0, 1]], [[0, 1], [2, 1]]],  # positive definite, but no named tile's
+    [[[1, 1], [1, 2]], [[1, 3], [1, 1]]],  # not symmetric
+    [[[1, 1], [1, 2]]],  # one row
+    [[1, 2], [2, 1]],  # entries not numerator/denominator pairs
+    [[[1, 1], [1, 0]], [[1, 2], [1, 1]]],  # zero denominator
+    "eisenstein",
+], ids=["other-gram", "asymmetric", "one-row", "bare-ints", "zero-denominator", "string"])
+def test_malformed_lattice_is_a_format_error(tmp_path, lattice):
+    d = unfold(two_tile_system(mu=0), BaseTile.equilateral())
+    path = tmp_path / "x.json"
+    export_json(d, path)
+    data = json.loads(path.read_text())
+    data["lattice"] = lattice
+    path.write_text(json.dumps(data))
+    with pytest.raises(SpecFormatError, match="bad domain json"):
+        load_domain_json(path)
 
 
 def test_boundary_needs_no_overlap():

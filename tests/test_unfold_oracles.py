@@ -18,13 +18,20 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_is_tree, brute_overlap, walk_self_crosses
+from bruteforce import (
+    CARTESIAN_TILES,
+    brute_is_tree,
+    brute_overlap,
+    brute_unfold,
+    cartesian,
+    walk_self_crosses,
+)
 from isodrum.catalog import psl_triple
 from isodrum.constructions import add_kernel
-from isodrum.drums import BaseTile, _reflect_point, boundary_polygon, unfold
+from isodrum import drums
+from isodrum.drums import EISENSTEIN, SQUARE, BaseTile, _reflect, boundary_polygon, unfold
 from isodrum.groups import PermGroup
 from isodrum.permutations import Permutation, parse_cycles
-from isodrum.quadratic import QuadExt
 from isodrum.transplant import InvolutionSystem, fixeq_check, is_tree, okada_shudo_scan
 from isodrum.triples import inv_witnesses
 
@@ -103,6 +110,17 @@ def test_overlap_and_boundary_agree_with_oracle_on_random_trees(sys, tile):
     _check_domain(sys, tile)
 
 
+@SETTINGS
+@given(tree_systems(), st.sampled_from(sorted(drums.TILES)))
+@example(FAN7, "equilateral")
+def test_lattice_unfolding_matches_cartesian_unfolding(sys, name):
+    # every tile, mapped from lattice coordinates into Q(sqrt 3), is the
+    # tile the Euclidean reflections place from the Cartesian base tile
+    tile = drums.TILES[name]()
+    placed = [tuple(cartesian(v, tile.gram) for v in tri) for tri in unfold(sys, tile).tiles]
+    assert placed == brute_unfold(sys, CARTESIAN_TILES[name])
+
+
 def test_overlap_and_boundary_agree_with_oracle_on_psl32_census():
     clean = slit = 0
     for pair in okada_shudo_scan(psl_triple(3, 2), 7):
@@ -157,21 +175,28 @@ def _fraction_triangle(points):
 
 def test_base_tile_accepts_only_coxeter_triangles():
     for tile in TILES:
-        assert BaseTile(tile.vertices) == tile
-    z, one, two = QuadExt(0, 0, 3), QuadExt(1, 0, 3), QuadExt(2, 0, 3)
-    BaseTile(((z, z), (one, z), (z, QuadExt(0, 1, 3))))  # 30-60-90: squared sides 1:3:4
+        assert BaseTile(tile.vertices, tile.gram) == tile
+    # 30-60-90 in Eisenstein coordinates: squared sides 1/4, 1/3, 1/12, i.e. 1:3:4
+    BaseTile(_fraction_triangle(((0, 0), ("1/2", 0), ("1/3", "1/3"))), EISENSTEIN)
     with pytest.raises(ValueError, match="Coxeter"):
-        BaseTile(((z, z), (two, z), (one, QuadExt(3, 0, 3))))  # squared sides 4:10:10
+        BaseTile(_fraction_triangle(((0, 0), (1, 0), (0, 1))), ((1, 0), (0, 2)))  # 1:2:3
+    with pytest.raises(ValueError, match="Coxeter"):
+        BaseTile(_fraction_triangle(((0, 0), (1, 0), (1, 1))), EISENSTEIN)  # 1:1:3, 120 degrees
+    with pytest.raises(ValueError, match="Coxeter"):
+        BaseTile(_fraction_triangle(((0, 0), (2, 0), (1, 3))))  # squared sides 4:10:10
     with pytest.raises(ValueError, match="Coxeter"):
         BaseTile(_fraction_triangle(((0, 0), (2, 0), (0, 1))))  # squared sides 1:4:5
+    with pytest.raises(ValueError, match="positive definite"):
+        BaseTile(_fraction_triangle(((0, 0), (1, 0), (0, 1))), ((1, 1), (1, 1)))
 
 
 def _fan(tri, count):
-    """Tiles reflected in turn across the sides through tri[0]."""
+    """Tiles reflected in turn across the sides through tri[0], in Cartesian
+    coordinates."""
     tiles = [tri]
     for _ in range(count - 1):
         v, a, b = tiles[-1]
-        tiles.append((v, b, _reflect_point(a, v, b)))
+        tiles.append((v, b) + _reflect((a,), v, b, SQUARE))
     return tiles
 
 
