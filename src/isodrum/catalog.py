@@ -110,6 +110,8 @@ class ProjectiveSpace:
 
     @staticmethod
     def create(n: int, q: int) -> "ProjectiveSpace":
+        if n < 2:
+            raise ValueError(f"unsupported dimension {n}")
         F = _Field(q)
         vectors = set()
         def rec(prefix):
@@ -200,8 +202,6 @@ def psl_group(n: int, q: int):
 
 def psl_triple(n: int, q: int) -> Triple:
     """(image of SL_n(q), point stabilizer, hyperplane stabilizer)."""
-    if q not in (2, 3, 4):
-        raise ValueError(f"unsupported field size {q}")
     G, space = psl_group(n, q)
     m = space.point_count
     H = stabilizer(G, 0)
@@ -215,8 +215,6 @@ def duality_automorphism(n: int, q: int):
     Swaps the point and hyperplane orbits; squares to the identity map, so
     its square is inner trivially.
     """
-    if q not in (2, 3, 4):
-        raise ValueError(f"unsupported field size {q}")
     space = ProjectiveSpace.create(n, q)
     F = space.field
     return [space.realize(_mat_inverse(F, _mat_transpose(m))) for m in _sl_generators(n, q)]

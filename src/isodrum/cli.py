@@ -2,32 +2,35 @@
 
 Subcommands: verify, construct, transplant, unfold, spectrum,
 spectrum-compare, catalog, scan, gww.  Exit codes: 0 success / property
-holds, 1 a checked property fails, 2 invalid input (a command line argparse
-rejects, such as an unknown tile, a spacing h that is not a positive rational
-or a k that is not a positive integer; a spec, system or domain file that
-does not parse; a GF_BOUND that is not a positive integer; a construction
-whose hypotheses fail on the given base; fewer than 3 sides for INV or the
-census; a census on subgroups of different indices; two systems of different
-sizes for transplant; a system with a cycle for unfold; or fewer than k
-interior nodes at h), 3 a resource bound was exceeded.
+holds, 1 a checked property fails (for unfold: the domain overlaps itself or
+has no exact boundary, such as a slit), 2 invalid input (a command line
+argparse rejects, such as an unknown tile, a spacing h that is not a positive
+rational, a k that is not a positive integer or an --nq that is not two
+integers; a dimension or field size the catalog cannot build; a spec, system
+or domain file that does not parse; a GF_BOUND that is not a positive
+integer; a construction whose hypotheses fail on the given base; fewer than 3
+sides for INV or the census; a census on subgroups of different indices; two
+systems of different sizes for transplant; a system with a cycle for unfold;
+or fewer than k interior nodes at h), 3 a resource bound was exceeded.
 GF_BOUND in the environment overrides the enumeration bound.
+
+Importing this module runs the exact core only; catalog, constructions,
+drums and spectral are lazy imports, run by the first command that uses them
+(verify, scan and transplant use none), and scipy by the first eigensolve.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import catalog as cat
-from .constructions import type1, type2, type3
-from .drums import TILES, boundary_polygon, export_json, export_svg, load_domain_json, unfold
 from .errors import BoundExceeded, SettingError, SpecFormatError
 from .groups import left_cosets
 from .permutations import format_cycles
-from .spectral import dirichlet_eigenvalues, pairwise_relative_gaps, rasterize
 from .specio import (
     construction_from_stanza,
     format_triple_spec,
@@ -45,6 +48,25 @@ from .transplant import (
     verify_intertwiner,
 )
 from .triples import PROPERTIES, PairStatus, compress, inv_witnesses, is_ac, property_report
+
+
+def _deferred(name: str):
+    """The submodule ``name``, executed on its first attribute access.  It is
+    in sys.modules from the start, so every importer gets this one object and
+    code that wraps the package's functions in place finds it."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+catalog, constructions, drums, spectral = map(
+    _deferred, ("catalog", "constructions", "drums", "spectral"))
 
 
 def _read(path: str) -> str:
@@ -72,6 +94,22 @@ def _positive_int(text: str) -> int:
     return k
 
 
+def _tile(name: str):
+    """The base tile drums.TILES names, looked up when --tile is parsed."""
+    if name not in drums.TILES:
+        choices = ", ".join(map(repr, drums.TILES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+    return drums.TILES[name]()
+
+
+def _nq(text: str) -> tuple[int, int]:
+    try:
+        n, q = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not two integers n,q: {text!r}") from None
+    return n, q
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a rejected command line on one stderr line and exits 2."""
 
@@ -82,7 +120,8 @@ class _Parser(argparse.ArgumentParser):
 def _spectra(domains, args):
     """The k smallest eigenvalues of each (boundary polygon, Gram matrix) at
     spacing h; ValueError when a mask has fewer than k nodes."""
-    return [dirichlet_eigenvalues(rasterize(poly, args.h, gram), args.k, seed=args.seed)
+    return [spectral.dirichlet_eigenvalues(spectral.rasterize(poly, args.h, gram), args.k,
+                                          seed=args.seed)
             for poly, gram in domains]
 
 
@@ -119,14 +158,18 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        for n, q in cat.SUPPORTED:
-            order = cat.psl_order(n, q)
+        for n, q in catalog.SUPPORTED:
+            order = catalog.psl_order(n, q)
             pts = (q**n - 1) // (q - 1)
             print(f"({n},{q}): order {order}, index {pts}, degree {2 * pts}")
         return 0
-    n, q = (int(x) for x in args.nq.split(","))
-    triple = cat.psl_triple(n, q)
-    pair = cat.duality_automorphism(n, q)
+    n, q = args.nq
+    try:
+        triple = catalog.psl_triple(n, q)
+    except ValueError as exc:  # a dimension or field size the catalog cannot build
+        print(f"catalog: {exc}", file=sys.stderr)
+        return 2
+    pair = catalog.duality_automorphism(n, q)
     if args.compress:
         table = left_cosets(triple.G, triple.H)
         pair = [table.action_of(c) for c in pair]
@@ -163,7 +206,8 @@ def cmd_construct(args) -> int:
         if args.compress_base:
             base = compress(base)
         data = construction_from_stanza(base, stanza)
-        result = {1: type1, 2: type2, 3: type3}[data.variant](data, args.bound)
+        build = {1: constructions.type1, 2: constructions.type2, 3: constructions.type3}
+        result = build[data.variant](data, args.bound)
     except SpecFormatError:
         raise
     except ValueError as exc:  # a construction hypothesis fails on this base
@@ -214,7 +258,7 @@ def cmd_transplant(args) -> int:
 def cmd_unfold(args) -> int:
     sys_ = parse_involution_system(_read(args.system))
     try:
-        domain = unfold(sys_, TILES[args.tile]())
+        domain = drums.unfold(sys_, args.tile)
     except ValueError as exc:  # the gluing graph has a cycle
         print(f"unfold: {exc}", file=sys.stderr)
         return 2
@@ -222,29 +266,29 @@ def cmd_unfold(args) -> int:
     boundary = None
     if not domain.overlap_flag:
         try:
-            boundary = boundary_polygon(domain)
+            boundary = drums.boundary_polygon(domain)
             print(f"boundary vertices: {len(boundary)}, area: {domain.total_area()}")
         except ValueError as exc:
             print(f"boundary: {exc}")
     if args.svg:
-        export_svg(domain, args.svg, boundary)
+        drums.export_svg(domain, args.svg, boundary)
         print(f"wrote {args.svg}")
     if args.json_out:
         if boundary is None:
             print("no exact boundary; skipping JSON export")
         else:
-            export_json(domain, args.json_out, boundary)
+            drums.export_json(domain, args.json_out, boundary)
             print(f"wrote {args.json_out}")
-    return 0 if not domain.overlap_flag else 1
+    return 0 if boundary is not None else 1
 
 
 def cmd_spectrum(args) -> int:
-    _, boundary, gram = load_domain_json(args.domain)
+    _, boundary, gram = drums.load_domain_json(args.domain)
     if boundary is None:
         raise SpecFormatError("domain json has no boundary polygon")
     try:
-        mask = rasterize(boundary, args.h, gram)
-        res = dirichlet_eigenvalues(mask, args.k, seed=args.seed)
+        mask = spectral.rasterize(boundary, args.h, gram)
+        res = spectral.dirichlet_eigenvalues(mask, args.k, seed=args.seed)
     except ValueError as exc:  # a degenerate polygon, or fewer than k interior nodes
         print(f"spectrum: {exc}", file=sys.stderr)
         return 2
@@ -258,8 +302,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_spectrum_compare(args) -> int:
-    _, pa, gram_a = load_domain_json(args.a)
-    _, pb, gram_b = load_domain_json(args.b)
+    _, pa, gram_a = drums.load_domain_json(args.a)
+    _, pb, gram_b = drums.load_domain_json(args.b)
     if pa is None or pb is None:
         raise SpecFormatError("domain json has no boundary polygon")
     try:
@@ -267,7 +311,7 @@ def cmd_spectrum_compare(args) -> int:
     except ValueError as exc:  # fewer than k interior nodes
         print(f"spectrum-compare: {exc}", file=sys.stderr)
         return 2
-    gaps = pairwise_relative_gaps(ra, rb)
+    gaps = spectral.pairwise_relative_gaps(ra, rb)
     for i, (x, y, g) in enumerate(zip(ra.eigenvalues, rb.eigenvalues, gaps), 1):
         print(f"  lambda_{i:<2d}: {x:12.6f} {y:12.6f}  gap {g:.2e}")
     ok = max(gaps) <= args.tol
@@ -304,14 +348,14 @@ def cmd_gww(args) -> int:
         if not args.json:
             print(f"{name}: {value}")
 
-    triple = cat.psl_triple(3, 2)
+    triple = catalog.psl_triple(3, 2)
     ac = is_ac(triple)
     stage("catalog", f"psl(3,2): |G| = {triple.G.order}, index {triple.G.order // triple.H.order}")
     stage("ac", ac)
     if not ac:
         print("ABORT at stage ac")
         return 1
-    tile = TILES[args.tile]()
+    tile = args.tile
     table_k = left_cosets(triple.G, triple.K)
     chosen = None
     for gs, sys_a in inv_witnesses(triple, 3):
@@ -320,11 +364,11 @@ def cmd_gww(args) -> int:
             continue
         for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             a2, b2 = sys_a.permute_colors(order), sys_b.permute_colors(order)
-            da, db = unfold(a2, tile), unfold(b2, tile)
+            da, db = drums.unfold(a2, tile), drums.unfold(b2, tile)
             if da.overlap_flag or db.overlap_flag:
                 continue
             try:
-                pa, pb = boundary_polygon(da), boundary_polygon(db)
+                pa, pb = drums.boundary_polygon(da), drums.boundary_polygon(db)
             except ValueError:
                 continue
             chosen = (a2, b2, da, db, pa, pb)
@@ -350,15 +394,15 @@ def cmd_gww(args) -> int:
     for side, domain, poly, sys_ in (("a", da, pa, sys_a), ("b", db, pb, sys_b)):
         with open(os.path.join(outdir, f"gww_{side}.ivs"), "w") as fh:
             fh.write(format_involution_system(sys_))
-        export_svg(domain, os.path.join(outdir, f"gww_{side}.svg"), poly)
-        export_json(domain, os.path.join(outdir, f"gww_{side}.json"), poly)
+        drums.export_svg(domain, os.path.join(outdir, f"gww_{side}.svg"), poly)
+        drums.export_json(domain, os.path.join(outdir, f"gww_{side}.json"), poly)
     stage("artifacts", f"written to {outdir}")
     try:
         ra, rb = _spectra([(pa, tile.gram), (pb, tile.gram)], args)
     except ValueError as exc:  # fewer than k interior nodes
         print(f"gww: {exc}", file=sys.stderr)
         return 2
-    gaps = pairwise_relative_gaps(ra, rb)
+    gaps = spectral.pairwise_relative_gaps(ra, rb)
     stage("spectrum_a", [round(x, 6) for x in ra.eigenvalues])
     stage("spectrum_b", [round(x, 6) for x in rb.eigenvalues])
     ok = max(gaps) <= args.tol
@@ -391,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list or emit the projective flagship triples")
     p.add_argument("action", choices=["list", "emit"])
-    p.add_argument("--nq", default="3,2", help="n,q as in 3,2")
+    p.add_argument("--nq", type=_nq, default="3,2", help="n,q as in 3,2")
     p.add_argument("--out", default=None)
     p.add_argument("--compress", action="store_true",
                    help="emit on the coset action (degree = index)")
@@ -418,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unfold", help="unfold an involution system into a planar domain")
     p.add_argument("--system", required=True)
-    p.add_argument("--tile", default="half-square", choices=list(TILES))
+    p.add_argument("--tile", type=_tile, default="half-square")
     p.add_argument("--svg", default=None)
     p.add_argument("--json", dest="json_out", default=None, help="exact JSON output path")
     p.set_defaults(func=cmd_unfold)
@@ -450,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_spacing, default="1/64")
     p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--tile", default="half-square", choices=list(TILES))
+    p.add_argument("--tile", type=_tile, default="half-square")
     p.add_argument("--outdir", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gww)

@@ -10,11 +10,15 @@ Emission is canonical, so emitted files parse back byte-identically.
 
 from __future__ import annotations
 
-from .constructions import ConstructionData
+from typing import TYPE_CHECKING
+
 from .errors import SpecFormatError
 from .groups import PermGroup
 from .permutations import format_cycles, parse_cycles
 from .triples import Triple
+
+if TYPE_CHECKING:
+    from .constructions import ConstructionData
 
 _TRIPLE_KEYS = ("label", "degree", "generators", "H", "K", "pair")
 _STANZA_KEYS = ("variant", "n", "l", "k", "T_degree", "T_generators")
@@ -164,6 +168,8 @@ def format_triple_spec(t: Triple, pair_candidate=None, stanza: dict | None = Non
 
 
 def construction_from_stanza(base: Triple, stanza: dict) -> ConstructionData:
+    from .constructions import ConstructionData  # only a construction needs this module
+
     if "variant" not in stanza:
         raise SpecFormatError("construct stanza needs variant:")
     try:

@@ -237,6 +237,22 @@ def test_unfold_command(tmp_path, capsys):
     assert "area: 1" in out
 
 
+def test_unfold_slit_domain_fails(specdir, tmp_path, capsys):
+    # the second pair of the psl(3,2) census unfolds without overlap but with
+    # a slit: no exact boundary, so no clean drum and no JSON
+    assert main(["scan", "--spec", str(specdir / "psl32c.spec"), "--nmax", "7",
+                 "--outdir", str(tmp_path)]) == 0
+    system, jsn = str(tmp_path / "pair001a.ivs"), tmp_path / "slit.json"
+    capsys.readouterr()
+    assert main(["unfold", "--system", system, "--json", str(jsn)]) == 1
+    out = capsys.readouterr().out
+    assert "overlap: False" in out and "(slit)" in out
+    assert "no exact boundary; skipping JSON export" in out and not jsn.exists()
+    assert main(["unfold", "--system", system]) == 1
+    assert main(["unfold", "--system", str(tmp_path / "pair000a.ivs"), "--json", str(jsn)]) == 0
+    assert jsn.exists()
+
+
 def test_unfold_equilateral(tmp_path, capsys):
     sys_text = (
         "tiles: 2\nsides: 3\n"
@@ -469,6 +485,11 @@ def test_invalid_cli_input_exits_2(tmp_path, capsys):
         (spectrum + ["--k", "100000"], "spectrum: need 1 <= k <= 14049 occupied nodes"),
         (["spectrum", "--domain", str(bad_lattice)],
          "parse error: bad domain json: lattice is not the Gram matrix of a named tile"),
+        (["catalog", "emit", "--nq", "5,5"], "catalog: unsupported field size 5"),
+        (["catalog", "emit", "--nq", "1,2"], "catalog: unsupported dimension 1"),
+        (["catalog", "emit", "--nq", "abc"], "not two integers n,q: 'abc'"),
+        (["catalog", "emit", "--nq", "3"], "not two integers n,q: '3'"),
+        (["catalog", "emit", "--nq", "3,2,1"], "not two integers n,q: '3,2,1'"),
     ]
     for argv, message in cases:
         assert main(argv) == 2, argv
