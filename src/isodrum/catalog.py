@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import PermGroup, stabilizer
+from .groups import PermGroup
 from .permutations import Permutation
 from .triples import Triple
 
@@ -204,8 +204,8 @@ def psl_triple(n: int, q: int) -> Triple:
     """(image of SL_n(q), point stabilizer, hyperplane stabilizer)."""
     G, space = psl_group(n, q)
     m = space.point_count
-    H = stabilizer(G, 0)
-    K = stabilizer(G, m)
+    H = G.stabilizer(0)
+    K = G.stabilizer(m)
     return Triple(G, H, K, label=f"psl({n},{q}) point-hyperplane")
 
 

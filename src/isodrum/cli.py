@@ -12,7 +12,8 @@ integer; a construction whose hypotheses fail on the given base; fewer than 3
 sides for INV or the census; a census on subgroups of different indices; two
 systems of different sizes for transplant; a system with a cycle for unfold;
 or fewer than k interior nodes at h), 3 a resource bound was exceeded.
-GF_BOUND in the environment overrides the enumeration bound.
+GF_BOUND in the environment is the one setting of the enumeration bound
+(``limits``); no subcommand takes a bound option.
 
 Importing this module runs the exact core only; catalog, constructions,
 drums and spectral are lazy imports, run by the first command that uses them
@@ -40,14 +41,13 @@ from .transplant import (
     InvolutionSystem,
     detect_isometry,
     find_transplantation,
-    fixeq_check,
     format_involution_system,
     is_tree,
     okada_shudo_scan,
     parse_involution_system,
     verify_intertwiner,
 )
-from .triples import PROPERTIES, PairStatus, compress, inv_witnesses, is_ac, property_report
+from .triples import PROPERTIES, compress, inv_witnesses, is_ac, property_report
 
 
 def _deferred(name: str):
@@ -132,8 +132,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise SpecFormatError(f"unknown properties: {sorted(unknown)}")
     try:
-        report = property_report(triple, pair_candidate=pair, r=args.sides, bound=args.bound,
-                                 props=requested)
+        report = property_report(triple, pair_candidate=pair, r=args.sides, props=requested)
     except ValueError as exc:  # too few sides, or a pair candidate that is no automorphism
         print(f"verify: {exc}", file=sys.stderr)
         return 2
@@ -145,15 +144,7 @@ def cmd_verify(args) -> int:
         print(f"|G| = {triple.G.order}, |H| = {triple.H.order}, |K| = {triple.K.order}")
         for line in report.lines():
             print(line)
-    status = {
-        "ac": report.ac,
-        "ec": report.ec,
-        "ff": report.ff,
-        "max": report.max,
-        "pair": report.pair != PairStatus.FAILED,
-        "inv": report.inv is not None,
-    }
-    return 0 if all(status[p] for p in requested) else 1
+    return 0 if report.holds(requested) else 1
 
 
 def cmd_catalog(args) -> int:
@@ -207,7 +198,7 @@ def cmd_construct(args) -> int:
             base = compress(base)
         data = construction_from_stanza(base, stanza)
         build = {1: constructions.type1, 2: constructions.type2, 3: constructions.type3}
-        result = build[data.variant](data, args.bound)
+        result = build[data.variant](data)
     except SpecFormatError:
         raise
     except ValueError as exc:  # a construction hypothesis fails on this base
@@ -323,7 +314,7 @@ def cmd_spectrum_compare(args) -> int:
 def cmd_scan(args) -> int:
     triple, _, _ = parse_triple_spec(_read(args.spec))
     try:
-        pairs = okada_shudo_scan(triple, args.nmax, args.r, args.bound)
+        pairs = okada_shudo_scan(triple, args.nmax, args.r)
     except ValueError as exc:  # too few sides, or H and K of different indices
         print(f"scan: {exc}", file=sys.stderr)
         return 2
@@ -380,7 +371,7 @@ def cmd_gww(args) -> int:
         return 1
     sys_a, sys_b, da, db, pa, pb = chosen
     stage("tree", is_tree(sys_a) and is_tree(sys_b))
-    stage("fixeq", f"{fixeq_check(sys_a)} (traces {tuple(sys_a.traces())}, sum {sum(sys_a.traces())})")
+    stage("fixeq", f"{is_tree(sys_a)} (traces {tuple(sys_a.traces())}, sum {sum(sys_a.traces())})")
     sol = find_transplantation(sys_a, sys_b)
     stage("transplantation_invertible", bool(sol and sol.invertible))
     stage("permutation_solution", sol.permutation_solution is not None if sol else None)
@@ -430,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", default=None,
                    help="comma list of properties the exit code requires (default all)")
     p.add_argument("--sides", type=int, default=3)
-    p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="list or emit the projective flagship triples")
@@ -450,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-degree", type=int, default=None)
     p.add_argument("--top-gens", default=None, help="bracketed 1-based cycle list")
     p.add_argument("--compress-base", action="store_true")
-    p.add_argument("--bound", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
@@ -486,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--bound", type=int, default=None)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_scan)
 

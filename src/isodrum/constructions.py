@@ -142,9 +142,9 @@ def _direct_power_group(S: PermGroup, k: int) -> PermGroup:
     return PermGroup(k * d, [_shift_degree(s, i * d, k * d) for i in range(k) for s in S.generators])
 
 
-def add_kernel(t: Triple, kext: PermGroup, bound=None) -> Triple:
+def add_kernel(t: Triple, kext: PermGroup) -> Triple:
     """(G x Kext, H x Kext, K x Kext) on the disjoint union of the points."""
-    if not is_ec(t, bound):
+    if not is_ec(t):
         raise NotElementwiseConjugate("base triple is not elementwise conjugate")
     d, e = t.G.degree, kext.degree
     total = d + e
@@ -156,18 +156,23 @@ def add_kernel(t: Triple, kext: PermGroup, bound=None) -> Triple:
     return Triple(G, H, K, label=f"{t.label or 'triple'} + kernel({kext.order})")
 
 
-def direct_power(t: Triple, k: int, bound=None) -> Triple:
+def _require_ec_ff(base: Triple):
+    """Raise unless the base triple is EC and FF, the hypotheses of direct
+    powers and of types 1 and 3."""
+    if not is_ec(base):
+        raise NotElementwiseConjugate("base triple is not elementwise conjugate")
+    if not check_ff(base):
+        raise ValueError("base triple is not FF")
+
+
+def direct_power(t: Triple, k: int) -> Triple:
     """(G^k, H^k, K^k) on k disjoint copies of the points."""
     if k < 1:
         raise ValueError("power must be positive")
     if k == 1:
         return t
-    if not is_ec(t, bound):
-        raise NotElementwiseConjugate("base triple is not elementwise conjugate")
-    if not check_ff(t):
-        raise ValueError("base triple is not FF")
-    cap = enumeration_bound(bound)
-    if k * t.G.order > cap:
+    _require_ec_ff(t)
+    if k * t.G.order > enumeration_bound():
         raise BoundExceeded("direct power exceeds realization bounds")
     G = _direct_power_group(t.G, k)
     H = _direct_power_group(t.H, k)
@@ -175,7 +180,7 @@ def direct_power(t: Triple, k: int, bound=None) -> Triple:
     return Triple(G, H, K, label=f"{t.label or 'triple'} ^ {k}")
 
 
-def type1(data: ConstructionData, bound=None) -> Triple:
+def type1(data: ConstructionData) -> Triple:
     """(S wr T, L wr T, L' wr T)."""
     if data.variant != 1:
         raise ValueError("construction data is not for type 1")
@@ -185,10 +190,7 @@ def type1(data: ConstructionData, bound=None) -> Triple:
         raise ValueError("top group must be transitive")
     if T.degree != data.n:
         raise ValueError("top group degree must equal n")
-    if not is_ec(base, bound):
-        raise NotElementwiseConjugate("base triple is not elementwise conjugate")
-    if not check_ff(base):
-        raise ValueError("base triple is not FF")
+    _require_ec_ff(base)
     if data.n == 1 and T.order == 1:
         return base
     W = WreathGroup(base.G, T)
@@ -231,30 +233,27 @@ def _is_diagonal_subgroup(L: PermGroup, S: PermGroup, n: int) -> bool:
     return True
 
 
-def _simple_factor(base: Triple, copies: int, bound=None) -> PermGroup:
+def _simple_factor(base: Triple, copies: int) -> PermGroup:
     """The factor S of a base triple (S^copies, diagonal, diagonal), read off
     block 0; raises ValueError unless S is simple, G is S^copies and H and K
     are diagonal copies of S."""
     S = _block_restriction(base.G, 0, base.G.degree // copies)
     if not same_group(base.G, _direct_power_group(S, copies)):
         raise ValueError("base group is not the direct power of its first block")
-    if not is_simple(S, bound):
+    if not is_simple(S):
         raise ValueError("base factor is not simple")
     if not (_is_diagonal_subgroup(base.H, S, copies) and _is_diagonal_subgroup(base.K, S, copies)):
         raise ValueError("subgroups are not diagonal copies of the factor")
     return S
 
 
-def _t_stabilizes(W: WreathGroup, sub: PermGroup) -> bool:
-    for tg in W.top_group.generators:
-        tp = W.embed_top(tg)
-        for g in sub.generators:
-            if g.conjugate_by(tp) not in sub:
-                return False
-    return True
+def _normalizes(elements, sub: PermGroup) -> bool:
+    """Whether conjugating by each of ``elements`` maps every generator of
+    ``sub`` back into ``sub``."""
+    return all(g.conjugate_by(x) in sub for x in elements for g in sub.generators)
 
 
-def type2(data: ConstructionData, bound=None) -> Triple:
+def type2(data: ConstructionData) -> Triple:
     """(S wr T, L : T, L' : T) with diagonal L, L' in the base S^n.
 
     The base EC status is computed by the caller's checkers on the result;
@@ -271,18 +270,18 @@ def type2(data: ConstructionData, bound=None) -> Triple:
         raise ValueError("top group must be transitive of degree n")
     if base.G.degree % n:
         raise ValueError("base group degree is not divisible by n")
-    S = _simple_factor(base, n, bound)
+    S = _simple_factor(base, n)
     W = WreathGroup(S, T)
-    if not _t_stabilizes(W, base.H) or not _t_stabilizes(W, base.K):
-        raise ValueError("top group does not stabilize the diagonal subgroups")
     top_gens = [W.embed_top(tg) for tg in T.generators]
+    if not (_normalizes(top_gens, base.H) and _normalizes(top_gens, base.K)):
+        raise ValueError("top group does not stabilize the diagonal subgroups")
     H = PermGroup(W.realized.degree, list(base.H.generators) + top_gens)
     K = PermGroup(W.realized.degree, list(base.K.generators) + top_gens)
     return Triple(W.realized, H, K,
                   label=f"type2(|S|={S.order}, n={n}, |T|={T.order})")
 
 
-def type3(data: ConstructionData, bound=None) -> Triple:
+def type3(data: ConstructionData) -> Triple:
     """(S wr T, L^l : T, L'^l : T) for T with blocks of size k.
 
     Blocks are the consecutive runs {0..k-1}, {k..2k-1}, ...; the base triple
@@ -302,23 +301,16 @@ def type3(data: ConstructionData, bound=None) -> Triple:
                 raise ValueError("top group does not preserve the block system")
     if base.G.degree % k:
         raise ValueError("base group degree is not divisible by k")
-    S = _simple_factor(base, k, bound)
-    if not is_ec(base, bound):
-        raise NotElementwiseConjugate("base triple is not elementwise conjugate")
-    if not check_ff(base):
-        raise ValueError("base triple is not FF")
+    S = _simple_factor(base, k)
+    _require_ec_ff(base)
     W = WreathGroup(S, T)
     total = W.realized.degree
-    block_stab = [t for t in T.elements(enumeration_bound(bound))
-                  if frozenset(int(t.images[x]) for x in range(k)) == blocks[0]]
+    ident = tuple(Permutation.identity(S.degree) for _ in range(k))
+    block_stab = [WreathElement(ident, Permutation(t.images[:k])).realize() for t in T.elements()
+                  if frozenset(t.images[:k].tolist()) == blocks[0]]
+    if not (_normalizes(block_stab, base.H) and _normalizes(block_stab, base.K)):
+        raise ValueError("block stabilizer does not stabilize the diagonals")
     seg = base.G.degree
-    for tau in block_stab:
-        coord = Permutation([int(tau.images[x]) for x in range(k)])
-        tp = WreathElement(tuple(Permutation.identity(S.degree) for _ in range(k)), coord).realize()
-        for sub in (base.H, base.K):
-            for g in sub.generators:
-                if g.conjugate_by(tp) not in sub:
-                    raise ValueError("block stabilizer does not stabilize the diagonals")
     top_gens = [W.embed_top(tg) for tg in T.generators]
     h_gens = [_shift_degree(g, j * seg, total) for j in range(l) for g in base.H.generators]
     k_gens = [_shift_degree(g, j * seg, total) for j in range(l) for g in base.K.generators]

@@ -186,24 +186,24 @@ class _Chain:
         for lvl in self.levels[: j + 1]:
             lvl.add_gen(r)
 
-    def complete(self, bound=None):
+    def complete(self, order_bound=None):
         """Process Schreier generators, deepest level first, to a fixpoint.
 
         The Schreier generator of orbit point p and strong generator g at a
         level with base point b is u_p * g * u_q^-1, q = g(p) the image of b
         under u_p * g; it is built and sifted as image rows.
 
-        ``bound``, when given, must be a proven upper bound on the order of
-        the group generated (for instance |H| for a quotient of H, or |G|
-        for a subgroup of G).  The run stops as soon as ``order()`` equals
-        it, checked before the loop and after each install.  The chain's
-        levels then already have the true basic orbits and a trivial last
-        stabilizer, so every remaining Schreier generator would sift to the
-        identity: the chain is the complete BSGS a full run builds, with the
-        same levels, strong generators and Schreier vectors.  A bound that
-        is never reached (an unfaithful action, say) costs nothing.
+        ``order_bound``, when given, must be a proven upper bound on the
+        order of the group generated (for instance |H| for a quotient of H,
+        or |G| for a subgroup of G).  The run stops as soon as ``order()``
+        equals it, checked before the loop and after each install.  The
+        chain's levels then already have the true basic orbits and a trivial
+        last stabilizer, so every remaining Schreier generator would sift to
+        the identity: the chain is the complete BSGS a full run builds, with
+        the same levels, strong generators and Schreier vectors.  A bound
+        that is never reached (an unfaithful action, say) costs nothing.
         """
-        if self.order() == bound:
+        if self.order() == order_bound:
             return
         identity = self._identity
         while True:
@@ -224,7 +224,7 @@ class _Chain:
             j, residue = self._sift_row(s, i + 1)
             if residue is not None:
                 self._install(j, Permutation._wrap(residue))
-                if self.order() == bound:
+                if self.order() == order_bound:
                     return
 
     def base(self):
@@ -336,7 +336,7 @@ class PermGroup:
         H._chain = sub
         return H
 
-    def element_rows(self, bound=None) -> np.ndarray:
+    def element_rows(self) -> np.ndarray:
         """All elements as an (order, degree) array of image rows.
 
         Chain traversal from the deepest level up: each level multiplies
@@ -345,7 +345,7 @@ class PermGroup:
         e * u per u.  Raises BoundExceeded when the order exceeds the
         enumeration bound.
         """
-        cap = enumeration_bound(bound)
+        cap = enumeration_bound()
         if self.order > cap:
             raise BoundExceeded(f"group order {self.order} exceeds bound {cap}")
         n = self.degree
@@ -354,9 +354,9 @@ class PermGroup:
             rows = lvl.orbit_rows()[1][:, rows].reshape(-1, n)
         return rows
 
-    def elements(self, bound=None):
+    def elements(self):
         """All elements, as Permutations in ``element_rows`` order."""
-        return [Permutation._wrap(r) for r in self.element_rows(bound)]
+        return [Permutation._wrap(r) for r in self.element_rows()]
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -401,14 +401,6 @@ def is_transitive_on(degree: int, rows) -> bool:
     return count == degree
 
 
-def orbit(G: PermGroup, x: int) -> frozenset:
-    return G.orbit(x)
-
-
-def stabilizer(G: PermGroup, x: int) -> PermGroup:
-    return G.stabilizer(x)
-
-
 def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
     return H.degree == G.degree and all(g in G for g in H.generators)
 
@@ -437,13 +429,13 @@ class ConjugacyClasses:
         return [e for e in self.elements if self.class_of[e.key()] == i]
 
 
-def conjugacy_classes(G: PermGroup, bound=None) -> ConjugacyClasses:
+def conjugacy_classes(G: PermGroup) -> ConjugacyClasses:
     """Conjugacy classes by full enumeration; reps are lex-least members.
 
     The element rows, sorted by key, are union-found under conjugation by
     G's generators (``_class_roots``); classes are numbered by their roots.
     """
-    rows = G.element_rows(bound)
+    rows = G.element_rows()
     ordered = rows[np.lexsort(rows.T[::-1])]
     maps = _conjugation_maps(ordered, _rows([g.images for g in G.generators], G.degree))
     roots, class_of, sizes = np.unique(_class_roots(maps), return_inverse=True,
@@ -453,9 +445,9 @@ def conjugacy_classes(G: PermGroup, bound=None) -> ConjugacyClasses:
                             [Permutation._wrap(r) for r in rows])
 
 
-def cached_classes(G: PermGroup, bound=None) -> ConjugacyClasses:
+def cached_classes(G: PermGroup) -> ConjugacyClasses:
     if G._classes is None:
-        G._classes = conjugacy_classes(G, bound)
+        G._classes = conjugacy_classes(G)
     return G._classes
 
 
@@ -662,13 +654,12 @@ def _class_roots(maps):
     return np.array([find(i) for i in range(len(parent))], dtype=np.intp)
 
 
-def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
+def left_cosets(G: PermGroup, H: PermGroup) -> CosetTable:
     """Coset table of H in G, built breadth first over G's generators.
 
     Each step translates the whole frontier by every generator and
     canonicalizes the translates in one batch; the generators' actions are
-    recorded on the way.  ``bound`` caps the number of cosets (default
-    ``index_bound()``).
+    recorded on the way.  ``index_bound()`` caps the number of cosets.
 
     Tables are cached on G per subgroup as a set: a subgroup equal to one
     that already has a table (equal order, and its generators lie in the
@@ -687,7 +678,7 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
             return table
     if not is_subgroup(H, G):
         raise ValueError("H is not a subgroup of G")
-    cap = index_bound(bound)
+    cap = index_bound()
     n, s = G.degree, len(G.generators)
     gens = np.array([g.images for g in G.generators], dtype=np.int32).reshape(s, n)
     rows = np.arange(n, dtype=np.int32)[None, :]
@@ -720,7 +711,7 @@ def left_cosets(G: PermGroup, H: PermGroup, bound=None) -> CosetTable:
     return table
 
 
-def core(G: PermGroup, H: PermGroup, bound=None) -> PermGroup:
+def core(G: PermGroup, H: PermGroup) -> PermGroup:
     """Largest normal subgroup of G inside H.
 
     This is the kernel of G's action on the cosets of H, and the kernel lies
@@ -729,9 +720,9 @@ def core(G: PermGroup, H: PermGroup, bound=None) -> PermGroup:
     points and the coset indices together, generated by its Schreier
     generators (``_schreier_generators``); the remaining coset points are
     stabilized one by one, and the surviving generators are restricted back
-    to the points.  ``bound`` caps the coset count.
+    to the points.  The index bound caps the coset count.
     """
-    table = left_cosets(G, H, bound)
+    table = left_cosets(G, H)
     n, m = G.degree, len(table)
     if m == 1:
         return PermGroup(n, G.generators)
@@ -846,7 +837,7 @@ def _intermediate_block(table: CosetTable):
     return None
 
 
-def normal_closure(G: PermGroup, S, bound=None) -> PermGroup:
+def normal_closure(G: PermGroup, S) -> PermGroup:
     """Smallest normal subgroup of G containing the elements of S."""
     for s in S:
         if s not in G:
@@ -854,7 +845,7 @@ def normal_closure(G: PermGroup, S, bound=None) -> PermGroup:
     chain = _Chain(G.degree)
     gens = []
     work = deque(s for s in S if not s.is_identity())
-    cap = enumeration_bound(bound)
+    cap = enumeration_bound()
     while work:
         x = work.popleft()
         if chain.contains(x):
@@ -871,16 +862,16 @@ def normal_closure(G: PermGroup, S, bound=None) -> PermGroup:
     return N
 
 
-def is_simple(G: PermGroup, bound=None) -> bool:
+def is_simple(G: PermGroup) -> bool:
     """Whether G is simple: no class representative generates a proper
     nontrivial normal closure."""
     if G.order == 1:
         return False
-    classes = cached_classes(G, bound)
+    classes = cached_classes(G)
     for rep in classes.reps:
         if rep.is_identity():
             continue
-        N = normal_closure(G, [rep], bound)
+        N = normal_closure(G, [rep])
         if N.order != G.order:
             return False
     return True

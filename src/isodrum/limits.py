@@ -19,8 +19,10 @@ proving INV false on the type-1 wreath of psl(3,2) takes 7,424, and the
 psl(4,2) census takes 20,163).  The census bound ``OKADA_SHUDO_NMAX`` caps
 the tile count of ``okada_shudo_scan`` at 15, which admits the 15-tile
 psl(4,2) triple.
-``GF_BOUND`` in the environment overrides the enumeration bound; it must be
-a positive integer.
+``GF_BOUND`` in the environment is the one setting of the enumeration
+bound (default ``ENUMERATION_BOUND``); it must be a positive integer.  Every
+cap site reads ``enumeration_bound()`` or ``index_bound()`` when it runs, so
+no bound is passed down a call stack.
 """
 
 import os
@@ -33,9 +35,7 @@ INV_SEARCH_BOUND = 200_000
 OKADA_SHUDO_NMAX = 15
 
 
-def enumeration_bound(override=None):
-    if override is not None:
-        return int(override)
+def enumeration_bound():
     env = os.environ.get("GF_BOUND")
     if env is None:
         return ENUMERATION_BOUND
@@ -48,7 +48,5 @@ def enumeration_bound(override=None):
     return value
 
 
-def index_bound(override=None):
-    if override is not None:
-        return int(override)
+def index_bound():
     return INDEX_BOUND

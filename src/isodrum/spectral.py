@@ -29,6 +29,7 @@ from itertools import product
 import numpy as np
 
 SQUARE = ((1, 0), (0, 1))  # the Gram matrix of Z^2
+LANCZOS_MAXITER = 5000  # Arnoldi update iterations allowed to eigsh
 
 
 def _stencil(gram):
@@ -199,8 +200,7 @@ def _dirichlet_laplacian(mask: GridMask):
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
-def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
-                          maxiter: int = 5000) -> SpectrumResult:
+def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0) -> SpectrumResult:
     """k smallest eigenvalues of the mask lattice's Dirichlet Laplacian.
 
     Missing neighbors contribute zero (the Dirichlet condition).  Solved in
@@ -232,7 +232,7 @@ def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0,
         inverse = LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
-        eigs = eigsh(A, k=k, sigma=0.0, which="LM", v0=v0, maxiter=maxiter,
+        eigs = eigsh(A, k=k, sigma=0.0, which="LM", v0=v0, maxiter=LANCZOS_MAXITER,
                      OPinv=inverse, return_eigenvectors=False)
         eigs = np.sort(eigs)
     return SpectrumResult([float(x) for x in eigs], k, mask.h)

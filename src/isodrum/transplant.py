@@ -12,7 +12,6 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -110,25 +109,22 @@ class InvolutionSystem:
         return best
 
 
-def fixeq_check(sys: InvolutionSystem) -> bool:
-    """The fixed-point identity (r-2) * tiles == sum of traces - 2."""
-    return (sys.r - 2) * sys.n_tiles == sum(sys.traces()) - 2
-
-
 def is_tree(sys: InvolutionSystem) -> bool:
-    """Whether the colored gluing graph is a tree (connected and acyclic).
+    """Whether the colored gluing graph is a tree (connected and acyclic),
+    decided by the fixed-point identity (r-2) * tiles == sum of traces - 2.
 
     Color mu contributes (n - Fix_mu) / 2 edges, so the graph has n - 1
     edges exactly when the fixed-point identity holds.  An
     ``InvolutionSystem`` is transitive, so its graph is connected, and a
     connected graph on n vertices is a tree exactly when it has n - 1 edges.
     """
-    return fixeq_check(sys)
+    return (sys.r - 2) * sys.n_tiles == sum(sys.traces()) - 2
 
 
 @dataclass
 class TransplantationSolution:
-    """An exact solution of T*M = N*T for all colors."""
+    """An exact solution of T*M = N*T for all colors; T is a tuple of rows
+    of ints (the basis is 0/1 and combinations have integer coefficients)."""
 
     T: tuple
     solution_basis: list = field(repr=False)
@@ -245,7 +241,7 @@ def find_transplantation(A: InvolutionSystem, B: InvolutionSystem):
     perm_sol = detect_isometry(A, B)
 
     def solution(mat, invertible, certificate):
-        T = _as_fraction_matrix(mat)
+        T = tuple(map(tuple, mat))
         assert not invertible or verify_intertwiner(T, A, B)
         return TransplantationSolution(T=T, solution_basis=basis, invertible=invertible,
                                        permutation_solution=perm_sol, certificate=certificate)
@@ -265,10 +261,6 @@ def find_transplantation(A: InvolutionSystem, B: InvolutionSystem):
         if _int_det(cand) != 0:
             return solution(cand, True, f"combination{coeffs}")
     raise AssertionError("equal intertwiner dimensions but no invertible combination")
-
-
-def _as_fraction_matrix(mat):
-    return tuple(tuple(Fraction(x) for x in row) for row in mat)
 
 
 def verify_intertwiner(T, A: InvolutionSystem, B: InvolutionSystem) -> bool:
@@ -314,10 +306,10 @@ def detect_isometry(A: InvolutionSystem, B: InvolutionSystem):
     return None
 
 
-def involutions_of(G: PermGroup, bound=None):
+def involutions_of(G: PermGroup):
     """Order-2 elements of G, sorted by image key.
 
-    Tests every row of ``G.element_rows(bound)`` on the base of G's chain
+    Tests every row of ``G.element_rows()`` on the base of G's chain
     only.  The pointwise stabilizer of the base is trivial, so an element of
     G is the identity exactly when it fixes the base, and g is an
     involution exactly when g moves a base point and g^2 fixes them all.
@@ -325,7 +317,7 @@ def involutions_of(G: PermGroup, bound=None):
     surviving rows are sorted lexicographically (the ``Permutation.key()``
     order) before wrapping.
     """
-    rows = G.element_rows(bound)
+    rows = G.element_rows()
     base = np.array(G.chain().base(), dtype=np.intp)
     at_base = rows[:, base]
     invs = rows[(_take_rows(rows, at_base) == base).all(axis=1) & (at_base != base).any(axis=1)]
@@ -334,7 +326,7 @@ def involutions_of(G: PermGroup, bound=None):
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
 
 
-def _conjugation_closure(seeds, generators, bound):
+def _conjugation_closure(seeds, generators, cap):
     """Closure of a set of elements under conjugation by generators.
 
     Each element is carried as its image rows in one or more actions side
@@ -344,7 +336,7 @@ def _conjugation_closure(seeds, generators, bound):
     every action.  Elements are told apart by their rows in action 0
     (``_row_keys``), which must be faithful on the closure.  Returns one
     array per action, the seeds first and then each new conjugate in the
-    order found; raises BoundExceeded when the closure exceeds ``bound``
+    order found; raises BoundExceeded when the closure exceeds ``cap``
     elements.  No group element outside the closure is built.
     """
     inverses = [np.argsort(g, axis=1).astype(np.int32) for g in generators]
@@ -360,8 +352,8 @@ def _conjugation_closure(seeds, generators, bound):
                 if key not in seen:
                     seen.add(key)
                     keep.append(i)
-            if len(seen) > bound:
-                raise BoundExceeded(f"conjugation closure exceeds bound {bound}")
+            if len(seen) > cap:
+                raise BoundExceeded(f"conjugation closure exceeds bound {cap}")
             for k, c in enumerate(conj):
                 new[k].append(c[keep])
         frontier = [np.concatenate(parts) for parts in new]
@@ -370,18 +362,18 @@ def _conjugation_closure(seeds, generators, bound):
     return [np.concatenate(parts) for parts in found]
 
 
-def _involution_roots(group, tables, bound):
+def _involution_roots(group, tables):
     """The lex-least involution of each class of ``group`` (``_class_roots``):
     its rows, then its actions on each coset table in ``tables``, the only
     rows canonicalized.  The enumeration bound caps ``group``."""
-    rows = _rows([p.images for p in involutions_of(group, bound)], group.degree)
+    rows = _rows([p.images for p in involutions_of(group)], group.degree)
     maps = _conjugation_maps(rows, _rows([g.images for g in group.generators], group.degree))
     rows = rows[_class_roots(maps) == np.arange(len(rows))]
     elements = [Permutation._wrap(x) for x in rows]
     return [rows] + [table.actions_of(elements) for table in tables]
 
 
-def _tree_candidates(G, H, tables, r, bound):
+def _tree_candidates(G, H, tables, r):
     """The involutions of G that may lie in a gluing tree of r colors on the
     cosets of H, or None when the fixed-point certificate proves there is no
     tree.
@@ -413,19 +405,18 @@ def _tree_candidates(G, H, tables, r, bound):
       candidates are all of G's: the closure of the roots of G's involution
       classes.  The enumeration bound caps G.
     """
-    cap = enumeration_bound(bound)
     gens = [_rows([g.images for g in G.generators], G.degree)]
     gens += [_rows([a.images for a in table.generator_actions], len(table)) for table in tables]
     side = 1 if tables else 0
     n = gens[side].shape[1]
-    seeds = _involution_roots(H, tables, cap)
+    seeds = _involution_roots(H, tables)
     m = int((seeds[side] == np.arange(n)).sum(axis=1).max(initial=0))
     target = (r - 2) * n + 2
     if r * m < target:
         return None
     if (r - 1) * m >= target:
-        seeds = _involution_roots(G, tables, cap)
-    return _conjugation_closure(seeds, gens, cap)
+        seeds = _involution_roots(G, tables)
+    return _conjugation_closure(seeds, gens, enumeration_bound())
 
 
 def _forest_search(acts, first, r, target):
@@ -500,7 +491,7 @@ def _orbit(maps, tup):
     return np.array(list(seen), dtype=np.intp)
 
 
-def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
+def okada_shudo_scan(t, n_max: int, r: int = 3):
     """Transplantable nonisometric tree-system pairs from one triple.
 
     A pair comes from r involutions of G that give tree systems on the
@@ -556,7 +547,7 @@ def okada_shudo_scan(t, n_max: int, r: int = 3, bound=None):
         raise ValueError("coset spaces have different sizes")
     if n > n_max:
         raise BoundExceeded(f"index {n} exceeds n_max {n_max}")
-    found = _tree_candidates(G, t.H, [table_h, table_k], r, bound)
+    found = _tree_candidates(G, t.H, [table_h, table_k], r)
     if found is None:
         return []
     by_key = np.lexsort(found[0].T[::-1])

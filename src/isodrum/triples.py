@@ -47,7 +47,6 @@ from .groups import (
     left_cosets,
     same_group,
 )
-from .limits import enumeration_bound, index_bound
 from .permutations import Permutation
 from .transplant import InvolutionSystem, _forest_search, _tree_candidates
 
@@ -98,7 +97,7 @@ def is_ac(t: Triple) -> bool:
     return rank(t.G, t.H, t.H) == rank(t.G, t.H, t.K) == rank(t.G, t.K, t.K)
 
 
-def _class_fixed_counts(t: Triple, bound=None):
+def _class_fixed_counts(t: Triple):
     """(x, a, b) for the lex-least member x of every conjugacy class of H and
     of K, sorted by key: x fixes a cosets of H and b cosets of K.
 
@@ -110,8 +109,7 @@ def _class_fixed_counts(t: Triple, bound=None):
     its class, hence among the x.  The enumeration bound caps |H| and |K|;
     G is never listed.
     """
-    cap = enumeration_bound(bound)
-    by_key = {x.key(): x for sub in (t.H, t.K) for x in cached_classes(sub, cap).reps}
+    by_key = {x.key(): x for sub in (t.H, t.K) for x in cached_classes(sub).reps}
     reps = [by_key[k] for k in sorted(by_key)]
     counts = []
     for sub in (t.H, t.K):
@@ -120,7 +118,7 @@ def _class_fixed_counts(t: Triple, bound=None):
     return list(zip(reps, *counts))
 
 
-def is_ec(t: Triple, bound=None) -> bool:
+def is_ec(t: Triple) -> bool:
     """Elementwise conjugate in both directions.
 
     AC implies EC.  Otherwise every class representative of H must fix a
@@ -129,7 +127,7 @@ def is_ec(t: Triple, bound=None) -> bool:
     """
     if same_group(t.H, t.K) or is_ac(t):
         return True
-    return all(a and b for _, a, b in _class_fixed_counts(t, bound))
+    return all(a and b for _, a, b in _class_fixed_counts(t))
 
 
 def check_ff(t: Triple) -> bool:
@@ -233,11 +231,11 @@ def verify_automorphism(G: PermGroup, images):
     return sigma
 
 
-def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
+def check_pair(t: Triple, candidate=None) -> PairStatus:
     """PAIR: confirmed via a verified swap automorphism, else the order test.
 
-    The search for an inner square lists H only, so ``bound`` caps |H|:
-    sigma^2 is inner on H when some h0 in H has h0^-1 * h * h0 ==
+    The search for an inner square lists H only, so the enumeration bound
+    caps |H|: sigma^2 is inner on H when some h0 in H has h0^-1 * h * h0 ==
     sigma^2(h) for every generator h of H.  All h0 are tested at once on
     H's element rows: their inverses are one scatter, and the conjugates of
     each generator one gather.
@@ -249,7 +247,7 @@ def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
                    and all(sigma(h) in t.K for h in t.H.generators))
     if not maps_h_to_k:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
-    rows = t.H.element_rows(enumeration_bound(bound))
+    rows = t.H.element_rows()
     count, n = rows.shape
     inverses = np.empty_like(rows)
     inverses[np.arange(count)[:, None], rows] = np.arange(n, dtype=np.int32)
@@ -260,7 +258,7 @@ def check_pair(t: Triple, candidate=None, bound=None) -> PairStatus:
     return PairStatus.CONFIRMED if inner.any() else PairStatus.WEAK_EVIDENCE
 
 
-def inv_witnesses(t: Triple, r: int = 3, bound=None):
+def inv_witnesses(t: Triple, r: int = 3):
     """Involution systems witnessing INV for the H-side coset action, at
     least one from each class of witnesses under conjugation by G.
 
@@ -308,14 +306,14 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
     """
     if r < 3:
         raise ValueError("need at least 3 sides")
-    table = left_cosets(t.G, t.H, index_bound())
+    table = left_cosets(t.G, t.H)
     lam = len(table)
     if table.is_faithful():
-        found = _tree_candidates(t.G, t.H, [table], r, bound)
+        found = _tree_candidates(t.G, t.H, [table], r)
         preimage = Permutation._wrap
     else:
         found = _tree_candidates(PermGroup(lam, table.generator_actions), table.subgroup_image(),
-                                 [], r, bound)
+                                 [], r)
         preimage = lambda row: None
     if found is None:
         return
@@ -331,7 +329,7 @@ def inv_witnesses(t: Triple, r: int = 3, bound=None):
         yield tuple(preimage(rows[i]) for i in combo), sys
 
 
-def check_inv(t: Triple, r: int = 3, bound=None):
+def check_inv(t: Triple, r: int = 3):
     """First INV witness system, or None when there is none.
 
     None is proved by the fixed-point certificate (r times the largest
@@ -342,7 +340,7 @@ def check_inv(t: Triple, r: int = 3, bound=None):
     The class-first rule drops witnesses but never the first one, so the
     answer is the first witness of the full lexicographic sequence.
     """
-    for _, sys in inv_witnesses(t, r, bound):
+    for _, sys in inv_witnesses(t, r):
         return sys
     return None
 
@@ -372,11 +370,12 @@ class PropertyReport:
         if self.ac and not self.ec:
             raise ValueError("inconsistent report: AC holds but EC fails")
 
-    def holds(self, include_inv=True) -> bool:
-        ok = self.ac and self.ec and self.ff and self.max and self.pair != PairStatus.FAILED
-        if include_inv:
-            ok = ok and self.inv is not None
-        return ok
+    def holds(self, props) -> bool:
+        """Whether every property named in ``props`` passes: PAIR unless it
+        failed (weak evidence passes), INV when a witness was found."""
+        passes = {"ac": self.ac, "ec": self.ec, "ff": self.ff, "max": self.max,
+                  "pair": self.pair != PairStatus.FAILED, "inv": self.inv is not None}
+        return all(passes[p] for p in props)
 
     def _pair_text(self) -> str:
         return self.pair.value if "pair" in self.checked else "not checked"
@@ -418,7 +417,7 @@ class PropertyReport:
         }
 
 
-def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
+def property_report(t: Triple, pair_candidate=None, r: int = 3,
                     props=PROPERTIES) -> PropertyReport:
     """Run the property suite, collecting witnesses for failures.
 
@@ -434,7 +433,7 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
     ac = is_ac(t)
     ec = True
     if not ac:
-        counts = _class_fixed_counts(t, bound)
+        counts = _class_fixed_counts(t)
         x, a, b = next(c for c in counts if c[1] != c[2])
         witnesses["ac"] = f"element {x} fixes {a} cosets of H, {b} of K"
         missing = [x for x, a, b in counts if not (a and b)]
@@ -451,8 +450,8 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3, bound=None,
         side, sub = maxw
         witnesses["max"] = f"{side} is contained in a proper subgroup of order {sub.order}"
         witnesses["max_subgroup"] = sub
-    pair = check_pair(t, pair_candidate, bound) if "pair" in props else None
-    inv = check_inv(t, r, bound) if "inv" in props else None
+    pair = check_pair(t, pair_candidate) if "pair" in props else None
+    inv = check_inv(t, r) if "inv" in props else None
     return PropertyReport(
         label=t.label,
         ac=ac,

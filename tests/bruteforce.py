@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from isodrum.errors import BoundExceeded
 from isodrum.groups import PermGroup, _row_keys, is_transitive_on, left_cosets
-from isodrum.limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound, index_bound
+from isodrum.limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound
 from isodrum.permutations import Permutation
 from isodrum.spectral import GridMask
 from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of
@@ -449,7 +449,7 @@ def brute_conjugators(elements, a, b):
     return [g for g in elements if a.conjugate_by(g) == b]
 
 
-def is_conjugate(G: PermGroup, a: Permutation, b: Permutation, bound=None):
+def is_conjugate(G: PermGroup, a: Permutation, b: Permutation):
     """A conjugator g in G with g^-1 a g == b, or None.
 
     Breadth-first search over the conjugation orbit of a, so the witness is
@@ -461,7 +461,7 @@ def is_conjugate(G: PermGroup, a: Permutation, b: Permutation, bound=None):
         return None
     if a == b:
         return Permutation.identity(G.degree)
-    cap = enumeration_bound(bound)
+    cap = enumeration_bound()
     seen = {a.key(): Permutation.identity(G.degree)}
     queue = deque([a])
     while queue:
@@ -792,7 +792,7 @@ def walk_self_crosses(walk) -> bool:
                for i in range(m) for j in range(i + 1, m))
 
 
-def brute_scan(t, n_max, r=3, bound=None):
+def brute_scan(t, n_max, r=3):
     """The census scan examining every r-subset of G's involutions.
 
     Same filters and deduplication as ``transplant.okada_shudo_scan``, with
@@ -809,7 +809,7 @@ def brute_scan(t, n_max, r=3, bound=None):
         raise BoundExceeded(f"index {len(table_h)} exceeds n_max {n_max}")
     results = []
     seen = set()
-    for combo in itertools.combinations(involutions_of(G, bound), r):
+    for combo in itertools.combinations(involutions_of(G), r):
         if PermGroup(G.degree, combo).order != G.order:
             continue
         imgs_h = tuple(table_h.action_of(g) for g in combo)
@@ -833,7 +833,7 @@ def brute_scan(t, n_max, r=3, bound=None):
     return results
 
 
-def brute_check_pair(t, candidate=None, bound=None):
+def brute_check_pair(t, candidate=None):
     """PAIR with the inner-square search as a loop over H's elements in key
     order, conjugating one Permutation at a time."""
     if candidate is None:
@@ -843,10 +843,9 @@ def brute_check_pair(t, candidate=None, bound=None):
                    and all(sigma(h) in t.K for h in t.H.generators))
     if not maps_h_to_k:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
-    cap = enumeration_bound(bound)
     hgens = t.H.generators if t.H.generators else (t.G.identity,)
     squares = [sigma(sigma(h)) for h in hgens]
-    for h0 in sorted(t.H.elements(cap), key=Permutation.key):
+    for h0 in sorted(t.H.elements(), key=Permutation.key):
         if all(sq == h.conjugate_by(h0) for h, sq in zip(hgens, squares)):
             return PairStatus.CONFIRMED
     return PairStatus.WEAK_EVIDENCE
@@ -888,23 +887,22 @@ def _subset_search(fixes, r, target, cap):
     yield from rec(0, 0)
 
 
-def brute_inv_witnesses(t, r=3, bound=None, search_bound=INV_SEARCH_BOUND):
+def brute_inv_witnesses(t, r=3, search_bound=INV_SEARCH_BOUND):
     """INV's witnesses with every involution of G (or of its image) listed
     as a candidate, fixed-point-free ones included, in the library's order:
     descending fixed count, action key, element key; subsets
     lexicographically."""
     if r < 3:
         raise ValueError("need at least 3 sides")
-    cap = enumeration_bound(bound)
-    table = left_cosets(t.G, t.H, index_bound())
+    table = left_cosets(t.G, t.H)
     lam = len(table)
     target = (r - 2) * lam + 2
     if table.is_faithful():
-        gs = involutions_of(t.G, cap)
+        gs = involutions_of(t.G)
         acts = table.actions_of(gs)
     else:
         image_group = PermGroup(lam, [table.action_of(g) for g in t.G.generators])
-        invs = involutions_of(image_group, cap)
+        invs = involutions_of(image_group)
         gs = [None] * len(invs)
         acts = np.array([p.images for p in invs], dtype=np.int32).reshape(-1, lam)
     fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
@@ -936,7 +934,7 @@ def brute_class_first(t, witnesses):
     action row has the least key of all its conjugates.  ``witnesses`` is
     consumed lazily, as pairs (G-involution tuple, system).
     """
-    table = left_cosets(t.G, t.H, index_bound())
+    table = left_cosets(t.G, t.H)
     elements = None
     least = {}
     for gs, sys in witnesses:
@@ -944,7 +942,7 @@ def brute_class_first(t, witnesses):
         key = x.tobytes()
         if key not in least:
             if elements is None:
-                elements = table.actions_of(t.G.elements(enumeration_bound()))
+                elements = table.actions_of(t.G.elements())
                 inverses = np.argsort(elements, axis=1)
             conjugates = np.take_along_axis(elements, x[inverses], axis=1)
             least[key] = min(_row_keys(conjugates)) == _row_keys(x[None, :])[0]

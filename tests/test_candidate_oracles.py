@@ -56,7 +56,7 @@ def assert_roots_give_m(t):
     """m from the class roots equals m over every involution of H's image."""
     G, H, tables = setting(t)
     table = left_cosets(t.G, t.H)
-    roots = _involution_roots(H, tables, None)
+    roots = _involution_roots(H, tables)
     mine = fixed_max(roots[-1])
     if tables:  # faithful: H is its image, and actions_of gives its action
         oracle = fixed_max(action_rows(table, involutions_of(t.H)))
@@ -70,7 +70,7 @@ def assert_closure_matches(t, r=3):
     """The candidates are the closure of all of H's involutions (or all of G's
     involutions), with action rows equal to ``actions_of``."""
     G, H, tables = setting(t)
-    found = _tree_candidates(G, H, tables, r, None)
+    found = _tree_candidates(G, H, tables, r)
     if found is None:
         return None
     rows = found[0]
@@ -111,13 +111,13 @@ def test_fixed_point_free_case_lists_every_involution():
     t = s6_point_triple()
     found = assert_closure_matches(t)
     assert len(found[0]) == len(involutions_of(t.G)) == 75
-    assert len(_involution_roots(t.G, [], None)[0]) == 3
+    assert len(_involution_roots(t.G, [])[0]) == 3
 
 
 def test_census_carries_both_sides(psl32_small):
     t = psl32_small
     tables = [left_cosets(t.G, S) for S in (t.H, t.K)]
-    rows, acts_h, acts_k = _tree_candidates(t.G, t.H, tables, 3, None)
+    rows, acts_h, acts_k = _tree_candidates(t.G, t.H, tables, 3)
     assert len(rows) == 21
     elements = [Permutation(x) for x in rows]
     assert (acts_h == tables[0].actions_of(elements)).all()

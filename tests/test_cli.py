@@ -124,7 +124,6 @@ def test_verify_rejects_bad_gf_bound(specdir, capsys, monkeypatch, value):
 def test_enumeration_bound_reads_gf_bound(monkeypatch):
     monkeypatch.setenv("GF_BOUND", "1")
     assert enumeration_bound() == 1
-    assert enumeration_bound(7) == 7  # an explicit bound wins over the setting
     monkeypatch.setenv("GF_BOUND", "-5")
     with pytest.raises(SettingError, match="'-5'"):
         enumeration_bound()
@@ -326,6 +325,41 @@ def test_construct_type2_on_compressed_base_is_invalid_input(tmp_path, capsys, a
     assert rc == 2
     assert captured.err == "construct: group does not preserve the block\n"
     assert captured.out == ""
+
+
+def test_construct_bound_caps_the_simple_factor(tmp_path, capsys, monkeypatch, a5_group):
+    # type 2 lists the simple factor A5 (60 elements) for its classes, so
+    # GF_BOUND caps construct as it caps verify and scan
+    from isodrum.constructions import diagonal_subgroup, _direct_power_group
+    from isodrum.triples import Triple
+
+    diag = diagonal_subgroup(a5_group, 2)
+    spec = tmp_path / "a5sq.spec"
+    spec.write_text(format_triple_spec(Triple(_direct_power_group(a5_group, 2), diag, diag)))
+    argv = ["construct", "--spec", str(spec), "--type", "2", "--n", "2",
+            "--top-degree", "2", "--top-gens", "[(1 2)]"]
+    monkeypatch.setenv("GF_BOUND", "20")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "resource bound exceeded: group order 60 exceeds bound 20\n"
+    assert captured.out == ""
+    monkeypatch.setenv("GF_BOUND", "60")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_no_bound_option(specdir, capsys):
+    # GF_BOUND is the one setting of the enumeration bound: a --bound option
+    # is a rejected command line, one argparse line and exit 2
+    psl32 = str(specdir / "psl32.spec")
+    for argv in (["verify", psl32], ["scan", "--spec", psl32, "--nmax", "7"],
+                 ["construct", "--spec", psl32, "--type", "1", "--n", "1",
+                  "--top-degree", "1", "--top-gens", "[]"]):
+        assert main(argv + ["--bound", "5"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --bound 5\n"), argv
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_verify_type3_decides_ac(tmp_path, capsys, a5_group):

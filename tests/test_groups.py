@@ -194,9 +194,10 @@ def test_classes_share_cycle_type_and_sizes_divide_order():
             assert all(m.cycle_type() == rep.cycle_type() for m in members)
 
 
-def test_classes_bound():
+def test_classes_bound(monkeypatch):
+    monkeypatch.setenv("GF_BOUND", "100")
     with pytest.raises(BoundExceeded):
-        conjugacy_classes(S(5), bound=100)
+        conjugacy_classes(S(5))
 
 
 def test_left_cosets_s3():
@@ -348,9 +349,10 @@ def test_is_subgroup():
     assert not is_subgroup(S(4), A4())
 
 
-def test_elements_bound():
+def test_elements_bound(monkeypatch):
+    monkeypatch.setenv("GF_BOUND", "100")
     with pytest.raises(BoundExceeded):
-        S(6).elements(bound=100)
+        S(6).elements()
 
 
 def test_random_element_uniformish_and_member():

@@ -156,14 +156,16 @@ def test_sigma_rejects_non_members():
         sigma(parse_cycles("(0 1)", 4))
 
 
-def test_pair_bound_caps_h_only():
+def test_pair_bound_caps_h_only(monkeypatch):
     # PAIR lists H alone (the inner-square search), never G
     t = psl_triple(3, 4)
     cand = duality_automorphism(3, 4)
     assert t.H.order == 960 < t.G.order
-    assert check_pair(t, cand, bound=t.H.order) == PairStatus.CONFIRMED
+    monkeypatch.setenv("GF_BOUND", str(t.H.order))
+    assert check_pair(t, cand) == PairStatus.CONFIRMED
+    monkeypatch.setenv("GF_BOUND", str(t.H.order - 1))
     with pytest.raises(BoundExceeded):
-        check_pair(t, cand, bound=t.H.order - 1)
+        check_pair(t, cand)
 
 
 @SETTINGS

@@ -195,9 +195,9 @@ def spied_census():
         listed, batches = [], []
         real_rows, real_actions = PermGroup.element_rows, CosetTable.actions_of
 
-        def rows_spy(self, bound=None):
+        def rows_spy(self):
             listed.append(self.order)
-            return real_rows(self, bound)
+            return real_rows(self)
 
         def actions_spy(self, elements):
             elements = list(elements)
@@ -257,8 +257,8 @@ def test_census_canonicalizes_only_class_roots(spied_census, name):
     # involution per class of H only, on the H and the K side; the closure
     # carries them to its 117 (psl(3,3)) or 315 (psl(4,2)) candidates
     t, _, _, batches = spied_census(name)
-    roots = len(transplant._involution_roots(t.H, [], None)[0])
+    roots = len(transplant._involution_roots(t.H, [])[0])
     candidates = len(transplant._tree_candidates(
-        t.G, t.H, [left_cosets(t.G, t.H)], 3, None)[0])
+        t.G, t.H, [left_cosets(t.G, t.H)], 3)[0])
     assert (roots, candidates) == {"psl33": (2, 117), "psl42": (3, 315)}[name]
     assert [b for b in batches if b > 1] == [roots, roots]

@@ -18,7 +18,7 @@ from isodrum.triples import (
     property_report,
     verify_automorphism,
 )
-from isodrum.transplant import fixeq_check, is_tree
+from isodrum.transplant import is_tree
 
 from bruteforce import ac_profile, brute_is_ac, brute_is_ec, permutation_character
 
@@ -149,7 +149,7 @@ def test_check_inv_on_unfaithful_action(a4_triple, psl32_small):
     sys = check_inv(tk, 3)
     assert sys is not None
     assert sorted(sys.traces()) == [3, 3, 3]
-    assert fixeq_check(sys) and is_tree(sys)
+    assert is_tree(sys)
 
 
 def test_bound_exceeded_signalled(monkeypatch):
@@ -259,7 +259,6 @@ def test_check_inv_psl(psl32):
     assert sys is not None
     assert sorted(sys.traces()) == [3, 3, 3]
     assert sum(sys.traces()) == (3 - 2) * 7 + 2 == 9
-    assert fixeq_check(sys)
     assert is_tree(sys)
     assert 3 * max(sys.traces()) > sys.n_tiles  # a dominant involution: 3 > 7/3
 
@@ -311,7 +310,7 @@ def test_property_report_flagship(psl32):
     assert rep.ac and rep.ec and rep.ff and rep.max
     assert rep.pair == PairStatus.CONFIRMED
     assert rep.inv is not None
-    assert rep.holds()
+    assert rep.holds(("ac", "ec", "ff", "max", "pair", "inv"))
     data = rep.to_json_dict()
     assert data["schema"] == 1 and data["pair"] == "confirmed"
 
@@ -322,7 +321,9 @@ def test_property_report_witnesses(a4_triple):
     assert not rep.ff and "ff" in rep.witnesses
     assert not rep.max and "max" in rep.witnesses
     assert rep.pair == PairStatus.FAILED
-    assert not rep.holds(include_inv=False)
+    assert not rep.holds(("ac", "ec", "ff", "max", "pair"))
+    assert rep.holds(("ec",)) and not rep.holds(("ec", "pair"))
+    assert rep.holds(())
 
 
 def test_report_rejects_ac_without_ec():
@@ -338,10 +339,11 @@ def test_big_group_cluster_path(a5_triple, monkeypatch):
     # a bound below |G| but above |H|, |K|: EC without AC enumerates only the
     # subgroups, never G
     assert a5_triple.G.order == 60
-    assert is_ec(a5_triple, bound=50) is True
+    monkeypatch.setenv("GF_BOUND", "50")
+    assert is_ec(a5_triple) is True
     S = S4()
     t = Triple(S, PermGroup(4, [parse_cycles("(0 1)", 4)]),
                PermGroup(4, [parse_cycles("(0 1)(2 3)", 4)]))
-    assert is_ec(t, bound=20) is False
     monkeypatch.setenv("GF_BOUND", "20")
+    assert is_ec(t) is False
     assert is_ac(t) is False
