@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundExceeded
 from .groups import PermGroup, is_simple, is_subgroup, left_cosets, same_group
-from .limits import enumeration_bound
 from .permutations import Permutation
 from .triples import Triple, is_ec, check_ff
 
@@ -172,8 +170,6 @@ def direct_power(t: Triple, k: int) -> Triple:
     if k == 1:
         return t
     _require_ec_ff(t)
-    if k * t.G.order > enumeration_bound():
-        raise BoundExceeded("direct power exceeds realization bounds")
     G = _direct_power_group(t.G, k)
     H = _direct_power_group(t.H, k)
     K = _direct_power_group(t.K, k)

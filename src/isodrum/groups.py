@@ -716,11 +716,13 @@ def core(G: PermGroup, H: PermGroup) -> PermGroup:
 
     This is the kernel of G's action on the cosets of H, and the kernel lies
     inside H, the stabilizer of coset 0.  A faithful action (``is_faithful``)
-    gives the trivial group at once.  Otherwise H acts on the original
-    points and the coset indices together, generated by its Schreier
-    generators (``_schreier_generators``); the remaining coset points are
-    stabilized one by one, and the surviving generators are restricted back
-    to the points.  The index bound caps the coset count.
+    gives the trivial group at once.  Otherwise G acts on the coset indices
+    and the original points together, each generator g as (action of g, g);
+    the coset points are stabilized one by one (``PermGroup.stabilizer``,
+    Schreier's lemma), and the surviving generators are restricted back to
+    the points.  The coset actions depend only on G's generators and H as
+    a set, and so does the result.  Only the index bound applies, to the
+    coset table.
     """
     table = left_cosets(G, H)
     n, m = G.degree, len(table)
@@ -728,43 +730,12 @@ def core(G: PermGroup, H: PermGroup) -> PermGroup:
         return PermGroup(n, G.generators)
     if table.is_faithful():
         return PermGroup(n, [])
-    combined = PermGroup(
-        n + m,
-        [Permutation._wrap(np.concatenate([s.images, table.action_of(s).images + n]))
-         for s in _schreier_generators(table)],
-    )
-    for c in range(n + 1, n + m):
-        if all(int(g.images[c]) == c for g in combined.generators):
-            continue
-        combined = combined.stabilizer(c)
-    return PermGroup(n, [Permutation(g.images[:n]) for g in combined.generators])
-
-
-def _schreier_generators(table: CosetTable) -> list:
-    """Generators of H by Schreier's lemma on the coset table.
-
-    The candidates r_i * g * r_j^-1 (j the coset of r_i * g) run over cosets
-    i in index order and G's generators g in order; a candidate is kept when
-    it extends the stabilizer chain of those kept so far, until the chain
-    reaches |H|.  The result depends on G's generators and on H as a set,
-    not on how H's generators were written.
-    """
-    order = table.subgroup.order
-    chain = _Chain(table.parent.degree)
-    kept = []
-    inverses = {}
-    for i, r in enumerate(table.representatives):
-        for g, act in zip(table.parent.generators, table.generator_actions):
-            j = int(act.images[i])
-            if j not in inverses:
-                inverses[j] = table.representatives[j].inverse()
-            s = r * g * inverses[j]
-            if not s.is_identity() and chain.add_generator(s):
-                chain.complete()
-                kept.append(s)
-                if chain.order() == order:
-                    return kept
-    return kept
+    graph = PermGroup(m + n, [Permutation._wrap(np.concatenate([a.images, g.images + m]))
+                              for a, g in zip(table.generator_actions, G.generators)])
+    for c in range(m):
+        if any(int(g.images[c]) != c for g in graph.generators):
+            graph = graph.stabilizer(c)
+    return PermGroup(n, [Permutation(g.images[m:] - m) for g in graph.generators])
 
 
 def _finest_block(table: CosetTable, beta: int):
@@ -845,7 +816,6 @@ def normal_closure(G: PermGroup, S) -> PermGroup:
     chain = _Chain(G.degree)
     gens = []
     work = deque(s for s in S if not s.is_identity())
-    cap = enumeration_bound()
     while work:
         x = work.popleft()
         if chain.contains(x):
@@ -853,8 +823,6 @@ def normal_closure(G: PermGroup, S) -> PermGroup:
         chain.add_generator(x)
         chain.complete()
         gens.append(x)
-        if chain.order() > cap:
-            raise BoundExceeded("normal closure exceeds enumeration bound")
         for g in G.generators:
             work.append(x.conjugate_by(g))
     N = PermGroup(G.degree, gens)

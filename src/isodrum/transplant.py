@@ -27,7 +27,7 @@ from .groups import (
     is_transitive_on,
     left_cosets,
 )
-from .limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound
+from .limits import INV_SEARCH_BOUND, enumeration_bound
 from .permutations import Permutation
 
 
@@ -326,7 +326,7 @@ def involutions_of(G: PermGroup):
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
 
 
-def _conjugation_closure(seeds, generators, cap):
+def _conjugation_closure(seeds, generators):
     """Closure of a set of elements under conjugation by generators.
 
     Each element is carried as its image rows in one or more actions side
@@ -336,9 +336,11 @@ def _conjugation_closure(seeds, generators, cap):
     every action.  Elements are told apart by their rows in action 0
     (``_row_keys``), which must be faithful on the closure.  Returns one
     array per action, the seeds first and then each new conjugate in the
-    order found; raises BoundExceeded when the closure exceeds ``cap``
-    elements.  No group element outside the closure is built.
+    order found; raises BoundExceeded when the closure exceeds
+    ``enumeration_bound()`` elements.  No group element outside the closure
+    is built.
     """
+    cap = enumeration_bound()
     inverses = [np.argsort(g, axis=1).astype(np.int32) for g in generators]
     seen = set(_row_keys(seeds[0]))
     found = [[a] for a in seeds]
@@ -416,7 +418,7 @@ def _tree_candidates(G, H, tables, r):
         return None
     if (r - 1) * m >= target:
         seeds = _involution_roots(G, tables)
-    return _conjugation_closure(seeds, gens, enumeration_bound())
+    return _conjugation_closure(seeds, gens)
 
 
 def _forest_search(acts, first, r, target):
@@ -501,7 +503,9 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     relabelings of the two sides) the systems of the least such increasing
     tuple are kept, indices taken in the element-key order of
     ``involutions_of``: the pairs that examining every r-subset in
-    lexicographic order would keep.  Pairs are sorted by keys.
+    lexicographic order would keep.  Pairs are sorted by keys.  ``n_max``
+    is the caller's guard on the tile count: a larger index raises
+    BoundExceeded before any search.
 
     Candidates.  ``_tree_candidates`` gives the involutions that may lie in
     an H-side tree, with their actions on both coset spaces side by side,
@@ -538,8 +542,6 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     """
     if not 3 <= r:
         raise ValueError("need at least 3 sides")
-    if n_max > OKADA_SHUDO_NMAX:
-        raise BoundExceeded(f"n_max {n_max} exceeds census bound {OKADA_SHUDO_NMAX}")
     G = t.G
     table_h, table_k = left_cosets(G, t.H), left_cosets(G, t.K)
     n = len(table_h)

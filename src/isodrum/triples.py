@@ -413,7 +413,7 @@ class PropertyReport:
             "max": self.max,
             "pair": self._pair_text(),
             "inv": inv,
-            "witnesses": {k: str(v) for k, v in self.witnesses.items()},
+            "witnesses": dict(self.witnesses),
         }
 
 
@@ -444,12 +444,10 @@ def property_report(t: Triple, pair_candidate=None, r: int = 3,
     if ffw is not None:
         side, sub = ffw
         witnesses["ff"] = f"core of {side} has order {sub.order}; generators {[str(g) for g in sub.generators]}"
-        witnesses["ff_subgroup"] = sub
     maxw = max_witness(t)
     if maxw is not None:
         side, sub = maxw
         witnesses["max"] = f"{side} is contained in a proper subgroup of order {sub.order}"
-        witnesses["max_subgroup"] = sub
     pair = check_pair(t, pair_candidate) if "pair" in props else None
     inv = check_inv(t, r) if "inv" in props else None
     return PropertyReport(

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from isodrum.errors import BoundExceeded
 from isodrum.groups import PermGroup, _row_keys, is_transitive_on, left_cosets
-from isodrum.limits import INV_SEARCH_BOUND, OKADA_SHUDO_NMAX, enumeration_bound
+from isodrum.limits import INV_SEARCH_BOUND, enumeration_bound
 from isodrum.permutations import Permutation
 from isodrum.spectral import GridMask
 from isodrum.transplant import InvolutionSystem, find_transplantation, involutions_of
@@ -800,8 +800,6 @@ def brute_scan(t, n_max, r=3):
     coset actions, tree test, invertible non-permutation intertwiner, and
     the first subset kept per pair of canonical keys.
     """
-    if n_max > OKADA_SHUDO_NMAX:
-        raise BoundExceeded(f"n_max {n_max} exceeds census bound {OKADA_SHUDO_NMAX}")
     G = t.G
     table_h = left_cosets(G, t.H)
     table_k = left_cosets(G, t.K)

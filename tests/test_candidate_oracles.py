@@ -23,7 +23,6 @@ from isodrum.catalog import psl_triple
 from isodrum.constructions import (ConstructionData, _direct_power_group, diagonal_subgroup,
                                    type1, type2, type3)
 from isodrum.groups import PermGroup, _row_keys, conjugacy_classes, left_cosets
-from isodrum.limits import enumeration_bound
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (_conjugation_closure, _involution_roots, _rows,
                                 _tree_candidates, involutions_of)
@@ -79,7 +78,7 @@ def assert_closure_matches(t, r=3):
     gens = [_rows([g.images for g in G.generators], G.degree)]
     gens += [_rows([a.images for a in table.generator_actions], n) for table in tables]
     seeds = [every] + [action_rows(table, [Permutation(x) for x in every]) for table in tables]
-    old = _conjugation_closure(seeds, gens, enumeration_bound())[0]
+    old = _conjugation_closure(seeds, gens)[0]
     if (r - 1) * fixed_max(found[-1]) >= (r - 2) * n + 2:
         old = _rows([p.images for p in involutions_of(G)], G.degree)
     assert sorted(_row_keys(rows)) == sorted(_row_keys(old))

@@ -16,7 +16,7 @@ from isodrum.constructions import (
     type3,
     _direct_power_group,
 )
-from isodrum.groups import PermGroup, is_subgroup, same_group
+from isodrum.groups import PermGroup, is_subgroup, normal_closure, same_group
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.triples import Triple, check_ff, check_max, compress, is_ac, is_ec
 
@@ -108,6 +108,13 @@ def test_direct_power_a5(a5_triple):
     assert t.H.order == 4 and t.K.order == 16
     assert is_ec(t) and check_ff(t)
     assert not check_max(t)
+
+
+def test_direct_power_lists_no_elements(a5_triple, monkeypatch):
+    # G^k is built from generators: an enumeration bound below |G^2| = 3600
+    # does not stop it
+    monkeypatch.setenv("GF_BOUND", "100")
+    assert direct_power(a5_triple, 2).G.order == 3600
 
 
 def test_direct_power_psl(psl32_small):
@@ -279,21 +286,42 @@ def test_type3_block_system_required(a5_group):
         type3(data)
 
 
-@pytest.mark.slow
-def test_type3_flagship(a5_group):
+def flagship_type3(a5_group):
+    """The type-3 wreath of the A5 x A5 diagonal triple under a D8 top."""
     G2 = _direct_power_group(a5_group, 2)
     diag = diagonal_subgroup(a5_group, 2)
     base = Triple(G2, diag, diag)
     T = PermGroup(4, [parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4),
                       parse_cycles("(0 2)(1 3)", 4)])
     assert T.order == 8
-    t = type3(ConstructionData(variant=3, base_triple=base, T=T, l=2, k=2))
+    return type3(ConstructionData(variant=3, base_triple=base, T=T, l=2, k=2))
+
+
+@pytest.mark.slow
+def test_type3_flagship(a5_group):
+    t = flagship_type3(a5_group)
     assert t.G.order == 60**4 * 8
     assert t.H.order == 60**2 * 8  # |S|^l * |T|
     assert t.G.degree == 20
     assert is_ec(t)
     assert check_ff(t)
     assert check_max(t)
+
+
+def test_type3_derived_series_at_default_bound(a5_group, monkeypatch):
+    # normal closures list no elements, so chains of order 10^8 pass the
+    # default enumeration bound of 10^6: |G'| = 2 * 60^4 and G'' = A5^4
+    monkeypatch.delenv("GF_BOUND", raising=False)
+    G = flagship_type3(a5_group).G
+    orders = [G.order]
+    while True:
+        D = normal_closure(G, [a.inverse() * b.inverse() * a * b
+                               for a in G.generators for b in G.generators])
+        if D.order == G.order:
+            break
+        G = D
+        orders.append(G.order)
+    assert orders == [103_680_000, 25_920_000, 12_960_000]
 
 
 def test_ec_witness_n1_definition(psl32_small):

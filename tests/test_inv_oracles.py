@@ -152,7 +152,7 @@ def test_psl34_has_no_witness():
     assert assert_same_witnesses(psl_triple(3, 4)) == []
 
 
-def test_closure_is_the_involutions_with_a_fixed_coset():
+def test_closure_is_the_involutions_with_a_fixed_coset(monkeypatch):
     # psl(3,2) on its 7 point cosets: the 21 involutions all fix 3 points
     t = psl_triple(3, 2)
     table = left_cosets(t.G, t.H)
@@ -160,9 +160,12 @@ def test_closure_is_the_involutions_with_a_fixed_coset():
     seeds = [table.actions_of(stab), np.array([p.images for p in stab])]
     gens = [np.array([a.images for a in table.generator_actions]),
             np.array([g.images for g in t.G.generators])]
-    acts, rows = _conjugation_closure(seeds, gens, 21)
+    monkeypatch.setenv("GF_BOUND", "21")
+    acts, rows = _conjugation_closure(seeds, gens)
+    monkeypatch.setenv("GF_BOUND", "20")
     with pytest.raises(BoundExceeded, match="closure exceeds bound 20"):
-        _conjugation_closure(seeds, gens, 20)
+        _conjugation_closure(seeds, gens)
+    monkeypatch.delenv("GF_BOUND")
     every = involutions_of(t.G)
     assert len(rows) == len(every) == 21
     assert sorted(Permutation(r).key() for r in rows) == sorted(p.key() for p in every)

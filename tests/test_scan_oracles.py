@@ -22,7 +22,6 @@ from bruteforce import brute_scan, mulclose
 from isodrum import transplant
 from isodrum.catalog import psl_triple
 from isodrum.groups import CosetTable, PermGroup, is_transitive_on, left_cosets
-from isodrum.limits import OKADA_SHUDO_NMAX
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
     _conjugation_maps,
@@ -207,7 +206,7 @@ def spied_census():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(PermGroup, "element_rows", rows_spy)
             mp.setattr(CosetTable, "actions_of", actions_spy)
-            pairs = okada_shudo_scan(t, OKADA_SHUDO_NMAX, 3)
+            pairs = okada_shudo_scan(t, 15, 3)  # psl(4,2) has the most tiles
         return t, pairs, listed, batches
     cache = {}
 

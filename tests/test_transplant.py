@@ -3,9 +3,9 @@ import random
 
 import pytest
 
+from isodrum.catalog import psl_triple
 from isodrum.errors import BoundExceeded, SpecFormatError
 from isodrum.groups import PermGroup, left_cosets
-from isodrum.limits import OKADA_SHUDO_NMAX
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
     InvolutionSystem,
@@ -48,8 +48,6 @@ def gww_pair(psl32_module):
 
 @pytest.fixture(scope="module")
 def psl32_module():
-    from isodrum.catalog import psl_triple
-
     return psl_triple(3, 2)
 
 
@@ -278,12 +276,18 @@ def test_okada_shudo_cyclic_empty():
     assert okada_shudo_scan(t, 3, 3) == []
 
 
-def test_okada_shudo_bound():
+def test_okada_shudo_nmax_guards_the_index():
     S3 = PermGroup(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
     triv = PermGroup(3, [])
     t = Triple(S3, triv, triv)
-    with pytest.raises(BoundExceeded):
-        okada_shudo_scan(t, OKADA_SHUDO_NMAX + 1, 3)
+    with pytest.raises(BoundExceeded, match="index 6 exceeds n_max 5"):
+        okada_shudo_scan(t, 5, 3)
+
+
+def test_okada_shudo_runs_beyond_fifteen_tiles():
+    # psl(3,4) on its 21 points: no tile cap stops the census, and the
+    # fixed-point certificate decides it
+    assert okada_shudo_scan(psl_triple(3, 4), 21, 3) == []
 
 
 def test_ac_iff_invertible_intertwiner_from_generators(psl32_module, a4_triple_local=None):

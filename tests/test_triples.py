@@ -213,6 +213,20 @@ def test_ff_max_ignore_enumeration_bound(monkeypatch):
     assert is_ac(t)  # AC counts double cosets, enumerating nothing
 
 
+def test_report_witnesses_are_text_only(psl32):
+    # FF fails on the kernel extension and MAX on the direct power; their
+    # witnesses are sentences, with no group object printed beside them
+    from isodrum.constructions import add_kernel, direct_power
+
+    C2 = PermGroup(2, [parse_cycles("(0 1)", 2)])
+    for t in (add_kernel(psl32, C2), direct_power(psl32, 2)):
+        report = property_report(t, props=())
+        assert not (report.ff and report.max)
+        text = "\n".join(report.lines()) + repr(report.to_json_dict())
+        assert "PermGroup(" not in text
+        assert set(report.witnesses) <= {"ac", "ec", "ff", "max"}
+
+
 def t_strictly_between(G, H, M):
     from isodrum.groups import is_subgroup
 
