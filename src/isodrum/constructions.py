@@ -1,5 +1,12 @@
 """Generative procedures: kernels, direct powers and wreath-product triples.
 
+Every wreath triple is generated from block 0 and the top group T: G from
+S's generators on block 0 and T's generators, H and K from the subgroup's
+generators on block 0 (type 3: on the first block of T's block system) and
+T's.  T is transitive, so conjugating block 0's copy by T reaches every
+block, and these generate the groups a copy on every block would; each
+constructor checks the orders the wreath theorem gives before returning.
+
 Wreath elements are pairs (base vector, top) multiplied by
 ``(a, b) * (a', b') = ((a_w * a'_{b(w)})_w, b * b')``; with left-first
 permutation products this is the associative twisted law, and the
@@ -76,7 +83,15 @@ class WreathElement:
 
 
 class WreathGroup:
-    """S wr T realized on n*deg(S) points."""
+    """S wr T realized on n*deg(S) points.
+
+    The realized group is generated by S's generators on block 0 and T's
+    generators permuting the blocks.  T is transitive, so the conjugates of
+    block 0's copy of S under T are the copies on every block, and their
+    normal closure is the whole base group S^n (Dixon-Mortimer, Permutation
+    Groups, GTM 163, ch. 2): the order is |S|^n * |T|, as with S's generators
+    repeated on every block.
+    """
 
     def __init__(self, base_group: PermGroup, top_group: PermGroup):
         if not top_group.is_transitive():
@@ -84,17 +99,15 @@ class WreathGroup:
         self.base_group = base_group
         self.top_group = top_group
         self.n = top_group.degree
-        gens = []
-        for i in range(self.n):
-            for s in base_group.generators:
-                gens.append(self.embed_base(i, s))
-        for t in top_group.generators:
-            gens.append(self.embed_top(t))
-        self.realized = PermGroup(self.n * base_group.degree, gens)
+        self.top_generators = [self.embed_top(t) for t in top_group.generators]
+        self.realized = self.with_top(base_group.generators)
 
-    def embed_base(self, i: int, s: Permutation) -> Permutation:
-        d = self.base_group.degree
-        return _shift_degree(s, i * d, self.n * d)
+    def with_top(self, generators) -> PermGroup:
+        """The subgroup generated by ``generators``, placed on the first
+        points, and the top generators."""
+        total = self.n * self.base_group.degree
+        return PermGroup(total, [_shift_degree(g, 0, total) for g in generators]
+                         + self.top_generators)
 
     def embed_top(self, t: Permutation) -> Permutation:
         d = self.base_group.degree
@@ -154,6 +167,27 @@ def add_kernel(t: Triple, kext: PermGroup) -> Triple:
     return Triple(G, H, K, label=f"{t.label or 'triple'} + kernel({kext.order})")
 
 
+def _sides(base: Triple) -> tuple:
+    """(H, K), or (H,) when K is H: a repeated subgroup is built and checked once."""
+    return (base.H,) if base.K is base.H else (base.H, base.K)
+
+
+def _lift_subgroups(W: WreathGroup, base: Triple):
+    """(H, K) of a wreath triple: each base subgroup's generators on the first
+    points with the top generators."""
+    lifted = [W.with_top(sub.generators) for sub in _sides(base)]
+    return lifted[0], lifted[-1]
+
+
+def _require_orders(t: Triple, g: int, h: int, k: int) -> Triple:
+    """``t`` once |G|, |H| and |K| are the orders the wreath theorem gives;
+    ValueError otherwise."""
+    for name, group, want in (("G", t.G, g), ("H", t.H, h), ("K", t.K, k)):
+        if group.order != want:
+            raise ValueError(f"constructed {name} has order {group.order}, expected {want}")
+    return t
+
+
 def _require_ec_ff(base: Triple):
     """Raise unless the base triple is EC and FF, the hypotheses of direct
     powers and of types 1 and 3."""
@@ -190,15 +224,11 @@ def type1(data: ConstructionData) -> Triple:
     if data.n == 1 and T.order == 1:
         return base
     W = WreathGroup(base.G, T)
-    total = W.realized.degree
-    d = base.G.degree
-    top_gens = [W.embed_top(tg) for tg in T.generators]
-    H = PermGroup(total, [_shift_degree(h, i * d, total)
-                          for i in range(data.n) for h in base.H.generators] + top_gens)
-    K = PermGroup(total, [_shift_degree(k, i * d, total)
-                          for i in range(data.n) for k in base.K.generators] + top_gens)
-    return Triple(W.realized, H, K,
-                  label=f"type1({base.label or 'base'}, n={data.n}, |T|={T.order})")
+    H, K = _lift_subgroups(W, base)
+    t = Triple(W.realized, H, K,
+               label=f"type1({base.label or 'base'}, n={data.n}, |T|={T.order})")
+    return _require_orders(t, W.expected_order(), base.H.order ** data.n * T.order,
+                           base.K.order ** data.n * T.order)
 
 
 def _block_restriction(G: PermGroup, block: int, block_size: int):
@@ -238,7 +268,7 @@ def _simple_factor(base: Triple, copies: int) -> PermGroup:
         raise ValueError("base group is not the direct power of its first block")
     if not is_simple(S):
         raise ValueError("base factor is not simple")
-    if not (_is_diagonal_subgroup(base.H, S, copies) and _is_diagonal_subgroup(base.K, S, copies)):
+    if not all(_is_diagonal_subgroup(sub, S, copies) for sub in _sides(base)):
         raise ValueError("subgroups are not diagonal copies of the factor")
     return S
 
@@ -254,7 +284,7 @@ def type2(data: ConstructionData) -> Triple:
 
     The base EC status is computed by the caller's checkers on the result;
     this constructor enforces the structural conditions only (simple factor,
-    diagonals, T-stability).
+    diagonals, T-stability) and the orders of the result.
     """
     if data.variant != 2:
         raise ValueError("construction data is not for type 2")
@@ -268,20 +298,22 @@ def type2(data: ConstructionData) -> Triple:
         raise ValueError("base group degree is not divisible by n")
     S = _simple_factor(base, n)
     W = WreathGroup(S, T)
-    top_gens = [W.embed_top(tg) for tg in T.generators]
-    if not (_normalizes(top_gens, base.H) and _normalizes(top_gens, base.K)):
+    if not all(_normalizes(W.top_generators, sub) for sub in _sides(base)):
         raise ValueError("top group does not stabilize the diagonal subgroups")
-    H = PermGroup(W.realized.degree, list(base.H.generators) + top_gens)
-    K = PermGroup(W.realized.degree, list(base.K.generators) + top_gens)
-    return Triple(W.realized, H, K,
-                  label=f"type2(|S|={S.order}, n={n}, |T|={T.order})")
+    H, K = _lift_subgroups(W, base)
+    t = Triple(W.realized, H, K, label=f"type2(|S|={S.order}, n={n}, |T|={T.order})")
+    return _require_orders(t, W.expected_order(), base.H.order * T.order,
+                           base.K.order * T.order)
 
 
 def type3(data: ConstructionData) -> Triple:
     """(S wr T, L^l : T, L'^l : T) for T with blocks of size k.
 
     Blocks are the consecutive runs {0..k-1}, {k..2k-1}, ...; the base triple
-    lives on S^k and its diagonal subgroups are copied into each block.
+    lives on S^k, and H and K are generated by its diagonal subgroups on the
+    first block and T.  They are L^l : T and L'^l : T, with the same diagonal
+    on every block, only when T carries each diagonal to itself from block
+    to block; otherwise ValueError.
     """
     if data.variant != 3:
         raise ValueError("construction data is not for type 3")
@@ -304,16 +336,19 @@ def type3(data: ConstructionData) -> Triple:
     ident = tuple(Permutation.identity(S.degree) for _ in range(k))
     block_stab = [WreathElement(ident, Permutation(t.images[:k])).realize() for t in T.elements()
                   if frozenset(t.images[:k].tolist()) == blocks[0]]
-    if not (_normalizes(block_stab, base.H) and _normalizes(block_stab, base.K)):
+    if not all(_normalizes(block_stab, sub) for sub in _sides(base)):
         raise ValueError("block stabilizer does not stabilize the diagonals")
+    H, K = _lift_subgroups(W, base)
+    # the block stabilizer keeps block 0's diagonal, but T may still map it
+    # to a twisted diagonal on another block: then H is not L^l : T
     seg = base.G.degree
-    top_gens = [W.embed_top(tg) for tg in T.generators]
-    h_gens = [_shift_degree(g, j * seg, total) for j in range(l) for g in base.H.generators]
-    k_gens = [_shift_degree(g, j * seg, total) for j in range(l) for g in base.K.generators]
-    H = PermGroup(total, h_gens + top_gens)
-    K = PermGroup(total, k_gens + top_gens)
-    return Triple(W.realized, H, K,
-                  label=f"type3(|S|={S.order}, l={l}, k={k}, |T|={T.order})")
+    for sub, lifted in zip(_sides(base), (H, K)):
+        if not all(_shift_degree(g, j * seg, total) in lifted
+                   for j in range(1, l) for g in sub.generators):
+            raise ValueError("top group twists the diagonals between blocks")
+    t = Triple(W.realized, H, K, label=f"type3(|S|={S.order}, l={l}, k={k}, |T|={T.order})")
+    return _require_orders(t, W.expected_order(), base.H.order ** l * T.order,
+                           base.K.order ** l * T.order)
 
 
 def diagonal_subgroup(S: PermGroup, n: int, gen_images=None) -> PermGroup:

@@ -406,7 +406,7 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
 
 
 def same_group(A: PermGroup, B: PermGroup) -> bool:
-    return is_subgroup(A, B) and A.order == B.order
+    return A is B or (is_subgroup(A, B) and A.order == B.order)
 
 
 @dataclass

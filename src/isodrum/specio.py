@@ -2,7 +2,8 @@
 
 A group spec is a record of ``degree:`` and ``generators:`` lines; cycles in
 files are 1-based and juxtaposed cycles compose left to right.  A triple
-spec adds ``H:`` and ``K:`` generator lists, an optional ``label:``, an
+spec adds ``H:`` and ``K:`` generator lists (a ``K:`` line with the ``H:``
+line's text parses to H itself), an optional ``label:``, an
 optional ``pair:`` list of automorphism generator images, and an optional
 ``construct:`` stanza describing a wreath construction over the triple.
 Emission is canonical, so emitted files parse back byte-identically.
@@ -135,7 +136,8 @@ def parse_triple_spec(text: str):
         if need not in seen:
             raise SpecFormatError(f"missing {need}:")
     H = PermGroup(G.degree, _perm_list(seen["H"], G.degree))
-    K = PermGroup(G.degree, _perm_list(seen["K"], G.degree))
+    # a K: line with H:'s text is H itself, so one chain and one coset table serve both
+    K = H if seen["K"] == seen["H"] else PermGroup(G.degree, _perm_list(seen["K"], G.degree))
     try:
         triple = Triple(G, H, K, label=seen.get("label", ""))
     except ValueError as exc:

@@ -19,6 +19,8 @@ lattice coordinates into the plane to compare with it.  ``brute_laplacian``
 assembles the Dirichlet Laplacian node by node on the nearest neighbors
 that ``brute_neighbors`` finds by search.  ``brute_is_tree`` searches the
 gluing graph instead of using the fixed-point identity.
+``all_blocks_group`` builds a wreath subgroup with a copy of its base
+generators on every block, where the constructions use block 0 alone.
 ``brute_inv_witnesses`` lists every involution of G as an INV candidate
 instead of deriving the candidates from H, runs the plain fixed-point subset
 search and tests each subset for transitivity; ``brute_class_first`` filters those witnesses by
@@ -237,6 +239,25 @@ def mulclose(gens, maxsize=None):
                         raise RuntimeError("closure exceeded maxsize")
         frontier = new
     return els
+
+
+def all_blocks_group(gens, top, block_degree):
+    """A wreath subgroup from its all-blocks generating set: each of ``gens``
+    repeated on every run of its own degree, and ``top`` permuting the runs
+    of ``block_degree`` points.  The library generates the same group from
+    block 0 and the top alone; this places every copy, with plain lists."""
+    total = top.degree * block_degree
+    out = []
+    for g in gens:
+        m = g.degree
+        for offset in range(0, total, m):
+            images = list(range(total))
+            images[offset:offset + m] = [offset + int(x) for x in g.images]
+            out.append(Permutation(images))
+    for t in top.generators:
+        out.append(Permutation([int(t.images[x // block_degree]) * block_degree
+                                + x % block_degree for x in range(total)]))
+    return PermGroup(total, out)
 
 
 class ReferenceLevel:

@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from isodrum.catalog import psl_triple
 from isodrum.groups import PermGroup
-from isodrum.permutations import parse_cycles
+from isodrum.permutations import Permutation, parse_cycles
 from isodrum.triples import Triple, compress
 
 
@@ -42,3 +42,22 @@ def a5_triple():
 @pytest.fixture(scope="session")
 def a5_group():
     return PermGroup(5, [parse_cycles("(0 1 2)", 5), parse_cycles("(0 1 2 3 4)", 5)])
+
+
+@pytest.fixture(scope="session")
+def twisted_type3(a5_group):
+    """Type-3 data whose top group twists a diagonal that is not symmetric.
+
+    L = {(s, phi(s), phi^2(s))} in A5^3 with phi conjugation by a 3-cycle;
+    T = <r, m> on the blocks {0,1,2}, {3,4,5}.  r rotates block 0, which
+    keeps L, but m swaps coordinates 1 and 2 on its way to block 1, so block
+    0's diagonal lands there as {(s, phi^2(s), phi(s))}, not L.
+    """
+    from isodrum.constructions import ConstructionData, _direct_power_group, diagonal_subgroup
+
+    c = parse_cycles("(0 1 2)", 5)
+    L = diagonal_subgroup(a5_group, 3, [[g.conjugate_by(p) for g in a5_group.generators]
+                                        for p in (Permutation.identity(5), c, c * c)])
+    T = PermGroup(6, [parse_cycles("(0 1 2)(3 4 5)", 6), parse_cycles("(0 3)(1 5)(2 4)", 6)])
+    return ConstructionData(variant=3, base_triple=Triple(_direct_power_group(a5_group, 3), L, L),
+                            T=T, l=2, k=3)

@@ -15,7 +15,6 @@ from isodrum.catalog import duality_automorphism, psl_triple
 from isodrum.constructions import (
     ConstructionData,
     WreathElement,
-    WreathGroup,
     add_kernel,
     diagonal_subgroup,
     direct_power,
@@ -52,7 +51,7 @@ from isodrum.triples import (
     is_ec,
 )
 
-from bruteforce import brute_is_ac, brute_is_ec, random_element
+from bruteforce import all_blocks_group, brute_is_ac, brute_is_ec, random_element
 
 
 def _report(num, ok, elapsed, budget, detail=""):
@@ -252,12 +251,7 @@ def test_criterion_9_ec_witness_randomized(flagship_small):
         lw = WreathElement(tuple(ls), Permutation.identity(n)).realize()
         aw = WreathElement(tuple(avec), gamma).realize()
         conj = lw.inverse() * aw * lw
-        Wg = WreathGroup(base.G, PermGroup(n, [gamma]))
-        Hwr = PermGroup(
-            Wg.realized.degree,
-            [Wg.embed_base(i, h) for i in range(n) for h in base.H.generators]
-            + [Wg.embed_top(gamma)],
-        )
+        Hwr = all_blocks_group(base.H.generators, PermGroup(n, [gamma]), base.G.degree)
         if conj not in Hwr:
             ok = False
         checked += 1

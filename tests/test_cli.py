@@ -310,6 +310,41 @@ def test_construct_type2_and_type3_via_files(tmp_path, capsys, a5_group):
     assert built3.G.order == 60**4 * 8 and built3.H.order == 60**2 * 8
 
 
+def test_verify_repeated_subgroup_lines(tmp_path, capsys, a5_group):
+    # K: parsed as H itself, or as an equal group in other words, gives one report
+    from isodrum.constructions import diagonal_subgroup, _direct_power_group
+    from isodrum.triples import Triple
+
+    diag = diagonal_subgroup(a5_group, 2)
+    text = format_triple_spec(Triple(_direct_power_group(a5_group, 2), diag, diag, label="a5sq"))
+    k_line = next(line for line in text.splitlines() if line.startswith("K: "))
+    gens = k_line[len("K: ["):-1].split(", ")
+    reordered = text.replace(k_line, "K: [" + ", ".join(reversed(gens)) + "]")
+    assert reordered != text
+    reports = []
+    for name, body in (("same.spec", text), ("reordered.spec", reordered)):
+        (tmp_path / name).write_text(body)
+        rc = main(["verify", str(tmp_path / name), "--json"])
+        reports.append((rc, capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][1])["ec"] is True
+
+
+def test_construct_refuses_a_twisted_type3(tmp_path, capsys, twisted_type3):
+    # the top group carries block 0's diagonal to a different diagonal on
+    # block 1, so the subgroup it generates is not L^2 : T
+    spec = tmp_path / "twisted.spec"
+    spec.write_text(format_triple_spec(twisted_type3.base_triple))
+    out = tmp_path / "w.spec"
+    rc = main(["construct", "--spec", str(spec), "--type", "3", "--l", "2", "--k", "3",
+               "--top-degree", "6", "--top-gens", "[(1 2 3)(4 5 6), (1 4)(2 6)(3 5)]",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "construct: top group twists the diagonals between blocks\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_construct_type2_on_compressed_base_is_invalid_input(tmp_path, capsys, a5_group):
     # compressing (A5 x A5, diag, diag) leaves the 60 cosets of the diagonal,
     # which carry no block system of 5-point blocks for type 2 to restrict to

@@ -20,7 +20,7 @@ from isodrum.groups import PermGroup, is_subgroup, normal_closure, same_group
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.triples import Triple, check_ff, check_max, compress, is_ac, is_ec
 
-from bruteforce import brute_is_ec, is_conjugate, mulclose, random_element
+from bruteforce import all_blocks_group, brute_is_ec, is_conjugate, mulclose, random_element
 
 
 def rand_perm(rng, n):
@@ -350,12 +350,7 @@ def test_ec_witness_realized_conjugation(psl32_small):
     rng = random.Random(7)
     n = 3
     gamma = parse_cycles("(0 1 2)", n)
-    W = WreathGroup(psl32_small.G, PermGroup(n, [gamma]))
-    Hwr = PermGroup(
-        W.realized.degree,
-        [W.embed_base(i, h) for i in range(n) for h in psl32_small.H.generators]
-        + [W.embed_top(gamma)],
-    )
+    Hwr = all_blocks_group(psl32_small.H.generators, PermGroup(n, [gamma]), psl32_small.G.degree)
     for _ in range(10):
         avec = [random_element(psl32_small.K, rng) for _ in range(n)]
         ls = ec_witness(psl32_small, gamma, avec)
@@ -378,3 +373,73 @@ def test_diagonal_subgroup_size(a5_group):
     d = diagonal_subgroup(a5_group, 3)
     assert d.order == 60
     assert d.degree == 15
+
+
+def _c(cycles, degree):
+    return PermGroup(degree, [parse_cycles(c, degree) for c in cycles])
+
+
+def _wreath_case(case, a5_group, psl32_small):
+    """(constructed triple, base triple, S, T, block degree) for one case."""
+    twist = parse_cycles("(0 1)", 5)
+    diag = diagonal_subgroup(a5_group, 2)
+    a5sq = Triple(_direct_power_group(a5_group, 2), diag, diag)
+    if case.startswith("type1"):
+        T = {"C2": _c(["(0 1)"], 2), "C3": _c(["(0 1 2)"], 3),
+             "S3": _c(["(0 1 2)", "(0 1)"], 3)}[case.split()[1]]
+        data = ConstructionData(variant=1, base_triple=psl32_small, T=T, n=T.degree)
+        return type1(data), psl32_small, psl32_small.G, T, 7
+    if case.startswith("type2"):
+        base = a5sq
+        if case == "type2 twisted":
+            base = Triple(a5sq.G, diag, diagonal_subgroup(
+                a5_group, 2, [list(a5_group.generators),
+                              [g.conjugate_by(twist) for g in a5_group.generators]]))
+        data = ConstructionData(variant=2, base_triple=base, T=S2(), n=2)
+        return type2(data), base, a5_group, S2(), 5
+    T = {"D4": _c(["(0 1)", "(2 3)", "(0 2)(1 3)"], 4), "C4": _c(["(0 2 1 3)"], 4)}[case.split()[1]]
+    return type3(ConstructionData(variant=3, base_triple=a5sq, T=T, l=2, k=2)), a5sq, a5_group, T, 5
+
+
+@pytest.mark.parametrize("case", ["type1 C2", "type1 C3", "type1 S3", "type2 plain",
+                                  "type2 twisted", "type3 D4", "type3 C4"])
+def test_block_zero_generates_the_all_blocks_groups(case, a5_group, psl32_small):
+    t, base, S, T, d = _wreath_case(case, a5_group, psl32_small)
+    assert same_group(t.G, all_blocks_group(S.generators, T, d))
+    assert same_group(t.H, all_blocks_group(base.H.generators, T, d))
+    assert same_group(t.K, all_blocks_group(base.K.generators, T, d))
+    ngens = len(T.generators)
+    assert len(t.G.generators) == len(S.generators) + ngens
+    assert len(t.H.generators) == len(base.H.generators) + ngens
+    assert len(t.K.generators) == len(base.K.generators) + ngens
+    # negative control: block 0 without the top generators is one copy of S
+    assert PermGroup(t.G.degree, t.G.generators[:-ngens]).order < t.G.order
+
+
+def test_repeated_base_subgroup_is_built_once(a5_group):
+    diag = diagonal_subgroup(a5_group, 2)
+    base = Triple(_direct_power_group(a5_group, 2), diag, diag)
+    t2 = type2(ConstructionData(variant=2, base_triple=base, T=S2(), n=2))
+    t3 = flagship_type3(a5_group)
+    assert t2.K is t2.H and t3.K is t3.H
+    # an equal subgroup that is another object is lifted on its own
+    apart = Triple(base.G, diag, diagonal_subgroup(a5_group, 2))
+    t = type2(ConstructionData(variant=2, base_triple=apart, T=S2(), n=2))
+    assert t.K is not t.H and same_group(t.K, t.H)
+
+
+def test_type3_refuses_a_top_group_that_twists_the_diagonals(twisted_type3):
+    with pytest.raises(ValueError, match="^top group twists the diagonals between blocks$"):
+        type3(twisted_type3)
+    # the all-blocks generating set is no L^2 : T either: it is larger
+    T = twisted_type3.T
+    assert all_blocks_group(twisted_type3.base_triple.H.generators, T, 5).order > 60**2 * T.order
+
+
+def test_order_check_refuses_a_wrong_order(psl32_small):
+    from isodrum.constructions import _require_orders
+
+    t = psl32_small
+    assert _require_orders(t, 168, 24, 24) is t
+    with pytest.raises(ValueError, match="^constructed K has order 24, expected 48$"):
+        _require_orders(t, 168, 24, 48)

@@ -349,6 +349,13 @@ def test_is_subgroup():
     assert not is_subgroup(S(4), A4())
 
 
+def test_same_group_on_one_object_builds_no_chain():
+    G = S(5)
+    assert same_group(G, G)
+    assert G._chain is None
+    assert same_group(A4(), A4()) and not same_group(A4(), S(4))
+
+
 def test_elements_bound(monkeypatch):
     monkeypatch.setenv("GF_BOUND", "100")
     with pytest.raises(BoundExceeded):

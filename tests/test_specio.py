@@ -116,3 +116,15 @@ def test_stanza_errors(psl32_small):
 def test_unknown_key_rejected():
     with pytest.raises(SpecFormatError):
         parse_triple_spec("degree: 3\ngenerators: [(1 2 3)]\nH: []\nK: []\nbogus: 1\n")
+
+
+def test_repeated_subgroup_line_is_one_group():
+    text = ("degree: 4\ngenerators: [(1 2), (1 2 3 4)]\n"
+            "H: [(1 2 3), (1 2)]\nK: [(1 2 3), (1 2)]\n")
+    t, _, _ = parse_triple_spec(text)
+    assert t.K is t.H
+    # the same group in other words is parsed on its own
+    t, _, _ = parse_triple_spec(text.replace("K: [(1 2 3), (1 2)]", "K: [(1 2), (1 2 3)]"))
+    assert t.K is not t.H and same_group(t.K, t.H)
+    t, _, _ = parse_triple_spec(text.replace("K: [(1 2 3), (1 2)]", "K: [(1 2)]"))
+    assert t.K is not t.H and not same_group(t.K, t.H)
