@@ -114,9 +114,6 @@ class WreathGroup:
         vec = tuple(Permutation.identity(d) for _ in range(self.n))
         return WreathElement(vec, t).realize()
 
-    def element(self, base, top) -> Permutation:
-        return WreathElement(tuple(base), top).realize()
-
     def expected_order(self) -> int:
         return self.base_group.order ** self.n * self.top_group.order
 

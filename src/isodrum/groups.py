@@ -12,6 +12,12 @@ and an identity test by bytes; coset canonicalization (``_canonical_rows``)
 is one flat gather per level of H's chain (``_take_rows``).  Only rows
 that are handed out, such as strong generators, are wrapped.
 
+Schreier-Sims is the textbook SCHREIERSIMS (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, section 4.4.2; Seress,
+Permutation Group Algorithms, 2003, section 4.2): the residue of a Schreier
+generator of level i joins levels i+1..j only, since it already lies in the
+group of every level up to i, and Schreier-tree edges are skipped unformed.
+
 A Schreier-Sims run may stop once its order reaches a proven upper bound
 (Seress, Permutation Group Algorithms, 2003, section 4.5); the chain is the
 same.  Only a group known to be a subgroup or quotient of a group of known
@@ -128,6 +134,17 @@ class _Chain:
     ``p * q`` is ``q[p]``), and a row is tested for the identity by its
     bytes; only a residue that becomes a strong generator is wrapped as a
     ``Permutation``.
+
+    Level l's group is the one its strong generators generate.  A generator
+    added from outside (``add_generator``) joins every level its residue
+    fixes the base points of, since it may be new to the group.  A residue
+    found by ``complete`` at level i joins only the levels after i, as in
+    Holt's SCHREIERSIMS (Handbook of Computational Group Theory, 2005,
+    section 4.4.2): it is a product of elements of level i's group, so it
+    already lies in the group of every level up to i, and adding it there
+    would change no orbit, only queue Schreier generators that sift to the
+    identity.  The strong-generator lists are therefore not nested, but
+    each level's group still contains the next one's.
     """
 
     def __init__(self, degree: int):
@@ -177,13 +194,14 @@ class _Chain:
         self._install(j, residue)
         return True
 
-    def _install(self, j: int, r: Permutation):
+    def _install(self, j: int, r: Permutation, start: int = 0):
         # the residue fixes base points 0..j-1, so it is a strong generator
-        # for every level up to j (lists are nested by construction)
+        # for every level up to j; it joins levels start..j, start > 0 only
+        # when r already lies in the group of each level before start
         if j == len(self.levels):
             pt = min(r.moved_points())
             self.levels.append(_Level(pt, self.degree))
-        for lvl in self.levels[: j + 1]:
+        for lvl in self.levels[start: j + 1]:
             lvl.add_gen(r)
 
     def complete(self, order_bound=None):
@@ -191,7 +209,12 @@ class _Chain:
 
         The Schreier generator of orbit point p and strong generator g at a
         level with base point b is u_p * g * u_q^-1, q = g(p) the image of b
-        under u_p * g; it is built and sifted as image rows.
+        under u_p * g; it is built and sifted as image rows.  It is the
+        identity when (p, g) is the Schreier-tree edge into q (then
+        u_p * g == u_q), and such pairs are skipped before any product.  A
+        residue of level i's Schreier generator that stops at level j joins
+        levels i+1..j only (see ``_Chain``; Seress, Permutation Group
+        Algorithms, 2003, section 4.2).
 
         ``order_bound``, when given, must be a proven upper bound on the
         order of the group generated (for instance |H| for a quotient of H,
@@ -217,13 +240,15 @@ class _Chain:
             if (p, gi) in lvl.processed:
                 continue
             lvl.processed.add((p, gi))
-            g = lvl.gens[gi].images
-            s = lvl.inv_row(lvl._gen_views[gi][p])[g[lvl.row(p)]]
+            q = lvl._gen_views[gi][p]
+            if lvl.sv[q] == (p, gi):  # a tree edge: u_p * g == u_q
+                continue
+            s = lvl.inv_row(q)[lvl.gens[gi].images[lvl.row(p)]]
             if s.tobytes() == identity:
                 continue
             j, residue = self._sift_row(s, i + 1)
             if residue is not None:
-                self._install(j, Permutation._wrap(residue))
+                self._install(j, Permutation._wrap(residue), i + 1)
                 if self.order() == order_bound:
                     return
 

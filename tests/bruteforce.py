@@ -7,7 +7,9 @@ tests membership), never touches stabilizer chains, so agreement with the
 library is a meaningful check.  ``ReferenceChain`` builds a chain, but
 with code of its own: the library's Schreier-Sims loop written on
 ``Permutation`` objects, which the library's row kernel must reproduce level
-for level.  ``triangles_overlap`` and ``walk_self_crosses`` decide overlap
+for level; ``brute_chain_faults`` checks any chain against the group's
+closure on plain tuples (``tuple_closure``), with no chain of its own.
+``triangles_overlap`` and ``walk_self_crosses`` decide overlap
 and crossing by exact pairwise geometry, without the tessellation argument
 the library's unfolding relies on; ``polygon_area`` and
 ``polygon_perimeter_sq_multiset`` measure a boundary by the shoelace
@@ -323,7 +325,8 @@ class ReferenceChain:
     """Deterministic incremental Schreier-Sims on Permutation objects.
 
     The same loop as ``groups._Chain`` (same pending order, same sifts, same
-    installs, same stop at a known order), one Permutation product at a time
+    installs: a residue of level i's Schreier generator on the levels after
+    i only, same stop at a known order), one Permutation product at a time
     and with the identity tested by moved points, so the library's row
     kernel must give the same base, Schreier vectors and strong generators.
     """
@@ -358,10 +361,10 @@ class ReferenceChain:
         self._install(j, residue)
         return True
 
-    def _install(self, j, r):
+    def _install(self, j, r, start=0):
         if j == len(self.levels):
             self.levels.append(ReferenceLevel(min(r.moved_points()), self.degree))
-        for lvl in self.levels[: j + 1]:
+        for lvl in self.levels[start: j + 1]:
             lvl.add_gen(r)
 
     def complete(self, bound=None):
@@ -384,7 +387,9 @@ class ReferenceChain:
                 continue
             j, residue = self.sift(s, i + 1)
             if residue is not None:
-                self._install(j, residue)
+                # the residue lies in level i's group, so only the levels
+                # after i gain it
+                self._install(j, residue, i + 1)
                 if self.order() == bound:
                     return
 
@@ -397,6 +402,47 @@ def reference_chain(degree, gens, bound=None):
         chain.add_generator(g)
     chain.complete(bound)
     return chain
+
+
+def tuple_closure(degree, gens):
+    """The group generated by ``gens``, as a set of image tuples, closed
+    under products one frontier at a time.
+
+    ``mulclose`` on plain tuples: fast enough for the 9! elements of S9.
+    """
+    rows = [tuple(int(x) for x in g.images) for g in gens]
+    elements = {tuple(range(degree))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [y for y in {tuple([g[a] for a in x]) for x in frontier for g in rows}
+                    if y not in elements]
+        elements.update(frontier)
+    return elements
+
+
+def brute_chain_faults(elements, chain):
+    """What makes ``chain`` no stabilizer chain of the group ``elements``
+    (``tuple_closure``), as a list of messages (empty for a valid chain).
+
+    Level i must have as orbit the orbit of its base point b_i under the
+    pointwise stabilizer of b_0..b_{i-1}, filtered from ``elements``, and
+    strong generators fixing b_0..b_{i-1}; the order must be
+    ``len(elements)``.
+    """
+    faults = []
+    if chain.order() != len(elements):
+        faults.append(f"order {chain.order()}, closure {len(elements)}")
+    stabilizer = list(elements)
+    base = chain.base()
+    for i, lvl in enumerate(chain.levels):
+        moved = [j for j, g in enumerate(lvl.gens) if any(g(b) != b for b in base[:i])]
+        if moved:
+            faults.append(f"level {i}: strong generators {moved} move an earlier base point")
+        b = lvl.point
+        if set(lvl.sv) != {x[b] for x in stabilizer}:
+            faults.append(f"level {i}: orbit {sorted(lvl.sv)} is not the stabilizer's")
+        stabilizer = [x for x in stabilizer if x[b] == b]
+    return faults
 
 
 def brute_canonical(H_elements, u, base):

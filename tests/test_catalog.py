@@ -9,6 +9,7 @@ from isodrum.catalog import (
     psl_triple,
     _Field,
 )
+from isodrum.groups import PermGroup
 from isodrum.triples import PairStatus, check_ff, check_max, check_pair, is_ac, is_ec
 
 from bruteforce import is_conjugate, random_element
@@ -52,6 +53,17 @@ def test_psl_orders_and_indices(n, q, index):
     assert t.G.order // t.H.order == index
     assert t.G.order // t.K.order == index
     assert t.G.degree == 2 * index
+
+
+@pytest.mark.parametrize("n,q", SUPPORTED)
+def test_chain_level_zero_has_at_most_the_given_generators(n, q):
+    # a residue of level i's Schreier generator joins only the levels after
+    # i, so level 0 keeps the generators that were added from outside
+    t = psl_triple(n, q)
+    for X in (t.G, t.H):
+        chain = PermGroup(X.degree, X.generators).chain()
+        assert chain.order() == X.order
+        assert len(chain.levels[0].gens) <= len(X.generators)
 
 
 def test_realization_preserves_incidence():

@@ -5,7 +5,9 @@ Each kernel is compared with an object-level or brute-force oracle from
 broken copy of the kernel that the same comparison must reject.
 
 * Schreier-Sims (``_Chain``) against ``ReferenceChain``, the same loop on
-  Permutation objects: base, Schreier vectors, strong generators, order.
+  Permutation objects: base, Schreier vectors, strong generators, order;
+  and against ``brute_chain_faults``, which checks order, basic orbits and
+  strong generators on the group's closure, with no chain.
 * Coset canonicalization (``_canonical_rows``) against the least member of
   each coset by base images, H enumerated; one case has degree >= 256 and
   more than 2**16 entries, so narrowing rows or offsets to int8 or int16
@@ -27,7 +29,8 @@ from isodrum.groups import PermGroup, _canonical_rows, _Chain, _group_of_order_a
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import involutions_of
 
-from bruteforce import brute_canonical, brute_involutions, mulclose, reference_chain
+from bruteforce import (brute_canonical, brute_chain_faults, brute_involutions, mulclose,
+                        reference_chain, tuple_closure)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -80,6 +83,37 @@ def test_row_chain_matches_object_chain(drawn):
     for bound in (full.order(), math.factorial(n)):
         got = _group_of_order_at_most(n, gens, bound).chain()
         assert signature(got) == signature(reference_chain(n, gens, bound)) == signature(full)
+
+
+@SETTINGS
+@given(generating_set())
+def test_chain_is_a_stabilizer_chain_of_the_closure(drawn):
+    n, gens = drawn
+    elements = tuple_closure(n, gens)
+    assert brute_chain_faults(elements, PermGroup(n, gens).chain()) == []
+    for bound in (len(elements), math.factorial(n)):
+        assert brute_chain_faults(elements, _group_of_order_at_most(n, gens, bound).chain()) == []
+
+
+def test_chain_oracle_rejects_a_dropped_install(monkeypatch):
+    # the first residue that ``complete`` finds skips the level just after
+    # its own, so that level's orbit stays short of the stabilizer's
+    n, gens = 4, [parse_cycles("(0 1 2)", 4), parse_cycles("(2 3)", 4)]
+    elements = tuple_closure(n, gens)
+    assert brute_chain_faults(elements, PermGroup(n, gens).chain()) == []
+    install = _Chain._install
+    dropped = []
+
+    def drop_one(chain, j, r, start=0):
+        if start and not dropped:
+            dropped.append(r)
+            start += 1
+        install(chain, j, r, start)
+
+    monkeypatch.setattr(_Chain, "_install", drop_one)
+    faults = brute_chain_faults(elements, PermGroup(n, gens).chain())
+    assert dropped and "order 16, closure 24" in faults
+    assert any(f.startswith("level 1: orbit") for f in faults)
 
 
 def test_public_sift_returns_permutations():
