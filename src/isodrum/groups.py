@@ -5,6 +5,12 @@ cosets, cores, maximality and normal closures.  Everything is deterministic:
 searches run in a fixed order and witnesses are the first found in that
 order.
 
+``_orbit_roots`` is the one routine for the orbits of a set of image rows:
+transitivity, conjugacy classes (orbits under conjugation), the suborbits
+of the block search, and elsewhere double-coset ranks and intertwiner
+cells.  Searches that build more than an orbit (Schreier trees, the
+stabilizer transversal, the coset search, the block closure) stay their own.
+
 The kernels work on raw int32 image rows, and ``Permutation`` objects stay
 at the API boundary.  Schreier-Sims (``_Chain``) builds and sifts Schreier
 generators as rows, with cached transversal and transversal-inverse rows
@@ -45,7 +51,7 @@ class _Level:
     """
 
     __slots__ = ("point", "gens", "_gen_views", "sv", "_rows", "_inv_rows", "_orbit_rows",
-                 "pending", "processed")
+                 "pending")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -56,8 +62,7 @@ class _Level:
         self._rows = {point: _arange(degree)}
         self._inv_rows = {point: self._rows[point]}
         self._orbit_rows = None
-        self.pending: deque = deque()
-        self.processed: set = set()
+        self.pending: deque = deque()  # (point, generator index), each pair queued once
 
     def add_gen(self, g: Permutation):
         self._orbit_rows = None
@@ -84,7 +89,7 @@ class _Level:
         for p in sv:
             self.pending.append((p, gi))
         for p in new_points:
-            for gj in range(len(self.gens)):
+            for gj in range(gi):
                 self.pending.append((p, gj))
 
     def row(self, p: int) -> np.ndarray:
@@ -237,9 +242,6 @@ class _Chain:
                 return
             lvl = self.levels[i]
             p, gi = lvl.pending.popleft()
-            if (p, gi) in lvl.processed:
-                continue
-            lvl.processed.add((p, gi))
             q = lvl._gen_views[gi][p]
             if lvl.sv[q] == (p, gi):  # a tree edge: u_p * g == u_q
                 continue
@@ -302,30 +304,6 @@ class PermGroup:
 
     def is_transitive(self) -> bool:
         return is_transitive_on(self.degree, [g.images for g in self.generators])
-
-    def orbit(self, x: int) -> frozenset:
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} out of range 0..{self.degree - 1}")
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            p = queue.popleft()
-            for g in self.generators:
-                q = int(g.images[p])
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return frozenset(seen)
-
-    def orbits(self):
-        left = set(range(self.degree))
-        out = []
-        while left:
-            x = min(left)
-            orb = self.orbit(x)
-            out.append(orb)
-            left -= orb
-        return out
 
     def stabilizer(self, x: int) -> "PermGroup":
         """Point stabilizer via Schreier generators, reduced by sifting."""
@@ -400,30 +378,33 @@ def _group_of_order_at_most(degree: int, generators, bound: int) -> PermGroup:
     return group
 
 
+def _orbit_roots(rows) -> np.ndarray:
+    """The least point of each point's orbit under the permutations given as
+    a (count, degree) array of image rows; a point is first in its orbit
+    exactly when it is its own root.
+
+    One depth-first search per orbit, from its least point, in increasing
+    order; no group or chain is built.
+    """
+    images = rows.T.tolist()  # images[p]: p's image under each row
+    roots = [-1] * rows.shape[1]
+    for x, root in enumerate(roots):
+        if root >= 0:
+            continue
+        roots[x] = x
+        stack = [x]
+        while stack:
+            for q in images[stack.pop()]:
+                if roots[q] < 0:
+                    roots[q] = x
+                    stack.append(q)
+    return np.array(roots, dtype=np.intp)
+
+
 def is_transitive_on(degree: int, rows) -> bool:
     """Whether permutations of 0..degree-1, given as image rows, generate a
-    transitive group.
-
-    One search from point 0 over the rows as lists; no group or chain is
-    built, so the test is cheap enough to run on every candidate of a
-    search.
-    """
-    if degree == 0:
-        return False
-    rows = np.asarray(rows).reshape(-1, degree).tolist()
-    seen = [False] * degree
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        p = stack.pop()
-        for row in rows:
-            q = row[p]
-            if not seen[q]:
-                seen[q] = True
-                count += 1
-                stack.append(q)
-    return count == degree
+    transitive group: every point has root 0 (``_orbit_roots``)."""
+    return degree > 0 and not _orbit_roots(_rows(rows, degree)).any()
 
 
 def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
@@ -457,16 +438,19 @@ class ConjugacyClasses:
 def conjugacy_classes(G: PermGroup) -> ConjugacyClasses:
     """Conjugacy classes by full enumeration; reps are lex-least members.
 
-    The element rows, sorted by key, are union-found under conjugation by
-    G's generators (``_class_roots``); classes are numbered by their roots.
+    The classes are the orbits (``_orbit_roots``) of the element rows,
+    sorted by key, under conjugation by G's generators, so each is rooted
+    at its lex-least member; classes are numbered by their roots.
     """
     rows = G.element_rows()
     ordered = rows[np.lexsort(rows.T[::-1])]
     maps = _conjugation_maps(ordered, _rows([g.images for g in G.generators], G.degree))
-    roots, class_of, sizes = np.unique(_class_roots(maps), return_inverse=True,
-                                       return_counts=True)
-    return ConjugacyClasses(G, [Permutation._wrap(ordered[i]) for i in roots], sizes.tolist(),
-                            dict(zip(_row_keys(ordered), class_of.ravel().tolist())),
+    roots = _orbit_roots(maps)
+    firsts = np.flatnonzero(roots == np.arange(len(roots)))
+    class_of = np.searchsorted(firsts, roots)
+    return ConjugacyClasses(G, [Permutation._wrap(ordered[i]) for i in firsts],
+                            np.bincount(class_of).tolist(),
+                            dict(zip(_row_keys(ordered), class_of.tolist())),
                             [Permutation._wrap(r) for r in rows])
 
 
@@ -642,7 +626,7 @@ def _row_keys(rows: np.ndarray) -> list:
 
 def _rows(images, degree):
     """Image rows as one (len(images), degree) int32 array, empty included."""
-    return np.array(images, dtype=np.int32).reshape(-1, degree)
+    return np.array(images, dtype=np.int32).reshape(len(images), degree)
 
 
 def _conjugation_maps(rows, generators):
@@ -656,27 +640,6 @@ def _conjugation_maps(rows, generators):
     index = {key: i for i, key in enumerate(_row_keys(rows))}
     return np.array([[index[key] for key in _row_keys(s[rows[:, np.argsort(s)]])]
                      for s in generators], dtype=np.intp).reshape(len(generators), len(rows))
-
-
-def _class_roots(maps):
-    """The root of each index's class, a class being an orbit of the
-    conjugation maps ``maps`` (``_conjugation_maps``): its smallest index,
-    by union-find.  For rows sorted by key the root is the lex-least member,
-    and an index is first in its class exactly when it is its own root.
-    """
-    parent = list(range(maps.shape[1]))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for images in maps.tolist():
-        for i, j in enumerate(images):
-            a, b = find(i), find(j)
-            parent[max(a, b)] = min(a, b)
-    return np.array([find(i) for i in range(len(parent))], dtype=np.intp)
 
 
 def left_cosets(G: PermGroup, H: PermGroup) -> CosetTable:
@@ -807,26 +770,13 @@ def _intermediate_block(table: CosetTable):
     Such blocks are exactly the subgroups strictly between H and G (the
     union of the block's cosets).  The finest block through 0 and beta
     (``_finest_block``) only depends on the H-orbit of beta, so the least
-    coset of each H-orbit (suborbit) seeds one closure, in increasing
-    order; the first proper block found is returned as a sorted list of
-    coset indices.
+    coset of each H-orbit (suborbit, ``_orbit_roots``) but {0} seeds one
+    closure, in increasing order; the first proper block found is returned
+    as a sorted list of coset indices.
     """
     m = len(table)
-    h_gens = [a.images.tolist() for a in table.subgroup_image().generators]
-    seen = [False] * m
-    seen[0] = True
-    for beta in range(1, m):
-        if seen[beta]:
-            continue
-        seen[beta] = True
-        stack = [beta]
-        while stack:
-            x = stack.pop()
-            for h in h_gens:
-                y = h[x]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
+    roots = _orbit_roots(_rows([a.images for a in table.subgroup_image().generators], m))
+    for beta in np.flatnonzero(roots == np.arange(m))[1:].tolist():
         block = _finest_block(table, beta)
         if block is not None:
             return block

@@ -4,9 +4,8 @@
 and the elements of the conjugation closure
 (``transplant._conjugation_closure``), the only two listings of group
 elements; everything that lists elements (conjugacy classes, the AC and EC
-witnesses, PAIR's inner-square search on H, the top group of a type-3
-construction, the candidates of INV and of the census) goes through one of
-them.  ``INDEX_BOUND`` caps the cosets of
+witnesses, PAIR's inner-square search on H, the candidates of INV and of
+the census) goes through one of them.  ``INDEX_BOUND`` caps the cosets of
 a coset table (``groups.left_cosets``), so it alone caps AC, FF and MAX.
 ``INV_SEARCH_BOUND`` caps the nodes of the forest search
 (``transplant._forest_search``) that INV and the census run: each

@@ -119,11 +119,15 @@ def parse_triple_spec(text: str):
         if key == "construct":
             if val:
                 raise SpecFormatError("construct: must begin a stanza, not hold a value")
+            if stanza is not None:
+                raise SpecFormatError("repeated construct: stanza")
             stanza = {}
             continue
         if stanza is not None:
             if key not in _STANZA_KEYS:
                 raise SpecFormatError(f"unknown construct key {key!r}")
+            if key in stanza:
+                raise SpecFormatError(f"repeated construct key {key!r}")
             stanza[key] = val
             continue
         if key not in _TRIPLE_KEYS:

@@ -4,6 +4,11 @@ An involution system records how copies of a base tile glue along colored
 sides: color mu carries a symmetric 0/1 permutation matrix whose off-diagonal
 ones are gluings and whose diagonal ones are boundary sides.  Everything in
 this module is exact; no floating point.
+
+Orbits come from ``groups._orbit_roots``: the transitivity of a system,
+the involution classes behind the candidates and the class-first rule, and
+the intertwiner basis, one 0/1 matrix per orbit of the cells (i, j) under
+(i, j) -> (b(i), a(j)), in the order of their least cells.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import numpy as np
 from .errors import BoundExceeded, SpecFormatError
 from .groups import (
     PermGroup,
-    _class_roots,
     _conjugation_maps,
     _group_of_order_at_most,
+    _orbit_roots,
     _row_keys,
     _rows,
     _take_rows,
@@ -140,36 +145,18 @@ def intertwiner_basis(mats_a, mats_b, n):
     """Basis of {T : T*A_mu == B_mu*T} for permutation maps.
 
     The constraint is T[i][j] == T[b(i)][a(j)] cellwise, so the space has one
-    0/1 indicator per orbit of the pair maps on cells.
+    0/1 indicator per orbit of the pair maps on cells.  Cell (i, j) is point
+    i * n + j, each color maps it to (b(i), a(j)), and the orbits
+    (``_orbit_roots``) come in the order of their least cell.
     """
     if len(mats_a) != len(mats_b):
         raise ValueError("color count mismatch")
-    orbit_of = [[-1] * n for _ in range(n)]
-    orbits = []
-    for i0 in range(n):
-        for j0 in range(n):
-            if orbit_of[i0][j0] >= 0:
-                continue
-            oid = len(orbits)
-            cells = [(i0, j0)]
-            orbit_of[i0][j0] = oid
-            queue = deque(cells)
-            while queue:
-                i, j = queue.popleft()
-                for a, b in zip(mats_a, mats_b):
-                    i2, j2 = int(b.images[i]), int(a.images[j])
-                    if orbit_of[i2][j2] < 0:
-                        orbit_of[i2][j2] = oid
-                        cells.append((i2, j2))
-                        queue.append((i2, j2))
-            orbits.append(cells)
-    basis = []
-    for cells in orbits:
-        m = [[0] * n for _ in range(n)]
-        for i, j in cells:
-            m[i][j] = 1
-        basis.append(tuple(tuple(row) for row in m))
-    return basis
+    cells = _rows([(b.images[:, None] * n + a.images).ravel() for a, b in zip(mats_a, mats_b)],
+                  n * n)
+    roots = _orbit_roots(cells)
+    grid = roots.reshape(n, n)
+    return [tuple(map(tuple, (grid == root).astype(int).tolist()))
+            for root in np.flatnonzero(roots == np.arange(n * n))]
 
 
 def _int_det(rows):
@@ -365,12 +352,12 @@ def _conjugation_closure(seeds, generators):
 
 
 def _involution_roots(group, tables):
-    """The lex-least involution of each class of ``group`` (``_class_roots``):
+    """The lex-least involution of each class of ``group`` (``_orbit_roots``):
     its rows, then its actions on each coset table in ``tables``, the only
     rows canonicalized.  The enumeration bound caps ``group``."""
     rows = _rows([p.images for p in involutions_of(group)], group.degree)
     maps = _conjugation_maps(rows, _rows([g.images for g in group.generators], group.degree))
-    rows = rows[_class_roots(maps) == np.arange(len(rows))]
+    rows = rows[_orbit_roots(maps) == np.arange(len(rows))]
     elements = [Permutation._wrap(x) for x in rows]
     return [rows] + [table.actions_of(elements) for table in tables]
 
@@ -515,7 +502,7 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     Search.  ``_forest_search`` walks the H-side trees over the candidates
     ordered by descending fixed count (a stable sort, so by element key
     within a count), trying as first member only the first candidate of
-    each class (``groups._class_roots`` on the conjugation maps of G's
+    each class (``groups._orbit_roots`` on the conjugation maps of G's
     generators; a class has one fixed count, so its first in element-key
     order is its first in the search).  For the first set yielded from
     each orbit of sets, the ordered orbit of its tuple is walked
@@ -556,7 +543,7 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     rows, acts_h, acts_k = (a[by_key] for a in found)
     invs = [Permutation._wrap(row) for row in rows]
     maps = _conjugation_maps(rows, _rows([g.images for g in G.generators], G.degree))
-    first = _class_roots(maps) == np.arange(len(rows))
+    first = _orbit_roots(maps) == np.arange(len(rows))
     target = (r - 2) * n + 2
     order = np.argsort(-(acts_h == np.arange(n)).sum(axis=1), kind="stable")
 

@@ -12,9 +12,11 @@ gluing graph is a tree.
 
 AC, FF and MAX are decided on the coset tables of H and K, capped by the
 index bound only: AC by equal double-coset counts |H\G/H| == |H\G/K| ==
-|K\G/K| (equal permutation characters), FF by the order of each
-subgroup's image, MAX by block closure; sides equal as sets share one
-table, with its image, block verdict and element actions (``left_cosets``).
+|K\G/K| (equal permutation characters; each the number of orbits,
+``groups._orbit_roots``, of one side's actions on the other's cosets), FF
+by the order of each subgroup's image, MAX by block closure; sides equal
+as sets share one table, with its image, block verdict and element actions
+(``left_cosets``).
 EC follows from AC.  When AC fails, EC and both witnesses are read from
 the fixed counts of the class representatives of H and of K on the two
 coset tables (``_class_fixed_counts``); G's conjugacy classes are never
@@ -35,9 +37,9 @@ import numpy as np
 
 from .groups import (
     PermGroup,
-    _class_roots,
     _conjugation_maps,
     _group_of_order_at_most,
+    _orbit_roots,
     _row_keys,
     _rows,
     _take_rows,
@@ -80,7 +82,9 @@ class PairStatus(enum.Enum):
 def rank(G: PermGroup, A: PermGroup, B: PermGroup) -> int:
     r"""|A\G/B|: the number of orbits of B on the cosets of A."""
     table = left_cosets(G, A)
-    return len(PermGroup(len(table), [table.action_of(b) for b in B.generators]).orbits())
+    m = len(table)
+    roots = _orbit_roots(_rows([table.action_of(b).images for b in B.generators], m))
+    return int(np.count_nonzero(roots == np.arange(m)))
 
 
 def is_ac(t: Triple) -> bool:
@@ -290,10 +294,10 @@ def inv_witnesses(t: Triple, r: int = 3):
       conjugating the whole witness by g would give a witness of the same
       class whose first position is at most a' < a.  So x_a is the first
       candidate of its G-class, and the first member is tried only among
-      those (``groups._class_roots``).  The yielded sequence is the
-      subsequence of all witnesses whose first member is first in its
-      class; its first witness, and whether it is empty, are those of the
-      full sequence.
+      those (``groups._orbit_roots`` on the conjugation maps).  The yielded
+      sequence is the subsequence of all witnesses whose first member is
+      first in its class; its first witness, and whether it is empty, are
+      those of the full sequence.
       ``gww`` takes the first witness that unfolds cleanly under some
       color order; cleanliness is kept by conjugation (a relabeling of
       tiles) and by reordering the colors, so the same argument makes that
@@ -323,7 +327,7 @@ def inv_witnesses(t: Triple, r: int = 3):
     order = sorted(range(len(acts)), key=lambda i: (-fixes[i], keys[i]))
     rows, acts = rows[order], acts[order]
     maps = _conjugation_maps(acts, _rows([a.images for a in table.generator_actions], lam))
-    first = _class_roots(maps) == np.arange(len(acts))
+    first = _orbit_roots(maps) == np.arange(len(acts))
     for combo in _forest_search(acts, first, r, (r - 2) * lam + 2):
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in combo))
         yield tuple(preimage(rows[i]) for i in combo), sys

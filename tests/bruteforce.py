@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from isodrum.errors import BoundExceeded
-from isodrum.groups import PermGroup, _row_keys, is_transitive_on, left_cosets
+from isodrum.groups import PermGroup, _row_keys, left_cosets
 from isodrum.limits import INV_SEARCH_BOUND, enumeration_bound
 from isodrum.permutations import Permutation
 from isodrum.spectral import GridMask
@@ -243,6 +243,17 @@ def mulclose(gens, maxsize=None):
     return els
 
 
+def closure_orbit(rows, x):
+    """The orbit of point x under permutations given as image rows: the set
+    {x} grown by every image of its points until it stops growing."""
+    orbit = {x}
+    while True:
+        grown = orbit | {int(row[p]) for row in rows for p in orbit}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
 def all_blocks_group(gens, top, block_degree):
     """A wreath subgroup from its all-blocks generating set: each of ``gens``
     repeated on every run of its own degree, and ``top`` permuting the runs
@@ -272,8 +283,7 @@ class ReferenceLevel:
         self.sv = {point: None}  # orbit point -> (parent point, generator index)
         self.trans = {point: Permutation.identity(degree)}
         self.trans_inv = {point: self.trans[point]}
-        self.pending = deque()
-        self.processed = set()
+        self.pending = deque()  # (point, generator index), each pair queued once
 
     def add_gen(self, g):
         gi = len(self.gens)
@@ -296,7 +306,7 @@ class ReferenceLevel:
         for p in self.sv:
             self.pending.append((p, gi))
         for p in new_points:
-            for gj in range(len(self.gens)):
+            for gj in range(gi):
                 self.pending.append((p, gj))
 
     def transversal(self, p):
@@ -378,9 +388,6 @@ class ReferenceChain:
                 return
             lvl = self.levels[i]
             p, gi = lvl.pending.popleft()
-            if (p, gi) in lvl.processed:
-                continue
-            lvl.processed.add((p, gi))
             u = lvl.transversal(p) * lvl.gens[gi]
             s = u * lvl.transversal_inv(u(lvl.point))
             if _is_identity(s):
@@ -982,7 +989,7 @@ def brute_inv_witnesses(t, r=3, search_bound=INV_SEARCH_BOUND):
         if len(set(img_key)) < r or img_key in seen_image_sets:
             continue
         seen_image_sets.add(img_key)
-        if not is_transitive_on(lam, [rows[i] for i in picked]):
+        if len(closure_orbit([rows[i] for i in picked], 0)) < lam:
             continue
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in picked))
         yield tuple(gs[i] for i in picked), sys

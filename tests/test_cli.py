@@ -171,6 +171,18 @@ def test_construct_stanza_in_file(specdir, tmp_path):
     assert built.G.order == 56448
 
 
+def test_construct_rejects_repeated_stanza_key(specdir, tmp_path, capsys):
+    base_text = (specdir / "psl32c.spec").read_text()
+    spec = tmp_path / "repeated.spec"
+    spec.write_text(base_text + "construct:\nvariant: 1\nn: 2\nn: 3\nT_degree: 2\n"
+                    "T_generators: [(1 2)]\n")
+    out = tmp_path / "never.spec"
+    assert main(["construct", "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "parse error: repeated construct key 'n'\n")
+    assert not out.exists()
+
+
 def test_construct_degenerate_round_trip(specdir, tmp_path, capsys):
     # type 1 with n = 1 and trivial top returns the base triple byte-identically
     out = tmp_path / "same.spec"

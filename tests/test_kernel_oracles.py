@@ -71,7 +71,9 @@ def chain_signature(chain):
 
 
 def processed(chain):
-    return sum(len(lvl.processed) for lvl in chain.levels)
+    """Schreier pairs taken off the queues: each (orbit point, generator)
+    pair of a level is queued once, so those not pending were processed."""
+    return sum(len(lvl.sv) * len(lvl.gens) - len(lvl.pending) for lvl in chain.levels)
 
 
 # primitive: S4 on its points; imprimitive: a block of half the 4 cosets (<(0 2)> < <(0 2), (1 3)> < D8), and the

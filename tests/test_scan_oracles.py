@@ -18,10 +18,10 @@ import random
 import numpy as np
 import pytest
 
-from bruteforce import brute_scan, mulclose
+from bruteforce import brute_scan, closure_orbit, mulclose
 from isodrum import transplant
 from isodrum.catalog import psl_triple
-from isodrum.groups import CosetTable, PermGroup, is_transitive_on, left_cosets
+from isodrum.groups import CosetTable, PermGroup, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
     _conjugation_maps,
@@ -148,7 +148,7 @@ def test_census_runs_no_k_side_test(monkeypatch):
     combos = list(itertools.combinations(range(len(invs)), 3))
     assert not [c for c in combos if sum(fh[i] for i in c) == sum(fk[i] for i in c) == 8]
     tree = next(c for c in combos if sum(fh[i] for i in c) == 8
-                and is_transitive_on(6, acts[0][list(c)])
+                and len(closure_orbit(acts[0][list(c)], 0)) == 6
                 and PermGroup(6, [invs[i] for i in c]).order == 720)
     assert sum(fk[i] for i in tree) != 8
     solved = []

@@ -118,6 +118,22 @@ def test_unknown_key_rejected():
         parse_triple_spec("degree: 3\ngenerators: [(1 2 3)]\nH: []\nK: []\nbogus: 1\n")
 
 
+def test_repeated_keys_rejected():
+    # a repeated key would otherwise keep its last value, and a second
+    # construct: line would drop the first stanza
+    text = "degree: 3\ngenerators: [(1 2 3)]\nH: []\nK: []\n"
+    stanza = "construct:\nvariant: 1\nn: 2\nT_degree: 2\nT_generators: [(1 2)]\n"
+    cases = [
+        (text + "H: [(1 2 3)]\n", "repeated key 'H'"),
+        (text + stanza + "n: 3\n", "repeated construct key 'n'"),
+        (text + stanza + stanza, "repeated construct: stanza"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(SpecFormatError, match=f"^{message}$"):
+            parse_triple_spec(bad)
+    assert parse_triple_spec(text + stanza)[2]["n"] == "2"
+
+
 def test_repeated_subgroup_line_is_one_group():
     text = ("degree: 4\ngenerators: [(1 2), (1 2 3 4)]\n"
             "H: [(1 2 3), (1 2)]\nK: [(1 2 3), (1 2)]\n")
