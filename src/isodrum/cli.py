@@ -39,7 +39,6 @@ from .specio import (
 )
 from .transplant import (
     InvolutionSystem,
-    detect_isometry,
     find_transplantation,
     format_involution_system,
     is_tree,
@@ -224,7 +223,7 @@ def cmd_transplant(args) -> int:
     except ValueError as exc:  # different tile or side counts
         print(f"transplant: {exc}", file=sys.stderr)
         return 2
-    iso = detect_isometry(A, B)
+    iso = None if sol is None else sol.permutation_solution  # a zero space holds no permutation
     out = {
         "schema": 1,
         "tiles": A.n_tiles,

@@ -9,13 +9,15 @@ Orbits come from ``groups._orbit_roots``: the transitivity of a system,
 the involution classes behind the candidates and the class-first rule, and
 the intertwiner basis, one 0/1 matrix per orbit of the cells (i, j) under
 (i, j) -> (b(i), a(j)), in the order of their least cells.
+
+One breadth-first labeling routine (``InvolutionSystem._labelings``) backs
+``canonical_key`` and ``detect_isometry``; the census decides AC once.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,32 +88,32 @@ class InvolutionSystem:
         """New system whose color mu is old color order[mu]."""
         return InvolutionSystem(self.n_tiles, self.r, tuple(self.perms[mu] for mu in order))
 
-    def canonical_key(self):
-        """Label-independent encoding: minimum over BFS relabelings.
+    def _labelings(self, roots):
+        """(order, encoding) of the breadth-first labeling from each root.
 
         The colored graph is deterministic (one neighbor per color per tile),
-        so fixing a root fixes the labeling; minimizing over roots gives a
-        canonical form.
+        so a root fixes the labeling: ``order`` lists the tiles as visited,
+        and ``encoding`` per color the labels of their neighbors.  An
+        isomorphism sends root a to b exactly when the encodings from a and
+        b are equal, and it is then order_a[k] -> order_b[k].
         """
-        best = None
-        for root in range(self.n_tiles):
-            label = {root: 0}
+        images = [p.images.tolist() for p in self.perms]
+        for root in roots:
+            label = [-1] * self.n_tiles
+            label[root] = 0
             order = [root]
-            qi = 0
-            while qi < len(order):
-                t = order[qi]
-                qi += 1
-                for p in self.perms:
-                    u = int(p.images[t])
-                    if u not in label:
+            for t in order:  # grows while it is walked
+                for img in images:
+                    u = img[t]
+                    if label[u] < 0:
                         label[u] = len(order)
                         order.append(u)
-            enc = tuple(
-                tuple(label[int(p.images[t])] for t in order) for p in self.perms
-            )
-            if best is None or enc < best:
-                best = enc
-        return best
+            yield order, tuple(tuple(label[img[t]] for t in order) for img in images)
+
+    def canonical_key(self):
+        """Label-independent encoding: the least BFS encoding over all roots
+        (``_labelings``)."""
+        return min(enc for _, enc in self._labelings(range(self.n_tiles)))
 
 
 def is_tree(sys: InvolutionSystem) -> bool:
@@ -265,31 +267,19 @@ def verify_intertwiner(T, A: InvolutionSystem, B: InvolutionSystem) -> bool:
 def detect_isometry(A: InvolutionSystem, B: InvolutionSystem):
     """Color-preserving isomorphism of the gluing graphs, or None.
 
-    Equivalent to a permutation-matrix intertwiner.  Propagation from a root
-    is forced (one neighbor per color), so each candidate image of tile 0 is
-    checked directly; the least consistent image wins.
+    Equivalent to a permutation-matrix intertwiner.  The BFS labeling of A
+    from tile 0 is compared with B's from each root c in turn
+    (``InvolutionSystem._labelings``); the least c with an equal encoding is
+    the least image of tile 0, and the map is order_a[k] -> order_b[k].
     """
     if A.n_tiles != B.n_tiles or A.r != B.r:
         raise ValueError("dimension mismatch between systems")
-    n = A.n_tiles
-    for c in range(n):
-        mapping = {0: c}
-        queue = deque([0])
-        ok = True
-        while queue and ok:
-            i = queue.popleft()
-            j = mapping[i]
-            for pa, pb in zip(A.perms, B.perms):
-                i2, j2 = int(pa.images[i]), int(pb.images[j])
-                if i2 in mapping:
-                    if mapping[i2] != j2:
-                        ok = False
-                        break
-                else:
-                    mapping[i2] = j2
-                    queue.append(i2)
-        if ok and len(mapping) == n and len(set(mapping.values())) == n:
-            return Permutation([mapping[i] for i in range(n)])
+    (order_a, enc_a), = A._labelings([0])
+    for order_b, enc_b in B._labelings(range(B.n_tiles)):
+        if enc_b == enc_a:
+            images = np.empty(A.n_tiles, dtype=np.int32)
+            images[order_a] = order_b
+            return Permutation._wrap(images)
     return None
 
 
@@ -486,11 +476,14 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     A pair comes from r involutions of G that give tree systems on the
     cosets of H and of K (sum Fix = (r-2) * n + 2 and transitive), generate
     G, and whose two systems have an invertible non-permutation
-    intertwiner.  For each pair of canonical keys (independent tile
-    relabelings of the two sides) the systems of the least such increasing
-    tuple are kept, indices taken in the element-key order of
-    ``involutions_of``: the pairs that examining every r-subset in
-    lexicographic order would keep.  Pairs are sorted by keys.  ``n_max``
+    intertwiner.  A tuple generating G gives the cells G's orbits, so its
+    intertwiners are Hom_G(Q[G/H], Q[G/K]), which hold an invertible
+    element exactly when the triple is AC (Sunada 1985).  So AC is decided
+    once (``triples.is_ac``); without it there is no pair and no search.
+    For each pair of canonical keys (independent tile relabelings of the
+    two sides) the systems of the least such increasing tuple are kept,
+    indices taken in the element-key order of ``involutions_of``: the pairs
+    that examining every r-subset in lexicographic order would keep.  Pairs are sorted by keys.  ``n_max``
     is the caller's guard on the tile count: a larger index raises
     BoundExceeded before any search.
 
@@ -508,11 +501,11 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     each orbit of sets, the ordered orbit of its tuple is walked
     (``_orbit``) and all its sets recorded, so later sets of the orbit are
     skipped; the tuple is tested once, for generation (a Schreier-Sims run
-    stopped at |G|) and then transplantation.  Those two make the K side a
-    tree: a tuple generating G is transitive on the cosets of K, as G is,
-    and an invertible T with T * M_mu = N_mu * T makes each N_mu similar to
-    M_mu, so the K-side fixed counts equal the H-side ones and meet the
-    sum.  No K-side test runs.
+    stopped at |G|) and then isometry (``detect_isometry``).  AC and
+    generation make the K side a tree: AC gives every element of G equal
+    fixed counts on the cosets of H and of K, so the K-side fixed counts
+    equal the H-side ones and meet the sum, and a tuple generating G is
+    transitive on the cosets of K, as G is.  No K-side test runs.
 
     Exactness.  Conjugating a tuple by g relabels the tiles of both systems
     by g's actions on the cosets, and reordering it reorders the colors of
@@ -536,6 +529,9 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
         raise ValueError("coset spaces have different sizes")
     if n > n_max:
         raise BoundExceeded(f"index {n} exceeds n_max {n_max}")
+    from .triples import is_ac  # triples imports this module
+    if not is_ac(t):
+        return []
     found = _tree_candidates(G, t.H, [table_h, table_k], r)
     if found is None:
         return []
@@ -562,8 +558,7 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
         walked.update(map(tuple, sets.tolist()))
         if _group_of_order_at_most(G.degree, [invs[i] for i in tup], G.order).order != G.order:
             continue
-        sol = find_transplantation(*systems(tup))
-        if sol is None or not sol.invertible or sol.permutation_solution is not None:
+        if detect_isometry(*systems(tup)) is not None:
             continue
         # the least increasing tuple of each color pattern
         pattern = np.unique(patterns, axis=0, return_inverse=True)[1].ravel()

@@ -20,7 +20,9 @@ coordinates, with no lattice basis, and ``cartesian`` maps the library's
 lattice coordinates into the plane to compare with it.  ``brute_laplacian``
 assembles the Dirichlet Laplacian node by node on the nearest neighbors
 that ``brute_neighbors`` finds by search.  ``brute_is_tree`` searches the
-gluing graph instead of using the fixed-point identity.
+gluing graph instead of using the fixed-point identity, and
+``brute_isomorphisms`` tries every tile bijection instead of labeling
+breadth first.
 ``all_blocks_group`` builds a wreath subgroup with a copy of its base
 generators on every block, where the constructions use block 0 alone.
 ``brute_inv_witnesses`` lists every involution of G as an INV candidate
@@ -783,6 +785,18 @@ def brute_is_tree(sys: InvolutionSystem) -> bool:
                 seen.add(u)
                 queue.append(u)
     return len(seen) == n
+
+
+def brute_isomorphisms(A: InvolutionSystem, B: InvolutionSystem):
+    """Every tile bijection phi with phi(a_mu(i)) == b_mu(phi(i)) for each
+    tile i and color mu, as image tuples in lexicographic order, found by
+    trying all n! bijections."""
+    n = A.n_tiles
+    phis = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    ok = np.ones(len(phis), dtype=bool)
+    for a, b in zip(A.perms, B.perms):
+        ok &= (phis[:, a.images] == b.images[phis]).all(axis=1)
+    return [tuple(phi) for phi in phis[ok].tolist()]
 
 
 def _segments_cross(p1, p2, q1, q2) -> bool:

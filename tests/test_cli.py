@@ -7,6 +7,7 @@ from isodrum.cli import main
 from isodrum.errors import SettingError
 from isodrum.limits import ENUMERATION_BOUND, enumeration_bound
 from isodrum.specio import format_triple_spec, parse_triple_spec
+from isodrum.transplant import detect_isometry, parse_involution_system
 
 
 @pytest.fixture(scope="module")
@@ -431,8 +432,11 @@ def test_verify_type3_decides_ac(tmp_path, capsys, a5_group):
 
 def test_gww_equilateral_spectra(tmp_path, capsys):
     # the whole pipeline on the equilateral tile: clean domains, exact JSON,
-    # and discrete spectra equal to rounding; spectrum on the written file
-    # reads the lattice back and gives gww's eigenvalues
+    # and spectrum on the written file reads the lattice back and gives
+    # gww's eigenvalues.  The pair is congruent, not a counterexample: B is
+    # A with colors 0 and 2 swapped, and the tile's reflection swapping
+    # those sides carries one domain onto the other.  So the gap equal to
+    # rounding tests the 7-point stencil's symmetry, not isospectrality.
     outdir = tmp_path / "eq"
     rc = main(["gww", "--tile", "equilateral", "--outdir", str(outdir), "--h", "1/16", "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -446,6 +450,8 @@ def test_gww_equilateral_spectra(tmp_path, capsys):
                      "--json"]) == 0
         eigenvalues = json.loads(capsys.readouterr().out)["eigenvalues"]
         assert [round(x, 6) for x in eigenvalues] == stages[f"spectrum_{side}"]
+    a, b = (parse_involution_system((outdir / f"gww_{side}.ivs").read_text()) for side in "ab")
+    assert detect_isometry(a, b.permute_colors((2, 1, 0))) is not None
 
 
 GOLDEN_A = (

@@ -27,7 +27,9 @@ from isodrum.transplant import (
     _conjugation_maps,
     _orbit,
     _rows,
+    find_transplantation,
     format_involution_system,
+    intertwiner_basis,
     involutions_of,
     okada_shudo_scan,
 )
@@ -136,10 +138,10 @@ def s6_two_actions():
 
 
 def test_census_runs_no_k_side_test(monkeypatch):
-    # generation and an invertible transplantation make the K side a tree;
-    # here H-side trees generate S6, so the census solves them, and none
-    # has a K-side tree: by the fixed counts, no triple of involutions meets
-    # the sum on both sides
+    # AC and generation make the K side a tree, so no K-side test runs; here
+    # H-side trees generate S6 and none has a K-side tree (by the fixed
+    # counts, no triple of involutions meets the sum on both sides), and the
+    # census proves it by AC failing, before any tree search or solve
     t = s6_two_actions()
     assert t.K.order == 120 and not is_ac(t)
     invs = involutions_of(t.G)
@@ -151,12 +153,40 @@ def test_census_runs_no_k_side_test(monkeypatch):
                 and len(closure_orbit(acts[0][list(c)], 0)) == 6
                 and PermGroup(6, [invs[i] for i in c]).order == 720)
     assert sum(fk[i] for i in tree) != 8
-    solved = []
-    real_solve = transplant.find_transplantation
-    monkeypatch.setattr(transplant, "find_transplantation",
-                        lambda a, b: solved.append(a) or real_solve(a, b))
+    called = []
+    for name in ("find_transplantation", "_tree_candidates"):
+        monkeypatch.setattr(transplant, name, lambda *args, name=name: called.append(name))
     assert okada_shudo_scan(t, 6, 3) == []
-    assert solved
+    assert called == []
+
+
+def test_census_pairs_share_the_g_intertwiners(spied_census, psl32):
+    # Sunada: a census tuple generates G, so the intertwiners of its two
+    # systems are those of G's generators on the coset tables, one space per
+    # triple, which holds an invertible non-permutation matrix; the per-tuple
+    # solve the census no longer runs is checked here on every pair
+    for t, pairs in ((psl32, okada_shudo_scan(psl32, 7, 3)), spied_census("psl42")[:2]):
+        table_h, table_k = left_cosets(t.G, t.H), left_cosets(t.G, t.K)
+        n = len(table_h)
+        g_basis = intertwiner_basis(table_h.generator_actions, table_k.generator_actions, n)
+        assert pairs and g_basis
+        for a, b in pairs:
+            assert intertwiner_basis(a.perms, b.perms, n) == g_basis
+            sol = find_transplantation(a, b)
+            assert sol.invertible and sol.permutation_solution is None
+
+
+def test_census_of_conjugate_sides_is_empty(psl32_small):
+    # with K conjugate to H the triple is AC, and every generating tuple's
+    # two systems are isometric, so the isometry test rejects every orbit
+    t = psl32_small
+    g = next(g for g in t.G.generators if g not in t.H)
+    K = PermGroup(t.G.degree, [h.conjugate_by(g) for h in t.H.generators])
+    assert any(h not in t.H for h in K.generators)
+    for side in (t.H, K):
+        u = Triple(t.G, t.H, side)
+        assert is_ac(u)
+        assert okada_shudo_scan(u, 7, 3) == brute_scan(u, 7, 3) == []
 
 
 def test_conjugation_maps_against_conjugate_by(psl32_small):

@@ -233,9 +233,11 @@ def test_gww_gate_negative_control():
 
 
 def test_equilateral_gww_pair_isospectral_to_rounding():
-    """On the equilateral tile, in Eisenstein coordinates, the 7-point
-    stencil makes the gww pair isospectral at the discrete level too: the
-    gap is rounding error, far below 1e-9."""
+    """On the equilateral tile, in Eisenstein coordinates, the gap of the
+    gww pair is rounding error, far below 1e-9.  The two domains are
+    congruent (B is A with colors 0 and 2 swapped, which a reflection of
+    the tile realizes), so this tests that the 7-point stencil keeps the
+    lattice's symmetry, not that a noncongruent pair is isospectral."""
     pa, pb = gww_polygons("equilateral")
     h = Fraction(1, 16)
     ra, rb = (dirichlet_eigenvalues(rasterize(p, h, EISENSTEIN), 10) for p in (pa, pb))
