@@ -350,8 +350,6 @@ def cmd_gww(args) -> int:
     chosen = None
     for gs, sys_a in inv_witnesses(triple, 3):
         sys_b = InvolutionSystem(len(table_k), 3, tuple(table_k.action_of(g) for g in gs))
-        if not is_tree(sys_b):
-            continue
         for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             a2, b2 = sys_a.permute_colors(order), sys_b.permute_colors(order)
             da, db = drums.unfold(a2, tile), drums.unfold(b2, tile)

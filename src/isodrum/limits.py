@@ -8,12 +8,12 @@ witnesses, PAIR's inner-square search on H, the candidates of INV and of
 the census) goes through one of them.  ``INDEX_BOUND`` caps the cosets of
 a coset table (``groups.left_cosets``), so it alone caps AC, FF and MAX.
 ``INV_SEARCH_BOUND`` caps the nodes of the forest search
-(``transplant._forest_search``) that INV and the census run: each
+(``transplant._forest_search``) that INV runs and the census filters: each
 candidate tried as the next member of a subset counts once, and first
 members skipped by the class-first rule do not count; no measured catalog
-or construction input reaches it (exhausting all INV witnesses takes
-20,863 nodes on psl(4,2), proving INV false on the type-1 wreath of
-psl(3,2) takes 7,424, and the psl(4,2) census takes 20,163).
+or construction input reaches it (exhausting all INV witnesses on
+psl(4,2), which is its census's search, takes 20,863 nodes, and proving
+INV false on the type-1 wreath of psl(3,2) takes 7,424).
 ``GF_BOUND`` in the environment is the one setting of the enumeration
 bound (default ``ENUMERATION_BOUND``); it must be a positive integer.  Each
 cap site reads ``enumeration_bound()`` or ``index_bound()`` when it runs, so

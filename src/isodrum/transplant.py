@@ -11,7 +11,8 @@ the intertwiner basis, one 0/1 matrix per orbit of the cells (i, j) under
 (i, j) -> (b(i), a(j)), in the order of their least cells.
 
 One breadth-first labeling routine (``InvolutionSystem._labelings``) backs
-``canonical_key`` and ``detect_isometry``; the census decides AC once.
+``canonical_key`` and ``detect_isometry``.  The census decides
+transplantation and isometry once per triple and filters INV's search.
 """
 
 from __future__ import annotations
@@ -69,16 +70,6 @@ class InvolutionSystem:
     def traces(self):
         """Fixed tiles per color, i.e. boundary-side counts."""
         return [p.fixed_point_count() for p in self.perms]
-
-    def edges(self):
-        """Gluing edges (i, j, mu) with i < j."""
-        out = []
-        for mu, p in enumerate(self.perms):
-            for i in range(self.n_tiles):
-                j = int(p.images[i])
-                if i < j:
-                    out.append((i, j, mu))
-        return out
 
     def relabel(self, p: Permutation) -> "InvolutionSystem":
         """Rename tile i to p(i)."""
@@ -361,8 +352,10 @@ def _tree_candidates(G, H, tables, r):
     the actions on each coset table of G in ``tables``, the first H's.  With
     no tables G acts on the cosets itself, H being the stabilizer of point 0,
     as INV passes the images of an unfaithful action.  The candidates are
-    distinct and closed under conjugation by G, in closure order; each
-    caller sorts them.
+    distinct and closed under conjugation by G, in the order of the forest
+    search (``_forest_search``): by descending fixed count on the cosets of
+    H, then by the row on them, one stable ``np.lexsort`` (rows that an
+    unfaithful action ties keep their closure order).
 
     An involution x fixes the coset Hy exactly when y * x * y^-1 lies in H,
     so every involution with a fixed coset is G-conjugate into H, and fixed
@@ -395,21 +388,36 @@ def _tree_candidates(G, H, tables, r):
         return None
     if (r - 1) * m >= target:
         seeds = _involution_roots(G, tables)
-    return _conjugation_closure(seeds, gens)
+    found = _conjugation_closure(seeds, gens)
+    acts = found[side]
+    order = np.lexsort((*acts.T[::-1], -(acts == np.arange(n)).sum(axis=1)))
+    return [a[order] for a in found]
 
 
-def _forest_search(acts, first, r, target):
-    """Increasing r-tuples of indices into the involution rows ``acts``
-    whose fixed counts sum to ``target`` and whose 2-cycles form a forest;
-    the first index must be marked in ``first``.
+def _forest_search(acts, maps, r, target):
+    """Increasing r-tuples of indices into the candidate rows ``acts``
+    whose fixed counts sum to ``target`` and whose 2-cycles form a forest,
+    each tuple's first index the first of its class.
 
-    One depth-first search in lexicographic order.  The fixed counts of
-    ``acts`` must be non-increasing, so a partial sum prunes a whole tail.
-    A union-find over the points holds the forest of the chosen rows; a row
-    whose 2-cycle joins two connected points is rejected, and its unions
-    are undone on the way back.  Raises BoundExceeded after
-    ``INV_SEARCH_BOUND`` nodes.
+    One depth-first search in lexicographic order over the candidates of
+    ``_tree_candidates``, whose fixed counts are non-increasing, so a
+    partial sum prunes a whole tail.  A union-find over the points holds the
+    forest of the chosen rows; a row whose 2-cycle joins two connected
+    points is rejected, and its unions are undone on the way back.  Raises
+    BoundExceeded after ``INV_SEARCH_BOUND`` nodes.
+
+    Class-first rule.  The first member is tried only among the first
+    candidate of each class, the least index of its orbit
+    (``groups._orbit_roots``) under ``maps``, G's generators' conjugation
+    maps on the candidates.  Conjugating a tuple by g keeps its fixed
+    counts and relabels its graph by g's action on the cosets, so it keeps
+    both tests.  Were the first member x_a of the least passing tuple of a
+    class conjugate by g to a candidate at a' < a, conjugating that tuple
+    by g would give one of the same class starting at most at a'.  So the
+    yielded tuples are all passing tuples whose first member is first in
+    its class, the least of every class among them.
     """
+    first = _orbit_roots(maps) == np.arange(len(acts))
     degree = acts.shape[1]
     fixes = (acts == np.arange(degree)).sum(axis=1).tolist()
     # each row's 2-cycles as pairs (a, x[a]) with a < x[a]
@@ -476,44 +484,42 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     A pair comes from r involutions of G that give tree systems on the
     cosets of H and of K (sum Fix = (r-2) * n + 2 and transitive), generate
     G, and whose two systems have an invertible non-permutation
-    intertwiner.  A tuple generating G gives the cells G's orbits, so its
-    intertwiners are Hom_G(Q[G/H], Q[G/K]), which hold an invertible
-    element exactly when the triple is AC (Sunada 1985).  So AC is decided
-    once (``triples.is_ac``); without it there is no pair and no search.
-    For each pair of canonical keys (independent tile relabelings of the
-    two sides) the systems of the least such increasing tuple are kept,
-    indices taken in the element-key order of ``involutions_of``: the pairs
-    that examining every r-subset in lexicographic order would keep.  Pairs are sorted by keys.  ``n_max``
+    intertwiner.  For each pair of canonical keys (independent tile
+    relabelings of the two sides) the systems of the least such increasing
+    tuple are kept, indices taken in the element-key order of
+    ``involutions_of``: the pairs that examining every r-subset in
+    lexicographic order would keep.  Pairs are sorted by keys.  ``n_max``
     is the caller's guard on the tile count: a larger index raises
     BoundExceeded before any search.
 
-    Candidates.  ``_tree_candidates`` gives the involutions that may lie in
-    an H-side tree, with their actions on both coset spaces side by side,
-    or proves by the fixed-point certificate that the census is empty; it
-    holds the three cases and their proof.  They are sorted by element key.
+    The triple decides.  A tuple generating G gives the cells (i, j) of its
+    two systems G's orbits, so its intertwiners are Hom_G(Q[G/H], Q[G/K]):
+    an invertible one exists exactly when the triple is AC (Sunada 1985),
+    and a permutation one (an isometry) exactly when G/H and G/K are
+    isomorphic G-sets, that is when H and K are conjugate.  Both are
+    decided once (``triples.is_ac``, ``triples.sides_conjugate``); without
+    AC, or with conjugate sides, there is no pair and no search.
 
-    Search.  ``_forest_search`` walks the H-side trees over the candidates
-    ordered by descending fixed count (a stable sort, so by element key
-    within a count), trying as first member only the first candidate of
-    each class (``groups._orbit_roots`` on the conjugation maps of G's
-    generators; a class has one fixed count, so its first in element-key
-    order is its first in the search).  For the first set yielded from
-    each orbit of sets, the ordered orbit of its tuple is walked
-    (``_orbit``) and all its sets recorded, so later sets of the orbit are
-    skipped; the tuple is tested once, for generation (a Schreier-Sims run
-    stopped at |G|) and then isometry (``detect_isometry``).  AC and
+    Search.  The census filters INV's search.  ``_tree_candidates`` gives
+    the involutions that may lie in an H-side tree, in the search order and
+    with their actions on both coset spaces, or proves by the fixed-point
+    certificate that there is none; ``_forest_search`` yields the H-side
+    trees, the least of each orbit under conjugation by G among them.  One
+    gather, rank = argsort(lexsort(rows)), takes a yielded tuple and its
+    ordered orbit (``_orbit``) to element-key indices; all sets of the
+    orbit are recorded so later ones are skipped, and the tuple is tested
+    once, for generation (a Schreier-Sims run stopped at |G|).  AC and
     generation make the K side a tree: AC gives every element of G equal
-    fixed counts on the cosets of H and of K, so the K-side fixed counts
-    equal the H-side ones and meet the sum, and a tuple generating G is
-    transitive on the cosets of K, as G is.  No K-side test runs.
+    fixed counts on the cosets of H and of K, so the K-side counts meet the
+    sum, and a tuple generating G is transitive on the cosets of K, as G
+    is.  No K-side test runs.
 
     Exactness.  Conjugating a tuple by g relabels the tiles of both systems
     by g's actions on the cosets, and reordering it reorders the colors of
     both; every test is invariant under both, so an orbit of sets passes or
-    fails as a whole, and the least set of each H-side tree orbit in search
-    order starts with a class-first candidate, so the search reaches every
-    orbit.  The color pattern of an ordered tuple v of the orbit is the
-    permutation p sorting it (``argsort``).  Two increasing tuples v o p
+    fails as a whole, and the search reaches every orbit.  The color
+    pattern of an ordered tuple v of the orbit, in element-key indices, is
+    the permutation p sorting it (``argsort``).  Two increasing tuples v o p
     and w o p with one pattern come from ordered conjugates v and w, so
     they are conjugate as ordered tuples and share their key pair.  So the
     least passing increasing tuple with a given key pair is the least tuple
@@ -529,36 +535,31 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
         raise ValueError("coset spaces have different sizes")
     if n > n_max:
         raise BoundExceeded(f"index {n} exceeds n_max {n_max}")
-    from .triples import is_ac  # triples imports this module
-    if not is_ac(t):
+    from .triples import is_ac, sides_conjugate  # triples imports this module
+    if not is_ac(t) or sides_conjugate(t):
         return []
     found = _tree_candidates(G, t.H, [table_h, table_k], r)
     if found is None:
         return []
-    by_key = np.lexsort(found[0].T[::-1])
-    rows, acts_h, acts_k = (a[by_key] for a in found)
-    invs = [Permutation._wrap(row) for row in rows]
+    rows, acts_h, acts_k = found
     maps = _conjugation_maps(rows, _rows([g.images for g in G.generators], G.degree))
-    first = _orbit_roots(maps) == np.arange(len(rows))
-    target = (r - 2) * n + 2
-    order = np.argsort(-(acts_h == np.arange(n)).sum(axis=1), kind="stable")
+    by_key = np.lexsort(rows.T[::-1])
+    rank = np.argsort(by_key)
 
     def systems(tup):
-        return tuple(InvolutionSystem(n, r, tuple(Permutation._wrap(a[i]) for i in tup))
+        return tuple(InvolutionSystem(n, r, tuple(map(Permutation._wrap, a[by_key[list(tup)]])))
                      for a in (acts_h, acts_k))
 
     walked, kept = set(), {}
-    for combo in _forest_search(acts_h[order], first[order], r, target):
-        tup = tuple(sorted(order[list(combo)].tolist()))
-        if tup in walked:
+    for combo in _forest_search(acts_h, maps, r, (r - 2) * n + 2):
+        if tuple(sorted(rank[list(combo)].tolist())) in walked:
             continue
-        orbit = _orbit(maps, tup)
+        orbit = rank[_orbit(maps, combo)]
         patterns = np.argsort(orbit, axis=1)
         sets = np.take_along_axis(orbit, patterns, axis=1)
         walked.update(map(tuple, sets.tolist()))
-        if _group_of_order_at_most(G.degree, [invs[i] for i in tup], G.order).order != G.order:
-            continue
-        if detect_isometry(*systems(tup)) is not None:
+        if _group_of_order_at_most(G.degree, list(map(Permutation._wrap, rows[list(combo)])),
+                                   G.order).order != G.order:
             continue
         # the least increasing tuple of each color pattern
         pattern = np.unique(patterns, axis=0, return_inverse=True)[1].ravel()

@@ -17,6 +17,8 @@ index bound only: AC by equal double-coset counts |H\G/H| == |H\G/K| ==
 by the order of each subgroup's image, MAX by block closure; sides equal
 as sets share one table, with its image, block verdict and element actions
 (``left_cosets``).
+H and K are conjugate exactly when K's generators fix a common coset of H
+(``sides_conjugate``, on the actions that AC reads).
 EC follows from AC.  When AC fails, EC and both witnesses are read from
 the fixed counts of the class representatives of H and of K on the two
 coset tables (``_class_fixed_counts``); G's conjugacy classes are never
@@ -40,7 +42,6 @@ from .groups import (
     _conjugation_maps,
     _group_of_order_at_most,
     _orbit_roots,
-    _row_keys,
     _rows,
     _take_rows,
     cached_classes,
@@ -99,6 +100,16 @@ def is_ac(t: Triple) -> bool:
     if t.H.order != t.K.order:
         return False
     return rank(t.G, t.H, t.H) == rank(t.G, t.H, t.K) == rank(t.G, t.K, t.K)
+
+
+def sides_conjugate(t: Triple) -> bool:
+    """Whether H and K are conjugate in G: equal orders, and K's generators
+    fix a common coset of H, whose stabilizer is a conjugate of H.  The
+    actions are those ``rank(G, H, K)`` memoized on H's table."""
+    table = left_cosets(t.G, t.H)
+    m = len(table)
+    fixed = _rows([table.action_of(k).images for k in t.K.generators], m) == np.arange(m)
+    return t.H.order == t.K.order and bool(fixed.all(axis=0).any())
 
 
 def _class_fixed_counts(t: Triple):
@@ -267,17 +278,17 @@ def inv_witnesses(t: Triple, r: int = 3):
     least one from each class of witnesses under conjugation by G.
 
     Yields (G-involution tuple, system on the coset space) in a fixed order:
-    candidate involutions sorted by descending fixed-point count in the
-    action, then by action key, subsets lexicographically.  The candidates
-    come from ``transplant._tree_candidates``, which holds the fixed-point
-    certificate and the three cases of candidates with their proof; they
-    act by pairwise distinct rows and are closed under conjugation by G.
-    For a faithful action they are involutions of G, which keeps preimages
+    the candidates of ``transplant._tree_candidates`` in its order (by
+    descending fixed-point count in the action, then by action row), subsets
+    lexicographically.  That routine holds the fixed-point certificate and
+    the three cases of candidates with their proof; the candidates act by
+    pairwise distinct rows and are closed under conjugation by G.  For a
+    faithful action they are involutions of G, which keeps preimages
     available; otherwise the same routine runs on G's image on the cosets,
     with H's image as the stabilizer, and the preimage slot is None.
 
-    One depth-first search (``transplant._forest_search``, shared with the
-    census) walks the subsets, with two exact facts and one symmetry rule:
+    One depth-first search (``transplant._forest_search``, which the census
+    filters) walks the subsets, with one exact fact and one symmetry rule:
 
     * Tree identity.  Color i glues (n - Fix_i) / 2 pairs of tiles, so a
       subset meeting sum Fix = (r-2) * n + 2 has exactly n - 1 gluing
@@ -285,24 +296,15 @@ def inv_witnesses(t: Triple, r: int = 3):
       exactly when it is acyclic.  The search keeps a union-find over the
       cosets and rejects a candidate whose 2-cycles close a cycle; every
       leaf meeting the sum is a tree, and no transitivity test runs.
-    * Class-first rule.  Conjugating a witness by g in G gives a witness:
-      the candidates are closed under conjugation, fixed counts are class
-      functions, and the gluing graph is relabeled by g's action on the
-      cosets.  Let x_a, at position a, be the first member of the
-      lexicographically first witness of its conjugation class.  Were x_a
-      conjugate by some g to the candidate at a position a' < a,
-      conjugating the whole witness by g would give a witness of the same
-      class whose first position is at most a' < a.  So x_a is the first
-      candidate of its G-class, and the first member is tried only among
-      those (``groups._orbit_roots`` on the conjugation maps).  The yielded
+    * Class-first rule (proved at ``_forest_search``).  The yielded
       sequence is the subsequence of all witnesses whose first member is
-      first in its class; its first witness, and whether it is empty, are
-      those of the full sequence.
-      ``gww`` takes the first witness that unfolds cleanly under some
-      color order; cleanliness is kept by conjugation (a relabeling of
-      tiles) and by reordering the colors, so the same argument makes that
-      witness class-first, and ``gww`` chooses as it would from the full
-      sequence.
+      the first candidate of its G-class; it holds the least witness of
+      every class, so its first witness, and whether it is empty, are
+      those of the full sequence.  ``gww`` takes the first witness that
+      unfolds cleanly under some color order; cleanliness is kept by
+      conjugation (a relabeling of tiles) and by reordering the colors, so
+      the same argument makes that witness class-first, and ``gww``
+      chooses as it would from the full sequence.
 
     References: Buser-Conway-Doyle-Semmler, "Some planar isospectral
     domains", IMRN 1994 (the gluing trees); McKay, "Isomorph-free
@@ -322,13 +324,8 @@ def inv_witnesses(t: Triple, r: int = 3):
     if found is None:
         return
     rows, acts = found[0], found[-1]
-    fixes = (acts == np.arange(lam)).sum(axis=1).tolist()
-    keys = _row_keys(acts)
-    order = sorted(range(len(acts)), key=lambda i: (-fixes[i], keys[i]))
-    rows, acts = rows[order], acts[order]
     maps = _conjugation_maps(acts, _rows([a.images for a in table.generator_actions], lam))
-    first = _orbit_roots(maps) == np.arange(len(acts))
-    for combo in _forest_search(acts, first, r, (r - 2) * lam + 2):
+    for combo in _forest_search(acts, maps, r, (r - 2) * lam + 2):
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in combo))
         yield tuple(preimage(rows[i]) for i in combo), sys
 
@@ -340,9 +337,8 @@ def check_inv(t: Triple, r: int = 3):
     fixed count of an involution of H's image below (r-2) * n + 2) or by an
     exhausted search over the candidates; see ``transplant._tree_candidates``
     for the three cases of candidates and ``inv_witnesses`` for the tree
-    identity and the class-first rule.
-    The class-first rule drops witnesses but never the first one, so the
-    answer is the first witness of the full lexicographic sequence.
+    identity and the class-first rule, under which the answer is the first
+    witness of the full lexicographic sequence.
     """
     for _, sys in inv_witnesses(t, r):
         return sys

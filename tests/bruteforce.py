@@ -525,6 +525,13 @@ def brute_conjugators(elements, a, b):
     return [g for g in elements if a.conjugate_by(g) == b]
 
 
+def brute_conjugate_subgroups(G_elements, H_elements, K_elements) -> bool:
+    """Whether g^-1 H g == K for some g in G, conjugating all of H by each g;
+    H's and K's elements come as sets of Permutations (``mulclose``)."""
+    return len(H_elements) == len(K_elements) and any(
+        {h.conjugate_by(g) for h in H_elements} == K_elements for g in G_elements)
+
+
 def is_conjugate(G: PermGroup, a: Permutation, b: Permutation):
     """A conjugator g in G with g^-1 a g == b, or None.
 
@@ -883,10 +890,13 @@ def walk_self_crosses(walk) -> bool:
 def brute_scan(t, n_max, r=3):
     """The census scan examining every r-subset of G's involutions.
 
-    Same filters and deduplication as ``transplant.okada_shudo_scan``, with
-    no orbit skipping: generation by a Schreier-Sims order per subset, both
-    coset actions, tree test, invertible non-permutation intertwiner, and
-    the first subset kept per pair of canonical keys.
+    The output of ``transplant.okada_shudo_scan`` with every test run per
+    subset, where the census decides AC and isometry once per triple and
+    tests one subset per conjugation orbit: generation by a Schreier-Sims
+    order, both coset actions, tree test, an invertible intertwiner that is
+    not a permutation (``find_transplantation``, whose permutation solution
+    is the per-tuple isometry test), and the first subset kept per pair of
+    canonical keys.
     """
     G = t.G
     table_h = left_cosets(G, t.H)

@@ -6,7 +6,9 @@ compared with an oracle that enumerates whole groups: conjugacy classes by
 scanning all conjugations, double cosets by multiplying elements, and
 characters by closing the paired gluing generators.  The AC and EC
 witnesses that ``property_report`` prints are compared with the least
-element found from the definitions.
+element found from the definitions.  The census's per-triple isometry
+verdict (``sides_conjugate``: K fixes a coset of H) is compared with
+conjugating all of H by every element of G.
 """
 
 import random
@@ -20,10 +22,12 @@ from isodrum.catalog import psl_triple
 from isodrum.groups import PermGroup, conjugacy_classes, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import InvolutionSystem, find_transplantation, verify_intertwiner
-from isodrum.triples import Triple, compress, is_ac, is_ec, property_report, rank
+from isodrum.triples import (Triple, compress, is_ac, is_ec, property_report, rank,
+                             sides_conjugate)
 
 from bruteforce import (
     brute_classes,
+    brute_conjugate_subgroups,
     brute_double_coset_count,
     brute_fixed_cosets,
     brute_is_ac,
@@ -105,6 +109,37 @@ def test_rank_ac_and_ec_against_bruteforce(t):
     swapped = Triple(t.G, t.K, t.H)
     assert is_ac(t) == is_ac(swapped) == brute_is_ac(ge, he, ke)
     assert is_ec(t) == is_ec(swapped) == brute_is_ec(ge, he, ke)
+
+
+@st.composite
+def conjugated_sides(draw):
+    """``conjugate_triple``'s (G, H, K), or (G, H, H^g) for a drawn g in G."""
+    t = draw(conjugate_triple())
+    if not draw(st.booleans()):
+        return t
+    g = draw(st.sampled_from(t.G.elements()))
+    return Triple(t.G, t.H, PermGroup(t.G.degree, [h.conjugate_by(g) for h in t.H.generators]))
+
+
+@SETTINGS
+@given(conjugated_sides())
+def test_sides_conjugate_against_bruteforce(t):
+    # the census's per-triple isometry verdict, K fixing a coset of H,
+    # against conjugating all of H by every element of G
+    conjugate = brute_conjugate_subgroups(t.G.elements(), elements_of(t.H), elements_of(t.K))
+    assert sides_conjugate(t) == sides_conjugate(Triple(t.G, t.K, t.H)) == conjugate
+
+
+def test_point_and_hyperplane_stabilizers_are_not_conjugate(psl32):
+    # negative control: psl(3,2)'s point and hyperplane stabilizers are AC
+    # (the Gassmann pair of the census) but not conjugate in G; K = H^g is
+    g = next(g for g in psl32.G.generators if g not in psl32.H)
+    Hg = PermGroup(psl32.G.degree, [h.conjugate_by(g) for h in psl32.H.generators])
+    ge, he = psl32.G.elements(), elements_of(psl32.H)
+    assert is_ac(psl32) and not sides_conjugate(psl32)
+    assert not brute_conjugate_subgroups(ge, he, elements_of(psl32.K))
+    assert sides_conjugate(Triple(psl32.G, psl32.H, Hg))
+    assert brute_conjugate_subgroups(ge, he, elements_of(Hg))
 
 
 WITNESS_TEXT = {"ac": re.compile(r"element (.*) fixes (\d+) cosets of H, (\d+) of K"),

@@ -178,7 +178,9 @@ def test_census_pairs_share_the_g_intertwiners(spied_census, psl32):
 
 def test_census_of_conjugate_sides_is_empty(psl32_small):
     # with K conjugate to H the triple is AC, and every generating tuple's
-    # two systems are isometric, so the isometry test rejects every orbit
+    # two systems are isometric: the census refuses the triple once
+    # (triples.sides_conjugate), and brute_scan's per-tuple isometry test
+    # rejects every subset
     t = psl32_small
     g = next(g for g in t.G.generators if g not in t.H)
     K = PermGroup(t.G.degree, [h.conjugate_by(g) for h in t.H.generators])
@@ -187,6 +189,25 @@ def test_census_of_conjugate_sides_is_empty(psl32_small):
         u = Triple(t.G, t.H, side)
         assert is_ac(u)
         assert okada_shudo_scan(u, 7, 3) == brute_scan(u, 7, 3) == []
+
+
+def test_census_decides_isometry_per_triple(psl32_small, monkeypatch):
+    # a generating tuple's isometries are G-set isomorphisms G/H -> G/K, so
+    # conjugate sides are refused before any candidate is listed, and no
+    # census runs a per-tuple isometry test
+    called = []
+    for name in ("detect_isometry", "_tree_candidates"):
+        real = getattr(transplant, name)
+        monkeypatch.setattr(transplant, name,
+                            lambda *args, name=name, real=real: called.append(name) or real(*args))
+    t = psl32_small
+    g = next(g for g in t.G.generators if g not in t.H)
+    K = PermGroup(t.G.degree, [h.conjugate_by(g) for h in t.H.generators])
+    assert okada_shudo_scan(Triple(t.G, t.H, K), 7, 3) == []
+    assert called == []
+    assert len(okada_shudo_scan(t, 7, 3)) == 14
+    assert len(okada_shudo_scan(psl_triple(4, 2), 15, 3)) == 30
+    assert called == ["_tree_candidates"] * 2
 
 
 def test_conjugation_maps_against_conjugate_by(psl32_small):
