@@ -4,9 +4,9 @@ Subcommands: verify, construct, transplant, unfold, spectrum,
 spectrum-compare, catalog, scan, gww.  Exit codes: 0 success / property
 holds, 1 a checked property fails (for unfold: the domain overlaps itself or
 has no exact boundary, such as a slit), 2 invalid input (a command line
-argparse rejects, such as an unknown tile, a spacing h that is not a positive
-rational, a k that is not a positive integer or an --nq that is not two
-integers; a dimension or field size the catalog cannot build; a spec, system
+argparse rejects, such as a spacing h that is not a positive rational, a k
+that is not a positive integer or an --nq that is not two integers; a
+dimension or field size the catalog cannot build; a spec, system
 or domain file that does not parse; a GF_BOUND that is not a positive
 integer; a construction whose hypotheses fail on the given base; fewer than 3
 sides for INV or the census; a census on subgroups of different indices; two
@@ -93,14 +93,6 @@ def _positive_int(text: str) -> int:
     return k
 
 
-def _tile(name: str):
-    """The base tile drums.TILES names, looked up when --tile is parsed."""
-    if name not in drums.TILES:
-        choices = ", ".join(map(repr, drums.TILES))
-        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
-    return drums.TILES[name]()
-
-
 def _nq(text: str) -> tuple[int, int]:
     try:
         n, q = (int(x) for x in text.split(","))
@@ -116,12 +108,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _spectra(domains, args):
-    """The k smallest eigenvalues of each (boundary polygon, Gram matrix) at
-    spacing h; ValueError when a mask has fewer than k nodes."""
-    return [spectral.dirichlet_eigenvalues(spectral.rasterize(poly, args.h, gram), args.k,
+def _spectra(polys, args):
+    """The k smallest eigenvalues of each boundary polygon at spacing h;
+    ValueError when a mask has fewer than k nodes."""
+    return [spectral.dirichlet_eigenvalues(spectral.rasterize(poly, args.h), args.k,
                                           seed=args.seed)
-            for poly, gram in domains]
+            for poly in polys]
 
 
 def cmd_verify(args) -> int:
@@ -248,7 +240,7 @@ def cmd_transplant(args) -> int:
 def cmd_unfold(args) -> int:
     sys_ = parse_involution_system(_read(args.system))
     try:
-        domain = drums.unfold(sys_, args.tile)
+        domain = drums.unfold(sys_, drums.BaseTile.half_square())
     except ValueError as exc:  # the gluing graph has a cycle
         print(f"unfold: {exc}", file=sys.stderr)
         return 2
@@ -273,11 +265,11 @@ def cmd_unfold(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _, boundary, gram = drums.load_domain_json(args.domain)
+    _, boundary = drums.load_domain_json(args.domain)
     if boundary is None:
         raise SpecFormatError("domain json has no boundary polygon")
     try:
-        mask = spectral.rasterize(boundary, args.h, gram)
+        mask = spectral.rasterize(boundary, args.h)
         res = spectral.dirichlet_eigenvalues(mask, args.k, seed=args.seed)
     except ValueError as exc:  # a degenerate polygon, or fewer than k interior nodes
         print(f"spectrum: {exc}", file=sys.stderr)
@@ -292,12 +284,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_spectrum_compare(args) -> int:
-    _, pa, gram_a = drums.load_domain_json(args.a)
-    _, pb, gram_b = drums.load_domain_json(args.b)
+    _, pa = drums.load_domain_json(args.a)
+    _, pb = drums.load_domain_json(args.b)
     if pa is None or pb is None:
         raise SpecFormatError("domain json has no boundary polygon")
     try:
-        ra, rb = _spectra([(pa, gram_a), (pb, gram_b)], args)
+        ra, rb = _spectra([pa, pb], args)
     except ValueError as exc:  # fewer than k interior nodes
         print(f"spectrum-compare: {exc}", file=sys.stderr)
         return 2
@@ -345,7 +337,7 @@ def cmd_gww(args) -> int:
     if not ac:
         print("ABORT at stage ac")
         return 1
-    tile = args.tile
+    tile = drums.BaseTile.half_square()
     table_k = left_cosets(triple.G, triple.K)
     chosen = None
     for gs, sys_a in inv_witnesses(triple, 3):
@@ -386,7 +378,7 @@ def cmd_gww(args) -> int:
         drums.export_json(domain, os.path.join(outdir, f"gww_{side}.json"), poly)
     stage("artifacts", f"written to {outdir}")
     try:
-        ra, rb = _spectra([(pa, tile.gram), (pb, tile.gram)], args)
+        ra, rb = _spectra([pa, pb], args)
     except ValueError as exc:  # fewer than k interior nodes
         print(f"gww: {exc}", file=sys.stderr)
         return 2
@@ -448,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unfold", help="unfold an involution system into a planar domain")
     p.add_argument("--system", required=True)
-    p.add_argument("--tile", type=_tile, default="half-square")
     p.add_argument("--svg", default=None)
     p.add_argument("--json", dest="json_out", default=None, help="exact JSON output path")
     p.set_defaults(func=cmd_unfold)
@@ -479,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_spacing, default="1/64")
     p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--tile", type=_tile, default="half-square")
     p.add_argument("--outdir", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gww)

@@ -3,83 +3,51 @@
 Tiles are placed by breadth-first reflection along the tree edges of the
 gluing graph.  Side mu of a triangle is the edge opposite vertex mu.
 
-A base tile must be a Euclidean reflection (Coxeter) triangle: its squared
-side lengths are in ratio 1:1:1 (equilateral), 1:1:2 (half-square) or 1:3:4
-(30-60-90).  Reflections in its sides then generate a kaleidoscopic,
-edge-to-edge tessellation of the plane, and every unfolded tile is one of its
-cells (Coxeter, Ann. Math. 1934; Buser-Conway-Doyle-Semmler, IMRN 1994).  Two
-cells either coincide or have disjoint interiors, and two cell edges never
-cross properly.  So two placed tiles overlap exactly when they have the same
-vertex set, and a boundary made of tile edges cannot self-intersect; both are
-decided by these identities, with no geometric search.
-
-Every vertex of such a tessellation lies in one lattice, which the
-tessellation's reflections map to itself: Z^2 for the half-square, the
-Eisenstein lattice for the equilateral tile, a sixth of it for the 30-60-90
-tile.  So coordinates are exact rationals in a basis of that lattice, and a
-tile carries the basis's Gram matrix.  Reflections and the side-ratio test
-use the Gram dot product; overlap, orientation and the boundary walk are
-affine invariant and need no metric.  The half-square's basis is orthonormal
-(Gram matrix the identity), so its coordinates are Cartesian.  The
-equilateral tile is (0,0), (1,0), (0,1) on two unit vectors at 60 degrees,
-Gram matrix ((1, 1/2), (1/2, 1)).  Areas are in units of the basis
-parallelogram: the Euclidean area is the lattice area times sqrt(det Gram).
+Coordinates are exact Cartesian rationals, and the base tile must be a
+half-square: squared side lengths in ratio 1:1:2.  That is the one Euclidean
+reflection (Coxeter) triangle with rational vertices: the other two, with
+squared sides 1:1:1 and 1:3:4, have sqrt(3) times a rational as area, and a
+triangle with rational vertices has rational area.  Reflections in its sides
+generate a kaleidoscopic, edge-to-edge tessellation of the plane, and every
+unfolded tile is one of its cells (Coxeter, Ann. Math. 1934;
+Buser-Conway-Doyle-Semmler, IMRN 1994).  Two cells either coincide or have
+disjoint interiors, and two cell edges never cross properly.  So two placed
+tiles overlap exactly when they have the same vertex set, and a boundary
+made of tile edges cannot self-intersect; both are decided by these
+identities, with no geometric search.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import SpecFormatError
-from .spectral import SQUARE
 from .transplant import InvolutionSystem, is_tree
-
-EISENSTEIN = ((1, Fraction(1, 2)), (Fraction(1, 2), 1))
 
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _dot(u, v, gram):
-    (g11, g12), (_, g22) = gram
-    return g11 * u[0] * v[0] + g12 * (u[0] * v[1] + u[1] * v[0]) + g22 * u[1] * v[1]
-
-
-# squared side lengths of the triangles whose reflections tile the plane
-_COXETER_RATIOS = ((1, 1, 1), (1, 1, 2), (1, 3, 4))
-
-
 @dataclass(frozen=True)
 class BaseTile:
-    """A triangle with rational coordinates in a lattice basis whose Gram
-    matrix is ``gram``, and one color per side."""
+    """A half-square with rational Cartesian coordinates, and one color per
+    side."""
 
     vertices: tuple
-    gram: tuple = SQUARE
 
     def __post_init__(self):
         if len(self.vertices) != 3:
             raise ValueError("a base tile has three vertices")
-        (g11, g12), (g21, g22) = self.gram
-        if g12 != g21 or g11 <= 0 or g11 * g22 <= g12 * g12:
-            raise ValueError("Gram matrix must be symmetric positive definite")
         if _cross(*self.vertices) == 0:
             raise ValueError("degenerate triangle")
-        sq = []
-        for mu in range(3):
-            p, q = self.side(mu)
-            d = (q[0] - p[0], q[1] - p[1])
-            sq.append(_dot(d, d, self.gram))
-        if not any(sq[i] * b == sq[j] * a and sq[i] * c == sq[k] * a
-                   for a, b, c in _COXETER_RATIOS for i, j, k in permutations(range(3))):
-            raise ValueError("base tile is not a Coxeter triangle "
-                             "(squared sides 1:1:1, 1:1:2 or 1:3:4)")
+        a, b, c = sorted((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
+                         for p, q in map(self.side, range(3)))
+        if not (a == b and c == 2 * a):
+            raise ValueError("base tile is not a Coxeter triangle (squared sides 1:1:2)")
 
     def side(self, mu: int):
         """Endpoints of the side opposite vertex mu."""
@@ -91,28 +59,17 @@ class BaseTile:
 
     @staticmethod
     def half_square() -> "BaseTile":
-        return BaseTile(_UNIT_CORNER)
-
-    @staticmethod
-    def equilateral() -> "BaseTile":
-        return BaseTile(_UNIT_CORNER, EISENSTEIN)
+        return BaseTile(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+                         (Fraction(0), Fraction(1))))
 
 
-_UNIT_CORNER = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-# the one table of tile names; a domain JSON lattice must be one of theirs
-TILES = {"half-square": BaseTile.half_square, "equilateral": BaseTile.equilateral}
-
-
-def _reflect(points, p, q, gram):
+def _reflect(points, p, q):
     """Mirror images of the points across the line through p and q."""
-    (g11, g12), (_, g22) = gram
     d = (q[0] - p[0], q[1] - p[1])
-    gd = (g11 * d[0] + g12 * d[1], g12 * d[0] + g22 * d[1])  # G d, so <v, d> = v . gd
-    dd = d[0] * gd[0] + d[1] * gd[1]
+    dd = d[0] * d[0] + d[1] * d[1]
     images = []
     for x in points:
-        t = ((x[0] - p[0]) * gd[0] + (x[1] - p[1]) * gd[1]) / dd
+        t = ((x[0] - p[0]) * d[0] + (x[1] - p[1]) * d[1]) / dd
         images.append((2 * (p[0] + t * d[0]) - x[0], 2 * (p[1] + t * d[1]) - x[1]))
     return tuple(images)
 
@@ -170,7 +127,7 @@ def unfold(sys: InvolutionSystem, base: BaseTile) -> TiledDomain:
                 continue
             a, b = (mu + 1) % 3, (mu + 2) % 3
             pa, pb = tiles[i][a], tiles[i][b]
-            tiles[j] = _reflect(tiles[i], pa, pb, base.gram)
+            tiles[j] = _reflect(tiles[i], pa, pb)
             orientations[j] = -orientations[i]
             adjacency.append((i, j, mu))
             placed.add(j)
@@ -243,20 +200,9 @@ def _polygon_signed_area(points):
     return s / 2
 
 
-def _plane(gram):
-    """Cartesian floats of lattice coordinates, on the basis (sqrt(g11), 0),
-    (g12 / sqrt(g11), sqrt(det / g11)) that has this Gram matrix.  For the
-    identity each coordinate is just converted to float."""
-    (g11, g12), (_, g22) = gram
-    shear = Fraction(g12) / g11
-    sx, sy = math.sqrt(g11), math.sqrt(Fraction(g11 * g22 - g12 * g12) / g11)
-    return lambda p: (sx * float(p[0] + shear * p[1]), sy * float(p[1]))
-
-
 def export_svg(domain: TiledDomain, path, boundary=None):
-    """One path per tile plus the boundary outline, drawn in the plane."""
-    plane = _plane(domain.base.gram)
-    tiles = [[plane(v) for v in tri] for tri in domain.tiles]
+    """One path per tile, plus the boundary outline when one is given."""
+    tiles = [[(float(x), float(y)) for x, y in tri] for tri in domain.tiles]
     xs = [x for tri in tiles for x, _ in tri]
     ys = [y for tri in tiles for _, y in tri]
     minx, maxx = min(xs), max(xs)
@@ -271,10 +217,8 @@ def export_svg(domain: TiledDomain, path, boundary=None):
     for tri in tiles:
         p = " ".join(f"{x:.6f},{-y:.6f}" for x, y in tri)
         lines.append(f'  <polygon points="{p}" fill="#cfe2ff" stroke="#6688aa" stroke-width="0.01"/>')
-    if boundary is None and not domain.overlap_flag:
-        boundary = boundary_polygon(domain)
     if boundary is not None:
-        p = " ".join(f"{x:.6f},{-y:.6f}" for x, y in map(plane, boundary))
+        p = " ".join(f"{float(x):.6f},{-float(y):.6f}" for x, y in boundary)
         lines.append(f'  <polygon points="{p}" fill="none" stroke="#000000" stroke-width="0.03"/>')
     lines.append("</svg>")
     with open(path, "w") as fh:
@@ -287,8 +231,7 @@ def _frac_pair(x):
 
 
 def export_json(domain: TiledDomain, path, boundary=None):
-    """Exact lattice coordinates as numerator/denominator pairs, with the
-    lattice's Gram matrix when it is not the identity."""
+    """Exact coordinates as numerator/denominator pairs."""
     if boundary is None and not domain.overlap_flag:
         boundary = boundary_polygon(domain)
     data = {
@@ -301,16 +244,17 @@ def export_json(domain: TiledDomain, path, boundary=None):
         else None,
         "area": _frac_pair(domain.total_area()),
     }
-    if domain.base.gram != SQUARE:
-        data["lattice"] = [[_frac_pair(g) for g in row] for row in domain.base.gram]
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
 
 
 def load_domain_json(path):
-    """Tiles, boundary polygon and lattice Gram matrix back from the exact
-    JSON form; a missing ``lattice`` means the identity."""
+    """Tiles and boundary polygon back from the exact JSON form.
+
+    Files that earlier versions wrote for a tile with 60-degree angles carry a
+    ``lattice`` field and coordinates in a basis that is not Cartesian; read
+    as Cartesian they give a wrong domain, so any such field is refused."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -324,11 +268,8 @@ def load_domain_json(path):
             boundary = [
                 (Fraction(x[0], x[1]), Fraction(y[0], y[1])) for x, y in data["boundary"]
             ]
-        gram = SQUARE
-        if "lattice" in data:
-            gram = tuple(tuple(Fraction(g[0], g[1]) for g in row) for row in data["lattice"])
     except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"bad domain json: {exc}") from exc
-    if gram not in {tile().gram for tile in TILES.values()}:
-        raise SpecFormatError("bad domain json: lattice is not the Gram matrix of a named tile")
-    return tiles, boundary, gram
+    if "lattice" in data:
+        raise SpecFormatError("bad domain json: a lattice field; coordinates must be Cartesian")
+    return tiles, boundary

@@ -1,21 +1,17 @@
 """Discrete Dirichlet Laplacian spectra on rasterized domains.
 
-Coordinates are in a basis of a planar lattice L with Gram matrix G (the
-identity for Z^2, ((1, 1/2), (1/2, 1)) for the Eisenstein lattice of the
-equilateral tile).  The domain is sampled on h*L: a node is occupied when
-it lies strictly inside the boundary polygon, which is affine invariant and
-so decided on the coordinates alone, exactly, in integer arithmetic on
-coordinates scaled to a common denominator.  The operator is the lattice's
-stencil with zero boundary values: its k shortest vectors (unit length), each
-with weight 4/(k*h^2), and 4/h^2 on the diagonal, which is the 5-point
-Laplacian on Z^2 and the 7-point one on the Eisenstein lattice.  The k
-smallest eigenvalues come from a shift-invert Lanczos iteration with a fixed
-starting vector, so results are reproducible bit for bit across runs.  The
-inverse is one sparse LU factorization with a symmetric minimum-degree
-ordering and no pivoting, which the operator, a positive definite M-matrix,
-permits.  scipy, needed only for the factorization and the Lanczos
-iteration, is imported on first use, so importing this module (and the
-package) loads numpy alone.
+Coordinates are Cartesian rationals.  The domain is sampled on the grid
+h*Z^2: a node is occupied when it lies strictly inside the boundary polygon,
+decided exactly, in integer arithmetic on coordinates scaled to a common
+denominator.  The operator is the 5-point Laplacian with zero boundary
+values: 4/h^2 on the diagonal and -1/h^2 for each of the four axis
+neighbors.  The k smallest eigenvalues come from a shift-invert Lanczos
+iteration with a fixed starting vector, so results are reproducible bit for
+bit across runs.  The inverse is one sparse LU factorization with a
+symmetric minimum-degree ordering and no pivoting, which the operator, a
+positive definite M-matrix, permits.  scipy, needed only for the
+factorization and the Lanczos iteration, is imported on first use, so
+importing this module (and the package) loads numpy alone.
 """
 
 from __future__ import annotations
@@ -24,82 +20,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
 
 import numpy as np
 
-SQUARE = ((1, 0), (0, 1))  # the Gram matrix of Z^2
 LANCZOS_MAXITER = 5000  # Arnoldi update iterations allowed to eigsh
-
-
-def _stencil(gram):
-    """The shortest nonzero vectors of the lattice with Gram matrix ``gram``
-    among the coefficient vectors with entries -1, 0, 1, which hold them
-    whenever the basis is reduced.
-
-    Weight 4/(k*h^2) on each of the k vectors gives a consistent Laplacian
-    exactly when they have unit length and sum_v (v.x)^2 = (k/2) |x|^2 for
-    every x, which in lattice coordinates reads sum_v v v^T G = (k/2) I;
-    anything else raises.
-    """
-    (g11, g12), (_, g22) = gram
-    norms = {v: g11 * v[0] ** 2 + 2 * g12 * v[0] * v[1] + g22 * v[1] ** 2
-             for v in product((-1, 0, 1), repeat=2) if v != (0, 0)}
-    shortest = min(norms.values())
-    vectors = [v for v, n in norms.items() if n == shortest]
-    k = len(vectors)
-    moment = [[sum(v[r] * v[c] for v in vectors) for c in range(2)] for r in range(2)]
-    if shortest != 1 or any(
-            2 * sum(moment[r][m] * gram[m][c] for m in range(2)) != k * (r == c)
-            for r in range(2) for c in range(2)):
-        raise ValueError("the lattice's shortest vectors give no consistent Laplacian stencil")
-    return vectors
+STENCIL = ((-1, 0), (0, -1), (0, 1), (1, 0))  # the 5-point Laplacian's neighbor steps
 
 
 @dataclass
 class GridMask:
-    """Occupied lattice nodes (i, j) meaning the point i*h*e1 + j*h*e2 of the
-    lattice with Gram matrix ``gram`` in the basis e1, e2."""
+    """Occupied grid nodes (i, j), meaning the point (i*h, j*h)."""
 
     h: Fraction
     i0: int
     j0: int
     cells: np.ndarray  # boolean, indexed [i - i0, j - j0]
-    gram: tuple = SQUARE
 
     @property
     def occupied_count(self) -> int:
         return int(self.cells.sum())
-
-    def area_estimate(self) -> float:
-        (g11, g12), (_, g22) = self.gram
-        return self.occupied_count * float(self.h) ** 2 * math.sqrt(g11 * g22 - g12 * g12)
-
-    def component_count(self) -> int:
-        """Connected components of the occupied set under the stencil's
-        neighborhood."""
-        offsets = _stencil(self.gram)
-        cells = self.cells
-        seen = np.zeros_like(cells)
-        count = 0
-        for si, sj in zip(*np.nonzero(cells)):
-            if seen[si, sj]:
-                continue
-            count += 1
-            stack = [(si, sj)]
-            seen[si, sj] = True
-            while stack:
-                ci, cj = stack.pop()
-                for ni, nj in ((ci + di, cj + dj) for di, dj in offsets):
-                    if (
-                        0 <= ni < cells.shape[0]
-                        and 0 <= nj < cells.shape[1]
-                        and cells[ni, nj]
-                        and not seen[ni, nj]
-                    ):
-                        seen[ni, nj] = True
-                        stack.append((ni, nj))
-        return count
 
 
 @dataclass
@@ -118,15 +57,12 @@ class SpectrumResult:
             raise ValueError("Dirichlet eigenvalues must be positive")
 
 
-def rasterize(poly, h, gram=SQUARE) -> GridMask:
-    """Mask of the nodes of the lattice with Gram matrix ``gram``, scaled by
-    h, strictly inside a simple polygon given in the lattice's basis.
+def rasterize(poly, h) -> GridMask:
+    """Mask of the nodes of the grid h*Z^2 strictly inside a simple polygon.
 
-    Exact, in integers, and the same code for every lattice, since being
-    strictly inside is affine invariant.  Every vertex coordinate is divided
-    by h and scaled by the lcm L of the resulting denominators, so the
-    vertices become integer points (X, Y) and node (i, j) becomes
-    (i*L, j*L).  Row j meets the non-horizontal edges at crossings
+    Exact, in integers.  Every vertex coordinate is divided by h and scaled
+    by the lcm L of the resulting denominators, so the vertices become
+    integer points (X, Y) and node (i, j) becomes (i*L, j*L).  Row j meets the non-horizontal edges at crossings
     X = num/den, counted by the half-open rule (an edge owns its low
     endpoint, not its high one); the interior runs between consecutive
     crossing pairs are the i with a < i*L < b, found by floor division and
@@ -169,12 +105,12 @@ def rasterize(poly, h, gram=SQUARE) -> GridMask:
             cells[i_lo - i_min:i_hi - i_min + 1, col] = True  # empty if i_lo > i_hi
         for x_lo, x_hi in flat.get(y, ()):
             cells[-(-x_lo // L) - i_min:x_hi // L - i_min + 1, col] = False
-    return GridMask(h, i_min, j_min, cells, gram)
+    return GridMask(h, i_min, j_min, cells)
 
 
 def _dirichlet_laplacian(mask: GridMask):
-    """The mask lattice's Dirichlet Laplacian on the occupied nodes: 4/h^2 on
-    the diagonal and -4/(k*h^2) for each of the k stencil neighbors.
+    """The 5-point Dirichlet Laplacian on the occupied nodes: 4/h^2 on the
+    diagonal and -1/h^2 for each of the four stencil neighbors.
 
     Node k is the k-th occupied cell in ``np.nonzero`` order.  The entries
     are listed node by node, the diagonal first and then the stencil
@@ -185,15 +121,14 @@ def _dirichlet_laplacian(mask: GridMask):
     """
     import scipy.sparse as sp
 
-    offsets = _stencil(mask.gram)
     n = mask.occupied_count
     ci, cj = np.nonzero(mask.cells)
     idx = -np.ones((mask.cells.shape[0] + 2, mask.cells.shape[1] + 2), dtype=np.int64)
     idx[ci + 1, cj + 1] = np.arange(n)
-    cols = np.stack([idx[ci + 1, cj + 1]] + [idx[ci + 1 + di, cj + 1 + dj] for di, dj in offsets],
+    cols = np.stack([idx[ci + 1, cj + 1]] + [idx[ci + 1 + di, cj + 1 + dj] for di, dj in STENCIL],
                     axis=1)
     h2 = float(mask.h) ** 2
-    vals = np.full(cols.shape, -(4 / len(offsets)) / h2)
+    vals = np.full(cols.shape, -1.0 / h2)
     vals[:, 0] = 4.0 / h2
     keep = cols >= 0
     rows = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], cols.shape)
@@ -201,7 +136,7 @@ def _dirichlet_laplacian(mask: GridMask):
 
 
 def dirichlet_eigenvalues(mask: GridMask, k: int, seed: int = 0) -> SpectrumResult:
-    """k smallest eigenvalues of the mask lattice's Dirichlet Laplacian.
+    """k smallest eigenvalues of the mask's 5-point Dirichlet Laplacian.
 
     Missing neighbors contribute zero (the Dirichlet condition).  Solved in
     shift-invert mode about zero, which targets the smallest eigenvalues of
@@ -244,6 +179,3 @@ def pairwise_relative_gaps(a: SpectrumResult, b: SpectrumResult):
         raise ValueError("spectra have different lengths")
     return [abs(x - y) / max(x, y) for x, y in zip(a.eigenvalues, b.eigenvalues)]
 
-
-def spectra_match(a: SpectrumResult, b: SpectrumResult, tol: float) -> bool:
-    return all(g <= tol for g in pairwise_relative_gaps(a, b))

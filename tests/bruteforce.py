@@ -13,11 +13,9 @@ closure on plain tuples (``tuple_closure``), with no chain of its own.
 and crossing by exact pairwise geometry, without the tessellation argument
 the library's unfolding relies on; ``polygon_area`` and
 ``polygon_perimeter_sq_multiset`` measure a boundary by the shoelace
-formula and its squared edge lengths; all four work on Cartesian
-coordinates in Q(sqrt 3) (``QuadExt``) as well as on rationals.
-``brute_unfold`` places tiles by Euclidean reflection in Cartesian
-coordinates, with no lattice basis, and ``cartesian`` maps the library's
-lattice coordinates into the plane to compare with it.  ``brute_laplacian``
+formula and its squared edge lengths, and ``brute_congruent`` compares two
+boundaries vertex by vertex under every rigid motion.  ``brute_unfold``
+places tiles by Euclidean reflection, depth first.  ``brute_laplacian``
 assembles the Dirichlet Laplacian node by node on the nearest neighbors
 that ``brute_neighbors`` finds by search.  ``brute_is_tree`` searches the
 gluing graph instead of using the fixed-point identity, and
@@ -37,7 +35,6 @@ inputs from the library's chain.
 """
 
 import itertools
-import math
 from collections import deque
 from fractions import Fraction
 
@@ -53,146 +50,12 @@ from isodrum.transplant import InvolutionSystem, find_transplantation, involutio
 from isodrum.triples import PairStatus, verify_automorphism
 
 
-class QuadExt:
-    """a + b*sqrt(d), exact, with rational a, b and a squarefree positive d
-    shared across operands.  Rationals embed with b = 0 and compare equal to
-    plain Fractions and ints."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = int(d)
-        if self.b != 0 and self.d <= 0:
-            raise ValueError("need a positive discriminant for an irrational part")
-        if self.b == 0:
-            self.d = 0
-
-    @staticmethod
-    def _coerce(x, d):
-        if isinstance(x, QuadExt):
-            return x
-        return QuadExt(Fraction(x), 0, d)
-
-    def _match(self, other):
-        other = QuadExt._coerce(other, self.d)
-        if self.d and other.d and self.d != other.d:
-            raise ValueError("mixed discriminants")
-        return other, (self.d or other.d)
-
-    def __add__(self, other):
-        o, d = self._match(other)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + (-QuadExt._coerce(other, self.d))
-
-    def __rsub__(self, other):
-        return QuadExt._coerce(other, self.d) - self
-
-    def __mul__(self, other):
-        o, d = self._match(other)
-        return QuadExt(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o, d = self._match(other)
-        norm = o.a * o.a - o.b * o.b * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero element")
-        inv = QuadExt(o.a / norm, -o.b / norm, d)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        return QuadExt._coerce(other, self.d) / self
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # compare a^2 with b^2 d; signs differ, so the bigger magnitude wins
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
-
-    def __eq__(self, other):
-        try:
-            o, _ = self._match(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __lt__(self, other):
-        o, _ = self._match(other)
-        return (self - o).sign() < 0
-
-    def __gt__(self, other):
-        o, _ = self._match(other)
-        return (self - o).sign() > 0
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QuadExt({self.a})"
-        return f"QuadExt({self.a} + {self.b}*sqrt({self.d}))"
-
-
 def _sign(x) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
     return (x > 0) - (x < 0)
 
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _sqrt_in_q3(r):
-    """sqrt(r) in Q(sqrt 3) for a rational r that is a square or three times
-    one."""
-    for d, unit in ((1, QuadExt(1)), (3, QuadExt(0, 1, 3))):
-        q = Fraction(r) / d
-        num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-        if Fraction(num * num, den * den) == q:
-            return unit * Fraction(num, den)
-    raise ValueError(f"sqrt({r}) is not in Q(sqrt 3)")
-
-
-def cartesian(point, gram):
-    """Cartesian coordinates in Q(sqrt 3) of lattice coordinates, on the
-    basis (sqrt(g11), 0), (g12 / sqrt(g11), sqrt(det / g11)) whose Gram
-    matrix is ``gram``."""
-    (g11, g12), (_, g22) = gram
-    r11 = _sqrt_in_q3(g11)
-    x = r11 * point[0] + g12 / r11 * point[1]
-    return (x, _sqrt_in_q3((g11 * g22 - g12 * g12) / g11) * point[1])
-
-
-# the named tiles in Cartesian coordinates, as drawn before lattice coordinates
-CARTESIAN_TILES = {
-    "half-square": ((QuadExt(0), QuadExt(0)), (QuadExt(1), QuadExt(0)), (QuadExt(0), QuadExt(1))),
-    "equilateral": ((QuadExt(0), QuadExt(0)), (QuadExt(1), QuadExt(0)),
-                    (QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 2), 3))),
-}
 
 
 def _euclidean_reflection(x, p, q):
@@ -205,11 +68,11 @@ def _euclidean_reflection(x, p, q):
 
 
 def brute_unfold(sys: InvolutionSystem, vertices):
-    """Tiles of a tree system placed from the Cartesian base triangle
-    ``vertices``: tile j, glued to tile i by color mu, is tile i reflected
-    across its side mu.  Depth-first, so the placing order differs from the
-    library's breadth-first one; in a tree each tile's position is the same
-    either way."""
+    """Tiles of a tree system placed from the base triangle ``vertices``:
+    tile j, glued to tile i by color mu, is tile i reflected across its side
+    mu.  Depth-first, so the placing order differs from the library's
+    breadth-first one; in a tree each tile's position is the same either
+    way."""
     tiles = [None] * sys.n_tiles
     tiles[0] = tuple(vertices)
     stack = [0]
@@ -853,7 +716,7 @@ def triangles_overlap(t1, t2) -> bool:
 
 
 def polygon_area(points):
-    """Unsigned shoelace area, exact over rational or quadratic coordinates."""
+    """Unsigned shoelace area, exact over rational coordinates."""
     n = len(points)
     s = sum(points[i][0] * points[(i + 1) % n][1] - points[(i + 1) % n][0] * points[i][1]
             for i in range(n))
@@ -867,6 +730,37 @@ def polygon_perimeter_sq_multiset(points):
         dx, dy = x1 - x2, y1 - y2
         out.append(dx * dx + dy * dy)
     return sorted(out)
+
+
+def _vertex_words(poly):
+    """Per corner: (squared length of the outgoing edge, dot and cross
+    product of the incoming and outgoing edges).  Straight vertices, where
+    the two edges are collinear, are dropped first."""
+    corners = [b for a, b, c in zip(poly[-1:] + poly[:-1], poly, poly[1:] + poly[:1])
+               if _cross(a, b, c) != 0]
+    edges = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(corners, corners[1:] + corners[:1])]
+    return [(bx * bx + by * by, ax * bx + ay * by, ax * by - ay * bx)
+            for (ax, ay), (bx, by) in zip(edges[-1:] + edges[:-1], edges)]
+
+
+def brute_congruent(P, Q) -> bool:
+    """Whether two simple polygons are congruent, exactly, in Fractions.
+
+    Compares the cyclic sequences of (squared edge length, dot product,
+    cross product) at each vertex of Q, read forward and backward, on Q and
+    on its mirror image, against P's at every rotation.  Straight vertices
+    are dropped first, so two drawings of one shape that subdivide an edge
+    differently still agree.
+    """
+    target = _vertex_words(list(P))
+    n = len(target)
+    for mirror in (False, True):
+        pts = [(x, -y) for x, y in Q] if mirror else list(Q)
+        for walk in (pts, pts[::-1]):
+            words = _vertex_words(walk)
+            if len(words) == n and any(words[s:] + words[:s] == target for s in range(n)):
+                return True
+    return False
 
 
 def brute_overlap(tiles) -> bool:
@@ -1046,26 +940,25 @@ def brute_class_first(t, witnesses):
             yield gs, sys
 
 
-def brute_neighbors(gram):
-    """The shortest nonzero vectors of the lattice with Gram matrix ``gram``,
-    searched over every coefficient vector with entries from -2 to 2: the
-    four axis steps on Z^2, six steps on the Eisenstein lattice."""
-    norm = {v: gram[0][0] * v[0] ** 2 + 2 * gram[0][1] * v[0] * v[1] + gram[1][1] * v[1] ** 2
+def brute_neighbors():
+    """The shortest nonzero vectors of Z^2, searched over every vector with
+    entries from -2 to 2: the four axis steps."""
+    norm = {v: v[0] ** 2 + v[1] ** 2
             for v in itertools.product(range(-2, 3), repeat=2) if v != (0, 0)}
     return [v for v in norm if norm[v] == min(norm.values())]
 
 
 def brute_laplacian(mask):
-    """The mask lattice's Dirichlet Laplacian assembled one node at a time:
-    the diagonal 4/h^2, then -4/(k*h^2) for each of the k nearest neighbors
-    that exist."""
+    """The mask's Dirichlet Laplacian assembled one node at a time: the
+    diagonal 4/h^2, then -4/(k*h^2) for each of the k nearest neighbors that
+    exist."""
     n = mask.occupied_count
     idx = -np.ones(mask.cells.shape, dtype=np.int64)
     pts = np.nonzero(mask.cells)
     idx[pts] = np.arange(n)
     rows, cols, vals = [], [], []
     h2 = float(mask.h) ** 2
-    steps = brute_neighbors(mask.gram)
+    steps = brute_neighbors()
     for ci, cj in zip(*pts):
         me = idx[ci, cj]
         rows.append(me)
@@ -1105,7 +998,7 @@ def _row_crossings(poly, y: Fraction):
 
 
 def brute_rasterize(poly, h) -> GridMask:
-    """Mask of lattice nodes strictly inside a simple polygon, in Fraction
+    """Mask of grid nodes strictly inside a simple polygon, in Fraction
     arithmetic: float seeds for each interval end corrected by exact
     comparisons, then every node of the interval tested against the
     horizontal edges on its row."""

@@ -7,7 +7,6 @@ from isodrum.cli import main
 from isodrum.errors import SettingError
 from isodrum.limits import ENUMERATION_BOUND, enumeration_bound
 from isodrum.specio import format_triple_spec, parse_triple_spec
-from isodrum.transplant import detect_isometry, parse_involution_system
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +240,7 @@ def test_unfold_command(tmp_path, capsys):
     path.write_text(sys_text)
     svg = tmp_path / "pair.svg"
     jsn = tmp_path / "pair.json"
-    rc = main(["unfold", "--system", str(path), "--tile", "half-square",
-               "--svg", str(svg), "--json", str(jsn)])
+    rc = main(["unfold", "--system", str(path), "--svg", str(svg), "--json", str(jsn)])
     out = capsys.readouterr().out
     assert rc == 0
     assert svg.exists() and jsn.exists()
@@ -261,36 +259,13 @@ def test_unfold_slit_domain_fails(specdir, tmp_path, capsys):
     assert "overlap: False" in out and "(slit)" in out
     assert "no exact boundary; skipping JSON export" in out and not jsn.exists()
     assert main(["unfold", "--system", system]) == 1
+    # the drawing holds the tiles, with no boundary outline to draw
+    svg = tmp_path / "slit.svg"
+    assert main(["unfold", "--system", system, "--svg", str(svg)]) == 1
+    assert f"wrote {svg}" in capsys.readouterr().out
+    assert svg.read_text().count("<polygon") == 7
     assert main(["unfold", "--system", str(tmp_path / "pair000a.ivs"), "--json", str(jsn)]) == 0
     assert jsn.exists()
-
-
-def test_unfold_equilateral(tmp_path, capsys):
-    sys_text = (
-        "tiles: 2\nsides: 3\n"
-        "side 1: (1 2) ; boundary:\n"
-        "side 2: ; boundary: 1 2\n"
-        "side 3: ; boundary: 1 2\n"
-    )
-    path = tmp_path / "pair.ivs"
-    path.write_text(sys_text)
-    rc = main(["unfold", "--system", str(path), "--tile", "equilateral",
-               "--svg", str(tmp_path / "eq.svg")])
-    assert rc == 0
-    assert "overlap: False" in capsys.readouterr().out
-
-
-def test_unfold_json_on_equilateral_tile(tmp_path, capsys):
-    # the equilateral tile's coordinates are rational in its lattice basis,
-    # so the exact JSON form holds them, with the lattice's Gram matrix
-    path = tmp_path / "gww_a.ivs"
-    path.write_text(GOLDEN_A)
-    jsn = tmp_path / "a.json"
-    rc = main(["unfold", "--system", str(path), "--tile", "equilateral", "--json", str(jsn)])
-    captured = capsys.readouterr()
-    assert rc == 0 and captured.err == ""
-    assert "boundary vertices: 9, area: 7/2" in captured.out
-    assert json.loads(jsn.read_text())["lattice"] == [[[1, 1], [1, 2]], [[1, 2], [1, 1]]]
 
 
 def test_construct_type2_and_type3_via_files(tmp_path, capsys, a5_group):
@@ -430,30 +405,6 @@ def test_verify_type3_decides_ac(tmp_path, capsys, a5_group):
     assert data["ac"] is True and data["ec"] and data["ff"] and data["max"]
 
 
-def test_gww_equilateral_spectra(tmp_path, capsys):
-    # the whole pipeline on the equilateral tile: clean domains, exact JSON,
-    # and spectrum on the written file reads the lattice back and gives
-    # gww's eigenvalues.  The pair is congruent, not a counterexample: B is
-    # A with colors 0 and 2 swapped, and the tile's reflection swapping
-    # those sides carries one domain onto the other.  So the gap equal to
-    # rounding tests the 7-point stencil's symmetry, not isospectrality.
-    outdir = tmp_path / "eq"
-    rc = main(["gww", "--tile", "equilateral", "--outdir", str(outdir), "--h", "1/16", "--json"])
-    report = json.loads(capsys.readouterr().out)
-    assert rc == 0 and report["pass"]
-    stages = report["stages"]
-    assert not stages["overlap_a"] and not stages["overlap_b"]
-    assert stages["max_relative_gap"] <= 1e-9
-    for side in "ab":
-        assert (outdir / f"gww_{side}.svg").exists()
-        assert main(["spectrum", "--domain", str(outdir / f"gww_{side}.json"), "--h", "1/16",
-                     "--json"]) == 0
-        eigenvalues = json.loads(capsys.readouterr().out)["eigenvalues"]
-        assert [round(x, 6) for x in eigenvalues] == stages[f"spectrum_{side}"]
-    a, b = (parse_involution_system((outdir / f"gww_{side}.ivs").read_text()) for side in "ab")
-    assert detect_isometry(a, b.permute_colors((2, 1, 0))) is not None
-
-
 GOLDEN_A = (
     "tiles: 7\nsides: 3\n"
     "side 1: (3 4) (5 7) ; boundary: 1 2 6\n"
@@ -545,10 +496,9 @@ def test_invalid_cli_input_exits_2(tmp_path, capsys):
     cycle.write_text("tiles: 3\nsides: 3\nside 1: (1 2) ; boundary: 3\n"
                      "side 2: (2 3) ; boundary: 1\nside 3: (1 3) ; boundary: 2\n")
     domain = tmp_path / "a.json"
-    assert main(["unfold", "--system", str(gww_a), "--tile", "equilateral",
-                 "--json", str(domain)]) == 0
+    assert main(["unfold", "--system", str(gww_a), "--json", str(domain)]) == 0
     data = json.loads(domain.read_text())
-    data["lattice"] = [[[1, 1], [0, 1]], [[0, 1], [2, 1]]]
+    data["lattice"] = [[[1, 1], [1, 2]], [[1, 2], [1, 1]]]  # as once written for 60-degree tiles
     bad_lattice = tmp_path / "bad.json"
     bad_lattice.write_text(json.dumps(data))
     capsys.readouterr()
@@ -557,8 +507,9 @@ def test_invalid_cli_input_exits_2(tmp_path, capsys):
     cases = [
         (["transplant", "--a", str(gww_a), "--b", str(three)],
          "transplant: dimension mismatch between systems"),
-        (["unfold", "--system", str(gww_a), "--tile", "nosuch"], "invalid choice: 'nosuch'"),
-        (["gww", "--tile", "nosuch"], "invalid choice: 'nosuch'"),
+        (["unfold", "--system", str(gww_a), "--tile", "half-square"],
+         "unrecognized arguments: --tile half-square"),
+        (["gww", "--tile", "half-square"], "unrecognized arguments: --tile half-square"),
         (["unfold", "--system", str(cycle)], "unfold: system is not a tree; unfolding undefined"),
         (spectrum + ["--h", "0"], "spacing must be positive: '0'"),
         (spectrum + ["--h", "abc"], "not a rational number: 'abc'"),
@@ -571,7 +522,7 @@ def test_invalid_cli_input_exits_2(tmp_path, capsys):
         (["gww", "--k", "0"], "must be at least 1: '0'"),
         (spectrum + ["--k", "100000"], "spectrum: need 1 <= k <= 14049 occupied nodes"),
         (["spectrum", "--domain", str(bad_lattice)],
-         "parse error: bad domain json: lattice is not the Gram matrix of a named tile"),
+         "parse error: bad domain json: a lattice field; coordinates must be Cartesian"),
         (["catalog", "emit", "--nq", "5,5"], "catalog: unsupported field size 5"),
         (["catalog", "emit", "--nq", "1,2"], "catalog: unsupported dimension 1"),
         (["catalog", "emit", "--nq", "abc"], "not two integers n,q: 'abc'"),

@@ -5,10 +5,7 @@ from fractions import Fraction
 import pytest
 
 from isodrum.drums import (
-    EISENSTEIN,
-    SQUARE,
     BaseTile,
-    TiledDomain,
     boundary_polygon,
     export_json,
     export_svg,
@@ -21,10 +18,7 @@ from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import InvolutionSystem
 
 from bruteforce import (
-    QuadExt,
-    _cross,
-    _sign,
-    cartesian,
+    brute_congruent,
     polygon_area,
     polygon_perimeter_sq_multiset,
     triangles_overlap,
@@ -66,14 +60,13 @@ def test_half_square_area():
 
 def test_reflection_is_exact_involution():
     rng = random.Random(0)
-    for gram in (SQUARE, EISENSTEIN):
-        for _ in range(50):
-            p = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
-            q = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
-            if p == q:
-                continue
-            x = (Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 4))
-            assert _reflect(_reflect((x,), p, q, gram), p, q, gram) == (x,)
+    for _ in range(100):
+        p = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+        q = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+        if p == q:
+            continue
+        x = (Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 4))
+        assert _reflect(_reflect((x,), p, q), p, q) == (x,)
 
 
 def test_unfold_single():
@@ -126,27 +119,24 @@ def test_gww_domains_equal_perimeters(gww_domains):
 
 
 def test_gww_domains_not_congruent(gww_domains):
-    # same edge lengths but different turn sequences: genuinely different shapes
-    def shape_word(poly):
-        n = len(poly)
-        out = []
-        for i in range(n):
-            a, b, c = poly[i], poly[(i + 1) % n], poly[(i + 2) % n]
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            out.append((dx * dx + dy * dy, _sign(_cross(a, b, c))))
-        return out
+    # same edge lengths, but no rigid motion, mirror images included, carries
+    # one boundary onto the other: genuinely different shapes
+    pa, pb = (boundary_polygon(d) for d in gww_domains)
+    assert not brute_congruent(pa, pb)
 
-    da, db = gww_domains
-    wa = shape_word(boundary_polygon(da))
-    wb = shape_word(boundary_polygon(db))
-    variants = set()
-    n = len(wa)
-    for s in range(n):
-        variants.add(tuple(wa[s:] + wa[:s]))
-    rev = [(l, -t) for l, t in reversed(wa)]
-    for s in range(n):
-        variants.add(tuple(rev[s:] + rev[:s]))
-    assert tuple(wb) not in variants
+
+def test_congruence_oracle_negative_control(gww_domains):
+    # gww A against a translated mirror image of itself, reflected in a line
+    # at a 3-4-5 angle and listed from another vertex: congruent, as is its
+    # reverse walk; a scaled copy is not
+    pa = boundary_polygon(gww_domains[0])
+    image = [((3 * x + 4 * y) / 5 + Fraction(7, 3), (4 * x - 3 * y) / 5 - 2) for x, y in pa]
+    assert brute_congruent(pa, image[4:] + image[:4])
+    assert brute_congruent(pa, pa[::-1])
+    assert not brute_congruent(pa, [(2 * x, 2 * y) for x, y in pa])
+    # a straight vertex inserted on an edge does not change the shape
+    mid = ((pa[0][0] + pa[1][0]) / 2, (pa[0][1] + pa[1][1]) / 2)
+    assert brute_congruent(pa, pa[:1] + [mid] + pa[1:])
 
 
 def test_overlap_flag_detects_collision():
@@ -163,25 +153,14 @@ def test_overlap_flag_detects_collision():
     assert not triangles_overlap(t1, t4)
 
 
-def test_quadext_tile():
-    tile = BaseTile.equilateral()
-    d = unfold(two_tile_system(mu=0), tile)
-    assert not d.overlap_flag
-    poly = boundary_polygon(d)
-    # rhombus of two unit equilateral triangles: one lattice cell, whose
-    # Cartesian image has area sqrt(3)/2
-    assert polygon_area(poly) == d.total_area() == 1
-    assert polygon_area([cartesian(p, tile.gram) for p in poly]) == QuadExt(0, Fraction(1, 2), 3)
-
-
 def test_export_and_reload_round_trip(tmp_path, gww_domains):
     da, _ = gww_domains
     path = tmp_path / "a.json"
     export_json(da, path)
-    tiles, boundary, gram = load_domain_json(path)
+    tiles, boundary = load_domain_json(path)
     assert tiles == [tuple(t) for t in da.tiles]
     assert boundary == boundary_polygon(da)
-    assert gram == SQUARE and "lattice" not in json.loads(path.read_text())
+    assert "lattice" not in json.loads(path.read_text())
     # exactness: repeated export is byte-identical
     path2 = tmp_path / "b.json"
     export_json(da, path2)
@@ -191,36 +170,29 @@ def test_export_and_reload_round_trip(tmp_path, gww_domains):
 def test_export_svg_has_tiles_and_boundary(tmp_path, gww_domains):
     da, _ = gww_domains
     path = tmp_path / "a.svg"
-    export_svg(da, path)
+    export_svg(da, path, boundary_polygon(da))
     text = path.read_text()
     assert text.count("<polygon") == da.n_tiles + 1
     assert text.startswith("<svg")
-
-
-def test_export_json_carries_the_lattice(tmp_path):
-    # the equilateral tile's coordinates are rational in its lattice basis;
-    # the Gram matrix travels in a "lattice" field and comes back exactly
-    d = unfold(two_tile_system(mu=0), BaseTile.equilateral())
-    path = tmp_path / "x.json"
-    export_json(d, path)
-    data = json.loads(path.read_text())
-    assert data["lattice"] == [[[1, 1], [1, 2]], [[1, 2], [1, 1]]]
-    assert data["area"] == [1, 1]
-    tiles, boundary, gram = load_domain_json(path)
-    assert gram == EISENSTEIN
-    assert tiles == [tuple(t) for t in d.tiles] and boundary == boundary_polygon(d)
+    export_svg(da, path)  # no boundary given: the tiles alone
+    assert path.read_text().count("<polygon") == da.n_tiles
 
 
 @pytest.mark.parametrize("lattice", [
-    [[[1, 1], [0, 1]], [[0, 1], [2, 1]]],  # positive definite, but no named tile's
+    [[[1, 1], [1, 2]], [[1, 2], [1, 1]]],  # the Gram matrix of 60-degree coordinates
+    [[[1, 1], [0, 1]], [[0, 1], [2, 1]]],  # positive definite, but no tile's
     [[[1, 1], [1, 2]], [[1, 3], [1, 1]]],  # not symmetric
     [[[1, 1], [1, 2]]],  # one row
     [[1, 2], [2, 1]],  # entries not numerator/denominator pairs
     [[[1, 1], [1, 0]], [[1, 2], [1, 1]]],  # zero denominator
     "eisenstein",
-], ids=["other-gram", "asymmetric", "one-row", "bare-ints", "zero-denominator", "string"])
+], ids=["sixty-degree", "other-gram", "asymmetric", "one-row", "bare-ints", "zero-denominator",
+        "string"])
 def test_malformed_lattice_is_a_format_error(tmp_path, lattice):
-    d = unfold(two_tile_system(mu=0), BaseTile.equilateral())
+    # files that earlier versions wrote for a tile with 60-degree angles hold
+    # coordinates in a basis that is not Cartesian, under a "lattice" field;
+    # any such field is refused rather than read as Cartesian
+    d = unfold(two_tile_system(mu=0), BaseTile.half_square())
     path = tmp_path / "x.json"
     export_json(d, path)
     data = json.loads(path.read_text())

@@ -92,7 +92,7 @@ def test_spectrum_loads_scipy(tmp_path):
     (tmp_path / "tri.ivs").write_text("tiles: 1\nsides: 3\nside 1: ; boundary: 1\n"
                                       "side 2: ; boundary: 1\nside 3: ; boundary: 1\n")
     stages = loaded_after("""
-        run(["unfold", "--system", "tri.ivs", "--tile", "half-square", "--json", "tri.json"])
+        run(["unfold", "--system", "tri.ivs", "--json", "tri.json"])
         check("unfold")
         run(["spectrum", "--domain", "tri.json", "--k", "3", "--h", "1/16"])
         check("spectrum")

@@ -7,7 +7,9 @@ tessellation.  ``transplant.is_tree`` is the fixed-point identity, which is
 the edge-count test of a connected graph.  Here each is compared with an
 exact pairwise or search-based oracle from ``bruteforce``, and the negative
 controls show what the identities would get wrong without their hypotheses:
-a non-Coxeter tile, and a system that is not transitive.
+a non-Coxeter tile, and a system that is not transitive.  The unfolding tests
+draw their tile from the unit half-square and a rotated, scaled and
+translated one.
 """
 
 import itertools
@@ -19,17 +21,14 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
-    CARTESIAN_TILES,
     brute_is_tree,
     brute_overlap,
     brute_unfold,
-    cartesian,
     walk_self_crosses,
 )
 from isodrum.catalog import psl_triple
 from isodrum.constructions import add_kernel
-from isodrum import drums
-from isodrum.drums import EISENSTEIN, SQUARE, BaseTile, _reflect, boundary_polygon, unfold
+from isodrum.drums import BaseTile, _reflect, boundary_polygon, unfold
 from isodrum.groups import PermGroup
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import InvolutionSystem, is_tree, okada_shudo_scan
@@ -39,7 +38,15 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
 COLOR_ORDERS = list(itertools.permutations(range(3)))
-TILES = (BaseTile.half_square(), BaseTile.equilateral())
+
+
+def _fraction_triangle(points):
+    return tuple((Fraction(x), Fraction(y)) for x, y in points)
+
+
+# the unit half-square, and one with legs (2, 1) and (-1, 2) at (1/2, -1/3)
+TILES = (BaseTile.half_square(),
+         BaseTile(_fraction_triangle((("1/2", "-1/3"), ("5/2", "2/3"), ("-1/2", "5/3")))))
 
 
 def _system(n, pairs_per_color):
@@ -111,14 +118,13 @@ def test_overlap_and_boundary_agree_with_oracle_on_random_trees(sys, tile):
 
 
 @SETTINGS
-@given(tree_systems(), st.sampled_from(sorted(drums.TILES)))
-@example(FAN7, "equilateral")
-def test_lattice_unfolding_matches_cartesian_unfolding(sys, name):
-    # every tile, mapped from lattice coordinates into Q(sqrt 3), is the
-    # tile the Euclidean reflections place from the Cartesian base tile
-    tile = drums.TILES[name]()
-    placed = [tuple(cartesian(v, tile.gram) for v in tri) for tri in unfold(sys, tile).tiles]
-    assert placed == brute_unfold(sys, CARTESIAN_TILES[name])
+@given(tree_systems(), st.sampled_from(TILES))
+@example(FAN7, TILES[0])
+@example(FAN7, TILES[1])
+def test_lattice_unfolding_matches_cartesian_unfolding(sys, tile):
+    # every tile the library places breadth first is the tile the oracle's
+    # Euclidean reflections place depth first
+    assert unfold(sys, tile).tiles == brute_unfold(sys, tile.vertices)
 
 
 def test_overlap_and_boundary_agree_with_oracle_on_psl32_census():
@@ -169,25 +175,26 @@ def test_inv_witnesses_are_trees(case):
     assert all(brute_is_tree(sys) for sys in systems)
 
 
-def _fraction_triangle(points):
-    return tuple((Fraction(x), Fraction(y)) for x, y in points)
-
-
 def test_base_tile_accepts_only_coxeter_triangles():
+    # every half-square, scaled, rotated and with its vertices in any order
     for tile in TILES:
-        assert BaseTile(tile.vertices, tile.gram) == tile
-    # 30-60-90 in Eisenstein coordinates: squared sides 1/4, 1/3, 1/12, i.e. 1:3:4
-    BaseTile(_fraction_triangle(((0, 0), ("1/2", 0), ("1/3", "1/3"))), EISENSTEIN)
+        for order in COLOR_ORDERS:
+            BaseTile(tuple(tile.vertices[i] for i in order))
+    BaseTile(_fraction_triangle(((0, 0), ("3/7", 0), (0, "3/7"))))  # scaled by 3/7
+    BaseTile(_fraction_triangle(((0, 0), ("3/5", "4/5"), ("-4/5", "3/5"))))  # rotated by a 3-4-5 angle
+    BaseTile(_fraction_triangle(((0, 0), (1, 1), (2, 0))))  # right angle at (1, 1)
+    # squared sides 1:1:3 have no rational triangle (its area would be
+    # sqrt(3)/4 times a rational), so the obtuse isosceles control is 5:5:16
     with pytest.raises(ValueError, match="Coxeter"):
-        BaseTile(_fraction_triangle(((0, 0), (1, 0), (0, 1))), ((1, 0), (0, 2)))  # 1:2:3
-    with pytest.raises(ValueError, match="Coxeter"):
-        BaseTile(_fraction_triangle(((0, 0), (1, 0), (1, 1))), EISENSTEIN)  # 1:1:3, 120 degrees
+        BaseTile(_fraction_triangle(((0, 0), (2, 0), (1, "1/2"))))  # squared sides 5:5:16
     with pytest.raises(ValueError, match="Coxeter"):
         BaseTile(_fraction_triangle(((0, 0), (2, 0), (1, 3))))  # squared sides 4:10:10
     with pytest.raises(ValueError, match="Coxeter"):
-        BaseTile(_fraction_triangle(((0, 0), (2, 0), (0, 1))))  # squared sides 1:4:5
-    with pytest.raises(ValueError, match="positive definite"):
-        BaseTile(_fraction_triangle(((0, 0), (1, 0), (0, 1))), ((1, 1), (1, 1)))
+        BaseTile(_fraction_triangle(((0, 0), (2, 0), (0, 1))))  # right, squared sides 1:4:5
+    with pytest.raises(ValueError, match="Coxeter"):
+        BaseTile(_fraction_triangle(((0, 0), (4, 0), (0, 3))))  # right, squared sides 9:16:25
+    with pytest.raises(ValueError, match="degenerate"):
+        BaseTile(_fraction_triangle(((0, 0), (1, 1), (2, 2))))
 
 
 def _fan(tri, count):
@@ -196,7 +203,7 @@ def _fan(tri, count):
     tiles = [tri]
     for _ in range(count - 1):
         v, a, b = tiles[-1]
-        tiles.append((v, b) + _reflect((a,), v, b, SQUARE))
+        tiles.append((v, b) + _reflect((a,), v, b))
     return tiles
 
 
