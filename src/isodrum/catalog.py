@@ -137,9 +137,6 @@ class ProjectiveSpace:
     def incident(self, point_idx: int, hyperplane_idx: int) -> bool:
         return _dot(self.field, self.points[point_idx], self.hyperplanes[hyperplane_idx]) == 0
 
-    def points_on_hyperplane(self, hyperplane_idx: int):
-        return [i for i in range(self.point_count) if self.incident(i, hyperplane_idx)]
-
     def realize(self, matrix) -> Permutation:
         """Permutation of points then hyperplanes induced by a matrix.
 

@@ -6,12 +6,13 @@ holds, 1 a checked property fails (for unfold: the domain overlaps itself or
 has no exact boundary, such as a slit), 2 invalid input (a command line
 argparse rejects, such as a spacing h that is not a positive rational, a k
 that is not a positive integer or an --nq that is not two integers; a
-dimension or field size the catalog cannot build; a spec, system
-or domain file that does not parse; a GF_BOUND that is not a positive
-integer; a construction whose hypotheses fail on the given base; fewer than 3
-sides for INV or the census; a census on subgroups of different indices; two
-systems of different sizes for transplant; a system with a cycle for unfold;
-or fewer than k interior nodes at h), 3 a resource bound was exceeded.
+dimension or field size the catalog cannot build; a path that cannot be
+read or written; a spec, system or domain file that does not parse; a
+GF_BOUND that is not a positive integer; a construction whose hypotheses
+fail on the given base; fewer than 3 sides for INV or the census; a census
+on subgroups of different indices; two systems of different sizes for
+transplant; a system with a cycle for unfold; or fewer than k interior nodes
+at h), 3 a resource bound was exceeded.
 GF_BOUND in the environment is the one setting of the enumeration bound
 (``limits``); no subcommand takes a bound option.
 
@@ -487,8 +488,8 @@ def main(argv=None) -> int:
     except SpecFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except SettingError as exc:
         print(f"setting error: {exc}", file=sys.stderr)

@@ -7,10 +7,9 @@ T's.  T is transitive, so conjugating block 0's copy by T reaches every
 block, and these generate the groups a copy on every block would; each
 constructor checks the orders the wreath theorem gives before returning.
 
-Wreath elements are pairs (base vector, top) multiplied by
-``(a, b) * (a', b') = ((a_w * a'_{b(w)})_w, b * b')``; with left-first
-permutation products this is the associative twisted law, and the
-imprimitive realization on blocks sends (i, alpha) to (b(i), a_i(alpha)).
+On n*d points, block i holds the points i*d .. i*d + d - 1.  A top
+permutation t acts as the block permutation i*d + x -> t(i)*d + x; the
+wreath product law itself is checked against the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -32,54 +31,6 @@ def _shift_degree(p: Permutation, offset: int, total: int) -> Permutation:
     images = np.arange(total, dtype=np.int32)
     images[offset:offset + p.degree] = offset + p.images
     return Permutation(images)
-
-
-@dataclass(frozen=True)
-class WreathElement:
-    """(base vector, top permutation) with the twisted product."""
-
-    base: tuple
-    top: Permutation
-
-    def __post_init__(self):
-        if len(self.base) != self.top.degree:
-            raise ValueError("base vector length must equal top degree")
-        deg = self.base[0].degree if self.base else 0
-        if any(p.degree != deg for p in self.base):
-            raise ValueError("base entries must share one degree")
-
-    @staticmethod
-    def identity(n: int, base_degree: int) -> "WreathElement":
-        return WreathElement(
-            tuple(Permutation.identity(base_degree) for _ in range(n)),
-            Permutation.identity(n),
-        )
-
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        b = self.top
-        new_base = tuple(
-            self.base[w] * other.base[int(b.images[w])] for w in range(len(self.base))
-        )
-        return WreathElement(new_base, self.top * other.top)
-
-    def inverse(self) -> "WreathElement":
-        binv = self.top.inverse()
-        new_base = tuple(
-            self.base[int(binv.images[w])].inverse() for w in range(len(self.base))
-        )
-        return WreathElement(new_base, binv)
-
-    def is_identity(self) -> bool:
-        return self.top.is_identity() and all(p.is_identity() for p in self.base)
-
-    def realize(self) -> Permutation:
-        """Imprimitive action: block i carries copy i, the top permutes blocks."""
-        n = len(self.base)
-        d = self.base[0].degree if self.base else 0
-        images = np.empty(n * d, dtype=np.int32)
-        for i in range(n):
-            images[i * d:(i + 1) * d] = int(self.top.images[i]) * d + self.base[i].images
-        return Permutation(images)
 
 
 class WreathGroup:
@@ -110,9 +61,9 @@ class WreathGroup:
                          + self.top_generators)
 
     def embed_top(self, t: Permutation) -> Permutation:
+        """The block permutation sending point i*d + x to t(i)*d + x."""
         d = self.base_group.degree
-        vec = tuple(Permutation.identity(d) for _ in range(self.n))
-        return WreathElement(vec, t).realize()
+        return Permutation((t.images[:, None] * d + np.arange(d)).ravel())
 
     def expected_order(self) -> int:
         return self.base_group.order ** self.n * self.top_group.order

@@ -54,9 +54,6 @@ class BaseTile:
         a, b = (mu + 1) % 3, (mu + 2) % 3
         return self.vertices[a], self.vertices[b]
 
-    def area(self):
-        return _triangle_area(self.vertices)
-
     @staticmethod
     def half_square() -> "BaseTile":
         return BaseTile(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),

@@ -431,9 +431,6 @@ class ConjugacyClasses:
     def index_of(self, p: Permutation) -> int:
         return self.class_of[p.key()]
 
-    def members(self, i: int):
-        return [e for e in self.elements if self.class_of[e.key()] == i]
-
 
 def conjugacy_classes(G: PermGroup) -> ConjugacyClasses:
     """Conjugacy classes by full enumeration; reps are lex-least members.
@@ -519,12 +516,6 @@ class CosetTable:
         if self._representatives is None:
             self._representatives = [Permutation._wrap(r) for r in self.rows]
         return self._representatives
-
-    def signature(self, g: Permutation) -> bytes:
-        return _row_keys(_canonical_rows(self.subgroup, g.images[None, :]))[0]
-
-    def index_of_element(self, g: Permutation) -> int:
-        return self.index_of[self.signature(g)]
 
     def action_of(self, g: Permutation) -> Permutation:
         """The permutation induced on coset indices by translation, computed

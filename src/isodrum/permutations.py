@@ -166,10 +166,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self):
-        """Sorted cycle lengths including fixed points; a conjugacy invariant."""
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
     def order(self) -> int:
         n = 1
         for c in self.cycles():
@@ -208,11 +204,6 @@ def _lcm(a: int, b: int) -> int:
     from math import gcd
 
     return a // gcd(a, b) * b
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p first, then q."""
-    return p * q
 
 
 def parse_cycles(text: str, degree: int, one_based: bool = False) -> Permutation:

@@ -1,12 +1,13 @@
-"""Text formats for groups, triples and construction stanzas.
+"""The triple spec format: a triple and its optional construction stanza.
 
-A group spec is a record of ``degree:`` and ``generators:`` lines; cycles in
-files are 1-based and juxtaposed cycles compose left to right.  A triple
-spec adds ``H:`` and ``K:`` generator lists (a ``K:`` line with the ``H:``
-line's text parses to H itself), an optional ``label:``, an
-optional ``pair:`` list of automorphism generator images, and an optional
+A triple spec opens with its group: ``degree:`` and ``generators:`` lines;
+cycles in files are 1-based and juxtaposed cycles compose left to right.
+``H:`` and ``K:`` generator lists follow (a ``K:`` line with the ``H:``
+line's text parses to H itself), then an optional ``label:``, an optional
+``pair:`` list of automorphism generator images, and an optional
 ``construct:`` stanza describing a wreath construction over the triple.
 Emission is canonical, so emitted files parse back byte-identically.
+There is no reader for a group on its own.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def _perm_list(raw: str, degree: int):
     return [parse_cycles(s, degree, one_based=True) for s in _split_perm_list(raw)]
 
 
-def parse_group_spec(text: str) -> PermGroup:
-    records = dict(_scan_records(text))
-    return _group_from_records(records)
-
-
 def _group_from_records(records) -> PermGroup:
     if "degree" not in records:
         raise SpecFormatError("missing degree:")
@@ -103,11 +99,6 @@ def _group_from_records(records) -> PermGroup:
     if "generators" not in records:
         raise SpecFormatError("missing generators:")
     return PermGroup(degree, _perm_list(records["generators"], degree))
-
-
-def format_group_spec(G: PermGroup) -> str:
-    gens = ", ".join(format_cycles(g, one_based=True) for g in G.generators)
-    return f"degree: {G.degree}\ngenerators: [{gens}]\n"
 
 
 def parse_triple_spec(text: str):
@@ -208,15 +199,3 @@ def construction_from_stanza(base: Triple, stanza: dict) -> ConstructionData:
         raise SpecFormatError(str(exc)) from exc
     return data
 
-
-def stanza_from_construction(data: ConstructionData) -> dict:
-    stanza = {"variant": data.variant}
-    if data.variant in (1, 2):
-        stanza["n"] = data.n
-    else:
-        stanza["l"] = data.l
-        stanza["k"] = data.k
-    stanza["T_degree"] = data.T.degree
-    stanza["T_generators"] = "[" + ", ".join(
-        format_cycles(g, one_based=True) for g in data.T.generators) + "]"
-    return stanza

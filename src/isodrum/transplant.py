@@ -58,15 +58,6 @@ class InvolutionSystem:
         if not is_transitive_on(self.n_tiles, [p.images for p in self.perms]):
             raise ValueError("gluing system is not transitive on tiles")
 
-    def matrices(self):
-        """The r symmetric 0/1 permutation matrices."""
-        out = []
-        for p in self.perms:
-            m = np.zeros((self.n_tiles, self.n_tiles), dtype=np.int64)
-            m[np.arange(self.n_tiles), p.images] = 1
-            out.append(m)
-        return out
-
     def traces(self):
         """Fixed tiles per color, i.e. boundary-side counts."""
         return [p.fixed_point_count() for p in self.perms]

@@ -23,6 +23,8 @@ gluing graph instead of using the fixed-point identity, and
 breadth first.
 ``all_blocks_group`` builds a wreath subgroup with a copy of its base
 generators on every block, where the constructions use block 0 alone.
+``WreathElement`` multiplies wreath elements by the twisted law and realizes
+them on blocks, the reference for the library's block permutations.
 ``brute_inv_witnesses`` lists every involution of G as an INV candidate
 instead of deriving the candidates from H, runs the plain fixed-point subset
 search and tests each subset for transitivity; ``brute_class_first`` filters those witnesses by
@@ -36,6 +38,7 @@ inputs from the library's chain.
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +139,53 @@ def all_blocks_group(gens, top, block_degree):
         out.append(Permutation([int(t.images[x // block_degree]) * block_degree
                                 + x % block_degree for x in range(total)]))
     return PermGroup(total, out)
+
+
+@dataclass(frozen=True)
+class WreathElement:
+    """An element (base vector, top permutation) of a wreath product, with
+    the twisted law ``(a, b) * (a', b') = ((a_w * a'_{b(w)})_w, b * b')``.
+
+    With left-first permutation products this law is associative, and
+    ``realize`` is the imprimitive action on blocks, (i, x) -> (b(i), a_i(x)):
+    the oracle for the library's block permutations of the top group.
+    """
+
+    base: tuple
+    top: Permutation
+
+    def __post_init__(self):
+        if len(self.base) != self.top.degree:
+            raise ValueError("base vector length must equal top degree")
+        deg = self.base[0].degree if self.base else 0
+        if any(p.degree != deg for p in self.base):
+            raise ValueError("base entries must share one degree")
+
+    @staticmethod
+    def identity(n: int, base_degree: int) -> "WreathElement":
+        return WreathElement(tuple(Permutation.identity(base_degree) for _ in range(n)),
+                             Permutation.identity(n))
+
+    def __mul__(self, other: "WreathElement") -> "WreathElement":
+        b = self.top
+        return WreathElement(
+            tuple(self.base[w] * other.base[int(b.images[w])] for w in range(len(self.base))),
+            self.top * other.top)
+
+    def inverse(self) -> "WreathElement":
+        binv = self.top.inverse()
+        return WreathElement(
+            tuple(self.base[int(binv.images[w])].inverse() for w in range(len(self.base))),
+            binv)
+
+    def is_identity(self) -> bool:
+        return self.top.is_identity() and all(p.is_identity() for p in self.base)
+
+    def realize(self) -> Permutation:
+        """Block i carries copy i, and the top permutes the blocks."""
+        d = self.base[0].degree if self.base else 0
+        return Permutation([int(self.top.images[i]) * d + int(a.images[x])
+                            for i, a in enumerate(self.base) for x in range(d)])
 
 
 class ReferenceLevel:
@@ -403,7 +453,8 @@ def is_conjugate(G: PermGroup, a: Permutation, b: Permutation):
     """
     if a not in G or b not in G:
         raise ValueError("elements are not members of the group")
-    if a.cycle_type() != b.cycle_type():
+    if sorted(map(len, a.cycles(include_fixed=True))) != sorted(
+            map(len, b.cycles(include_fixed=True))):
         return None
     if a == b:
         return Permutation.identity(G.degree)

@@ -14,7 +14,6 @@ import pytest
 from isodrum.catalog import duality_automorphism, psl_triple
 from isodrum.constructions import (
     ConstructionData,
-    WreathElement,
     add_kernel,
     diagonal_subgroup,
     direct_power,
@@ -51,7 +50,7 @@ from isodrum.triples import (
     is_ec,
 )
 
-from bruteforce import all_blocks_group, brute_is_ac, brute_is_ec, random_element
+from bruteforce import WreathElement, all_blocks_group, brute_is_ac, brute_is_ec, random_element
 
 
 def _report(num, ok, elapsed, budget, detail=""):

@@ -534,3 +534,23 @@ def test_invalid_cli_input_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, argv
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+
+
+@pytest.mark.parametrize("command", ["verify", "catalog emit", "gww", "scan"])
+def test_unusable_path_exits_2(command, specdir, tmp_path, capsys):
+    # a directory where a file is read or written, or a file where an output
+    # directory goes, is invalid input like a missing file: one line, exit 2
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {
+        "verify": ["verify", str(tmp_path)],
+        "catalog emit": ["catalog", "emit", "--nq", "3,2", "--out", str(tmp_path)],
+        "gww": ["gww", "--outdir", str(taken)],
+        "scan": ["scan", "--spec", str(specdir / "psl32c.spec"), "--nmax", "7",
+                 "--outdir", str(taken)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

@@ -5,7 +5,6 @@ import pytest
 from isodrum.constructions import (
     ConstructionData,
     NotElementwiseConjugate,
-    WreathElement,
     WreathGroup,
     add_kernel,
     diagonal_subgroup,
@@ -20,7 +19,14 @@ from isodrum.groups import PermGroup, is_subgroup, normal_closure, same_group
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.triples import Triple, check_ff, check_max, compress, is_ac, is_ec
 
-from bruteforce import all_blocks_group, brute_is_ec, is_conjugate, mulclose, random_element
+from bruteforce import (
+    WreathElement,
+    all_blocks_group,
+    brute_is_ec,
+    is_conjugate,
+    mulclose,
+    random_element,
+)
 
 
 def rand_perm(rng, n):
@@ -51,6 +57,34 @@ def test_wreath_realization_is_homomorphism():
         a = WreathElement(tuple(rand_perm(rng, 3) for _ in range(4)), rand_perm(rng, 4))
         b = WreathElement(tuple(rand_perm(rng, 3) for _ in range(4)), rand_perm(rng, 4))
         assert (a * b).realize() == a.realize() * b.realize()
+
+
+def _oracle_top(t: Permutation, d: int) -> Permutation:
+    """The top permutation t realized by the wreath oracle, on the identity base."""
+    return WreathElement(tuple(Permutation.identity(d) for _ in range(t.degree)), t).realize()
+
+
+def _random_transitive_top(rng, n):
+    """A transitive group of degree n: a relabeled n-cycle and one random
+    permutation."""
+    cycle = Permutation([(x + 1) % n for x in range(n)])
+    return PermGroup(n, [cycle.conjugate_by(rand_perm(rng, n)), rand_perm(rng, n)])
+
+
+def test_top_generators_are_the_oracle_block_permutations():
+    S3 = PermGroup(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
+    tops = [S2(), _c(["(0 1 2)"], 3), _c(["(0 1 2 3)", "(0 2)"], 4),
+            _random_transitive_top(random.Random(13), 5)]
+    controls = 0
+    for T in tops:
+        W = WreathGroup(S3, T)
+        assert W.top_generators == [_oracle_top(t, 3) for t in T.generators]
+        # negative control: the inverted block map i*d + x -> t^-1(i)*d + x
+        for t, row in zip(T.generators, W.top_generators):
+            if t.inverse() != t:
+                assert row != _oracle_top(t.inverse(), 3)
+                controls += 1
+    assert controls >= 3
 
 
 def test_wreath_group_size_and_transitivity():
@@ -409,10 +443,14 @@ def test_block_zero_generates_the_all_blocks_groups(case, a5_group, psl32_small)
     assert same_group(t.G, all_blocks_group(S.generators, T, d))
     assert same_group(t.H, all_blocks_group(base.H.generators, T, d))
     assert same_group(t.K, all_blocks_group(base.K.generators, T, d))
-    ngens = len(T.generators)
-    assert len(t.G.generators) == len(S.generators) + ngens
-    assert len(t.H.generators) == len(base.H.generators) + ngens
-    assert len(t.K.generators) == len(base.K.generators) + ngens
+    # each group lists its base generators on block 0, then the top
+    # generators as the wreath oracle realizes them
+    total, ngens = t.G.degree, len(T.generators)
+    top = [_oracle_top(g, d) for g in T.generators]
+    for group, sub in ((t.G, S), (t.H, base.H), (t.K, base.K)):
+        block0 = [Permutation(list(g.images) + list(range(g.degree, total)))
+                  for g in sub.generators]
+        assert list(group.generators) == block0 + top
     # negative control: block 0 without the top generators is one copy of S
     assert PermGroup(t.G.degree, t.G.generators[:-ngens]).order < t.G.order
 

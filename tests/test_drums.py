@@ -55,7 +55,7 @@ def test_base_tile_validation():
 
 
 def test_half_square_area():
-    assert BaseTile.half_square().area() == Fraction(1, 2)
+    assert polygon_area(BaseTile.half_square().vertices) == Fraction(1, 2)
 
 
 def test_reflection_is_exact_involution():

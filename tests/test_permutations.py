@@ -3,17 +3,17 @@ import random
 import pytest
 
 from isodrum.errors import SpecFormatError
-from isodrum.permutations import Permutation, compose, format_cycles, parse_cycles
+from isodrum.permutations import Permutation, format_cycles, parse_cycles
 
 
 def test_involution_squared_is_identity():
     p = parse_cycles("(0 1)", 2)
-    assert compose(p, p).is_identity()
+    assert (p * p).is_identity()
 
 
 def test_three_cycle_squared():
     p = parse_cycles("(0 1 2)", 3)
-    assert compose(p, p) == parse_cycles("(0 2 1)", 3)
+    assert p * p == parse_cycles("(0 2 1)", 3)
 
 
 def test_compose_matches_pointwise_lookup():
@@ -24,14 +24,14 @@ def test_compose_matches_pointwise_lookup():
         rng.shuffle(pi)
         rng.shuffle(qi)
         p, q = Permutation(pi), Permutation(qi)
-        r = compose(p, q)
+        r = p * q
         for x in range(7):
             assert r(x) == qi[pi[x]]
 
 
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
-        compose(Permutation([0, 1]), Permutation([0, 1, 2]))
+        Permutation([0, 1]) * Permutation([0, 1, 2])
 
 
 def test_inverse_and_identity():
@@ -74,9 +74,9 @@ def test_conjugate_by():
 
 def test_cycle_type_and_order():
     p = parse_cycles("(0 1)(2 3 4)", 5)
-    assert p.cycle_type() == (2, 3)
+    assert sorted(map(len, p.cycles(include_fixed=True))) == [2, 3]
     assert p.order() == 6
-    assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
+    assert sorted(map(len, Permutation.identity(4).cycles(include_fixed=True))) == [1, 1, 1, 1]
 
 
 def test_parse_one_based():

@@ -1,43 +1,40 @@
 import pytest
 
-from isodrum.constructions import ConstructionData
 from isodrum.errors import SpecFormatError
 from isodrum.groups import PermGroup, same_group
 from isodrum.permutations import parse_cycles
-from isodrum.specio import (
-    construction_from_stanza,
-    format_group_spec,
-    format_triple_spec,
-    parse_group_spec,
-    parse_triple_spec,
-    stanza_from_construction,
-)
+from isodrum.specio import construction_from_stanza, format_triple_spec, parse_triple_spec
 from isodrum.triples import Triple
+
+SUBGROUPS = "H: []\nK: []\n"
 
 
 def test_group_spec_round_trip():
+    # the group block heads a triple spec and is emitted as it was read
     G = PermGroup(4, [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)])
-    text = format_group_spec(G)
-    back = parse_group_spec(text)
-    assert back.degree == 4
-    assert same_group(back, G)
-    assert format_group_spec(back) == text
+    text = format_triple_spec(Triple(G, PermGroup(4, []), PermGroup(4, [])))
+    assert text.startswith("degree: 4\ngenerators: [(1 2), (1 2 3 4)]\n")
+    back, _, _ = parse_triple_spec(text)
+    assert back.G.degree == 4
+    assert same_group(back.G, G)
+    assert format_triple_spec(back) == text
 
 
 def test_group_spec_one_based():
-    G = parse_group_spec("degree: 4\ngenerators: [(1 2)(3 4)]\n")
-    assert G.generators[0] == parse_cycles("(0 1)(2 3)", 4)
+    t, _, _ = parse_triple_spec("degree: 4\ngenerators: [(1 2)(3 4)]\n" + SUBGROUPS)
+    assert t.G.generators[0] == parse_cycles("(0 1)(2 3)", 4)
 
 
 def test_group_spec_errors():
-    with pytest.raises(SpecFormatError):
-        parse_group_spec("generators: [(1 2)]\n")
-    with pytest.raises(SpecFormatError):
-        parse_group_spec("degree: x\ngenerators: [(1 2)]\n")
-    with pytest.raises(SpecFormatError):
-        parse_group_spec("degree: 3\ngenerators: [(1 5)]\n")
-    with pytest.raises(SpecFormatError):
-        parse_group_spec("degree: 3\ngenerators: [(1 2]\n")
+    # the group block's errors, read through the triple spec it heads
+    for group, message in (
+        ("generators: [(1 2)]\n", "^missing degree:$"),
+        ("degree: x\ngenerators: [(1 2)]\n", "^bad degree: 'x'$"),
+        ("degree: 3\ngenerators: [(1 5)]\n", "^point out of range"),
+        ("degree: 3\ngenerators: [(1 2]\n", "^unbalanced parentheses in list$"),
+    ):
+        with pytest.raises(SpecFormatError, match=message):
+            parse_triple_spec(group + SUBGROUPS)
 
 
 def test_triple_spec_round_trip(psl32):
@@ -79,26 +76,24 @@ def test_triple_spec_rejects_nonsubgroup():
 
 
 def test_construct_stanza_round_trip(psl32_small):
-    T = PermGroup(2, [parse_cycles("(0 1)", 2)])
-    data = ConstructionData(variant=1, base_triple=psl32_small, T=T, n=2)
-    stanza = stanza_from_construction(data)
-    text = format_triple_spec(psl32_small, stanza=stanza)
+    stanza = "construct:\nvariant: 1\nn: 2\nT_degree: 2\nT_generators: [(1 2)]\n"
+    text = format_triple_spec(psl32_small) + stanza
     base, _, parsed = parse_triple_spec(text)
+    assert format_triple_spec(base, stanza=parsed) == text
     rebuilt = construction_from_stanza(base, parsed)
     assert rebuilt.variant == 1 and rebuilt.n == 2
-    assert same_group(rebuilt.T, T)
+    assert same_group(rebuilt.T, PermGroup(2, [parse_cycles("(0 1)", 2)]))
 
 
 def test_construct_stanza_type3_keys(psl32_small):
-    T = PermGroup(4, [parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4),
-                      parse_cycles("(0 2)(1 3)", 4)])
-    data = ConstructionData(variant=3, base_triple=psl32_small, T=T, l=2, k=2)
-    stanza = stanza_from_construction(data)
-    assert stanza["l"] == 2 and stanza["k"] == 2
-    text = format_triple_spec(psl32_small, stanza=stanza)
+    stanza = ("construct:\nvariant: 3\nl: 2\nk: 2\nT_degree: 4\n"
+              "T_generators: [(1 2), (3 4), (1 3)(2 4)]\n")
+    text = format_triple_spec(psl32_small) + stanza
     base, _, parsed = parse_triple_spec(text)
+    assert parsed["l"] == "2" and parsed["k"] == "2"
+    assert format_triple_spec(base, stanza=parsed) == text
     rebuilt = construction_from_stanza(base, parsed)
-    assert rebuilt.l == 2 and rebuilt.k == 2
+    assert rebuilt.l == 2 and rebuilt.k == 2 and rebuilt.T.order == 8
 
 
 def test_stanza_errors(psl32_small):
