@@ -305,6 +305,8 @@ def cmd_spectrum_compare(args) -> int:
 
 def cmd_scan(args) -> int:
     triple, _, _ = parse_triple_spec(_read(args.spec))
+    if args.outdir:  # an unusable output directory is refused before the census
+        os.makedirs(args.outdir, exist_ok=True)
     try:
         pairs = okada_shudo_scan(triple, args.nmax, args.r)
     except ValueError as exc:  # too few sides, or H and K of different indices
@@ -312,7 +314,6 @@ def cmd_scan(args) -> int:
         return 2
     print(f"found {len(pairs)} transplantable nonisometric pair(s)")
     if args.outdir:
-        os.makedirs(args.outdir, exist_ok=True)
         for i, (a, b) in enumerate(pairs):
             for side, sys_ in (("a", a), ("b", b)):
                 path = os.path.join(args.outdir, f"pair{i:03d}{side}.ivs")
@@ -325,6 +326,8 @@ def cmd_scan(args) -> int:
 def cmd_gww(args) -> int:
     """End-to-end flagship pipeline, deterministic throughout."""
     report = {"schema": 1, "stages": {}}
+    outdir = args.outdir or "."
+    os.makedirs(outdir, exist_ok=True)  # an unusable output directory is refused before any stage
 
     def stage(name, value):
         report["stages"][name] = value
@@ -370,8 +373,6 @@ def cmd_gww(args) -> int:
         return 1
     stage("overlap_a", da.overlap_flag)
     stage("overlap_b", db.overlap_flag)
-    outdir = args.outdir or "."
-    os.makedirs(outdir, exist_ok=True)
     for side, domain, poly, sys_ in (("a", da, pa, sys_a), ("b", db, pb, sys_b)):
         with open(os.path.join(outdir, f"gww_{side}.ivs"), "w") as fh:
             fh.write(format_involution_system(sys_))

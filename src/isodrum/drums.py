@@ -78,7 +78,6 @@ class TiledDomain:
     system: InvolutionSystem
     base: BaseTile
     tiles: list
-    orientations: list
     adjacency: list
     overlap_flag: bool = False
 
@@ -110,9 +109,7 @@ def unfold(sys: InvolutionSystem, base: BaseTile) -> TiledDomain:
         raise ValueError("system is not a tree; unfolding undefined")
     n = sys.n_tiles
     tiles = [None] * n
-    orientations = [0] * n
     tiles[0] = tuple(base.vertices)
-    orientations[0] = 1
     adjacency = []
     queue = deque([0])
     placed = {0}
@@ -125,12 +122,11 @@ def unfold(sys: InvolutionSystem, base: BaseTile) -> TiledDomain:
             a, b = (mu + 1) % 3, (mu + 2) % 3
             pa, pb = tiles[i][a], tiles[i][b]
             tiles[j] = _reflect(tiles[i], pa, pb)
-            orientations[j] = -orientations[i]
             adjacency.append((i, j, mu))
             placed.add(j)
             queue.append(j)
     overlap = len({frozenset(tri) for tri in tiles}) < n
-    return TiledDomain(sys, base, tiles, orientations, adjacency, overlap)
+    return TiledDomain(sys, base, tiles, adjacency, overlap)
 
 
 def boundary_polygon(domain: TiledDomain):

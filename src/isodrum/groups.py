@@ -10,6 +10,9 @@ transitivity, conjugacy classes (orbits under conjugation), the suborbits
 of the block search, and elsewhere double-coset ranks and intertwiner
 cells.  Searches that build more than an orbit (Schreier trees, the
 stabilizer transversal, the coset search, the block closure) stay their own.
+A conjugacy class is carried as its lex-least member only
+(``_class_roots``): ``conjugacy_classes`` for simplicity and EC, and the
+involution classes of ``transplant`` for INV and the census.
 
 The kernels work on raw int32 image rows, and ``Permutation`` objects stay
 at the API boundary.  Schreier-Sims (``_Chain``) builds and sifts Schreier
@@ -276,7 +279,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain = None
-        self._classes = None
         self._order_bound = None  # see _group_of_order_at_most
         self._coset_tables = {}  # see left_cosets
 
@@ -415,46 +417,25 @@ def same_group(A: PermGroup, B: PermGroup) -> bool:
     return A is B or (is_subgroup(A, B) and A.order == B.order)
 
 
-@dataclass
-class ConjugacyClasses:
-    """Partition of a group's element set into conjugacy classes."""
+def _class_roots(rows, generators) -> np.ndarray:
+    """The lex-least member of each class of ``rows`` under conjugation by
+    ``generators`` (both arrays of image rows), sorted by key.
 
-    group: PermGroup
-    reps: list
-    sizes: list
-    class_of: dict = field(repr=False)
-    elements: list = field(repr=False)
-
-    def __len__(self):
-        return len(self.reps)
-
-    def index_of(self, p: Permutation) -> int:
-        return self.class_of[p.key()]
-
-
-def conjugacy_classes(G: PermGroup) -> ConjugacyClasses:
-    """Conjugacy classes by full enumeration; reps are lex-least members.
-
-    The classes are the orbits (``_orbit_roots``) of the element rows,
-    sorted by key, under conjugation by G's generators, so each is rooted
-    at its lex-least member; classes are numbered by their roots.
+    ``rows`` must be pairwise distinct and closed under the conjugation.
+    The classes are the orbits (``_orbit_roots``) of the rows, sorted by
+    key, under the generators' conjugation maps (``_conjugation_maps``), so
+    each is rooted at its lex-least member.
     """
-    rows = G.element_rows()
-    ordered = rows[np.lexsort(rows.T[::-1])]
-    maps = _conjugation_maps(ordered, _rows([g.images for g in G.generators], G.degree))
-    roots = _orbit_roots(maps)
-    firsts = np.flatnonzero(roots == np.arange(len(roots)))
-    class_of = np.searchsorted(firsts, roots)
-    return ConjugacyClasses(G, [Permutation._wrap(ordered[i]) for i in firsts],
-                            np.bincount(class_of).tolist(),
-                            dict(zip(_row_keys(ordered), class_of.tolist())),
-                            [Permutation._wrap(r) for r in rows])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[_orbit_roots(_conjugation_maps(rows, generators)) == np.arange(len(rows))]
 
 
-def cached_classes(G: PermGroup) -> ConjugacyClasses:
-    if G._classes is None:
-        G._classes = conjugacy_classes(G)
-    return G._classes
+def conjugacy_classes(G: PermGroup) -> list:
+    """The lex-least member of each conjugacy class of G, sorted by key
+    (``_class_roots`` over G's element rows).  The enumeration bound caps
+    G."""
+    gens = _rows([g.images for g in G.generators], G.degree)
+    return [Permutation._wrap(r) for r in _class_roots(G.element_rows(), gens)]
 
 
 _UNSEARCHED = object()  # CosetTable._block before the block search has run
@@ -801,8 +782,7 @@ def is_simple(G: PermGroup) -> bool:
     nontrivial normal closure."""
     if G.order == 1:
         return False
-    classes = cached_classes(G)
-    for rep in classes.reps:
+    for rep in conjugacy_classes(G):
         if rep.is_identity():
             continue
         N = normal_closure(G, [rep])

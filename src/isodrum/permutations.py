@@ -127,18 +127,6 @@ class Permutation:
         ginv[g.images] = np.arange(self.degree, dtype=np.int32)
         return Permutation._wrap(g.images[self.images[ginv]])
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return self.images.tobytes() == _identity_bytes(self.images.shape[0])
 
@@ -166,12 +154,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def order(self) -> int:
-        n = 1
-        for c in self.cycles():
-            n = _lcm(n, len(c))
-        return n
-
     def key(self) -> bytes:
         """Big-endian image bytes: byte order equals image-tuple lexicographic order."""
         key = self._key
@@ -198,12 +180,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_cycles(self)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 def parse_cycles(text: str, degree: int, one_based: bool = False) -> Permutation:

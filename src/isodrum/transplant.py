@@ -6,13 +6,15 @@ ones are gluings and whose diagonal ones are boundary sides.  Everything in
 this module is exact; no floating point.
 
 Orbits come from ``groups._orbit_roots``: the transitivity of a system,
-the involution classes behind the candidates and the class-first rule, and
-the intertwiner basis, one 0/1 matrix per orbit of the cells (i, j) under
-(i, j) -> (b(i), a(j)), in the order of their least cells.
+the involution classes behind the candidates (``groups._class_roots``) and
+the class-first rule, and the intertwiner basis, one 0/1 matrix per orbit
+of the cells (i, j) under (i, j) -> (b(i), a(j)), in the order of their
+least cells.  An isometry, a permutation-matrix intertwiner, is read off
+that basis (``find_transplantation``); no second search runs.
 
-One breadth-first labeling routine (``InvolutionSystem._labelings``) backs
-``canonical_key`` and ``detect_isometry``.  The census decides
-transplantation and isometry once per triple and filters INV's search.
+``canonical_key`` labels a system breadth first from each root.  The census
+decides transplantation and isometry once per triple and filters INV's
+search.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import BoundExceeded, SpecFormatError
 from .groups import (
     PermGroup,
+    _class_roots,
     _conjugation_maps,
     _group_of_order_at_most,
     _orbit_roots,
@@ -70,17 +73,19 @@ class InvolutionSystem:
         """New system whose color mu is old color order[mu]."""
         return InvolutionSystem(self.n_tiles, self.r, tuple(self.perms[mu] for mu in order))
 
-    def _labelings(self, roots):
-        """(order, encoding) of the breadth-first labeling from each root.
+    def canonical_key(self):
+        """Label-independent encoding: the least over all roots of the
+        breadth-first labeling's encoding.
 
         The colored graph is deterministic (one neighbor per color per tile),
-        so a root fixes the labeling: ``order`` lists the tiles as visited,
-        and ``encoding`` per color the labels of their neighbors.  An
-        isomorphism sends root a to b exactly when the encodings from a and
-        b are equal, and it is then order_a[k] -> order_b[k].
+        so a root fixes the labeling: the tiles are labeled in the order
+        visited, and the encoding lists per color the labels of their
+        neighbors.  Two systems are isomorphic exactly when some roots give
+        equal encodings, that is when their keys are equal.
         """
         images = [p.images.tolist() for p in self.perms]
-        for root in roots:
+
+        def encoding(root):
             label = [-1] * self.n_tiles
             label[root] = 0
             order = [root]
@@ -90,12 +95,9 @@ class InvolutionSystem:
                     if label[u] < 0:
                         label[u] = len(order)
                         order.append(u)
-            yield order, tuple(tuple(label[img[t]] for t in order) for img in images)
+            return tuple(tuple(label[img[t]] for t in order) for img in images)
 
-    def canonical_key(self):
-        """Label-independent encoding: the least BFS encoding over all roots
-        (``_labelings``)."""
-        return min(enc for _, enc in self._labelings(range(self.n_tiles)))
+        return min(map(encoding, range(self.n_tiles)))
 
 
 def is_tree(sys: InvolutionSystem) -> bool:
@@ -202,6 +204,15 @@ def find_transplantation(A: InvolutionSystem, B: InvolutionSystem):
       up to 64 draws.
 
     Every invertible certificate is an exact nonzero determinant over Z.
+
+    ``permutation_solution`` is a color-preserving isomorphism of the
+    gluing graphs (an isometry of the domains), or None.  It is read off
+    the basis: both systems are transitive, so every orbit of cells meets
+    every row and every column, an orbit of exactly n cells is a
+    permutation matrix, and the support of a permutation intertwiner is one
+    orbit.  The least c whose matrix holding cell (c, 0) has n ones is the
+    least image of tile 0 under an isomorphism, and that matrix is the map
+    j -> i.
     """
     if A.n_tiles != B.n_tiles or A.r != B.r:
         raise ValueError("dimension mismatch between systems")
@@ -209,7 +220,10 @@ def find_transplantation(A: InvolutionSystem, B: InvolutionSystem):
     basis = intertwiner_basis(A.perms, B.perms, n)
     if not basis:
         return None
-    perm_sol = detect_isometry(A, B)
+    stack = np.array(basis)
+    owner = stack[:, :, 0].argmax(axis=0)  # owner[c]: the matrix holding cell (c, 0)
+    zero_to = np.flatnonzero(stack.sum(axis=(1, 2))[owner] == n)  # tile 0's isometric images
+    perm_sol = Permutation._wrap(stack[owner[zero_to[0]]].argmax(axis=0)) if len(zero_to) else None
 
     def solution(mat, invertible, certificate):
         T = tuple(map(tuple, mat))
@@ -244,25 +258,6 @@ def verify_intertwiner(T, A: InvolutionSystem, B: InvolutionSystem) -> bool:
                 if T[i][int(a.images[j])] != T[int(b.images[i])][j]:
                     return False
     return True
-
-
-def detect_isometry(A: InvolutionSystem, B: InvolutionSystem):
-    """Color-preserving isomorphism of the gluing graphs, or None.
-
-    Equivalent to a permutation-matrix intertwiner.  The BFS labeling of A
-    from tile 0 is compared with B's from each root c in turn
-    (``InvolutionSystem._labelings``); the least c with an equal encoding is
-    the least image of tile 0, and the map is order_a[k] -> order_b[k].
-    """
-    if A.n_tiles != B.n_tiles or A.r != B.r:
-        raise ValueError("dimension mismatch between systems")
-    (order_a, enc_a), = A._labelings([0])
-    for order_b, enc_b in B._labelings(range(B.n_tiles)):
-        if enc_b == enc_a:
-            images = np.empty(A.n_tiles, dtype=np.int32)
-            images[order_a] = order_b
-            return Permutation._wrap(images)
-    return None
 
 
 def involutions_of(G: PermGroup):
@@ -324,12 +319,11 @@ def _conjugation_closure(seeds, generators):
 
 
 def _involution_roots(group, tables):
-    """The lex-least involution of each class of ``group`` (``_orbit_roots``):
+    """The lex-least involution of each class of ``group`` (``_class_roots``):
     its rows, then its actions on each coset table in ``tables``, the only
     rows canonicalized.  The enumeration bound caps ``group``."""
-    rows = _rows([p.images for p in involutions_of(group)], group.degree)
-    maps = _conjugation_maps(rows, _rows([g.images for g in group.generators], group.degree))
-    rows = rows[_orbit_roots(maps) == np.arange(len(rows))]
+    rows = _class_roots(_rows([p.images for p in involutions_of(group)], group.degree),
+                        _rows([g.images for g in group.generators], group.degree))
     elements = [Permutation._wrap(x) for x in rows]
     return [rows] + [table.actions_of(elements) for table in tables]
 

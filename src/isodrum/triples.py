@@ -44,7 +44,7 @@ from .groups import (
     _orbit_roots,
     _rows,
     _take_rows,
-    cached_classes,
+    conjugacy_classes,
     core,
     is_subgroup,
     left_cosets,
@@ -124,7 +124,7 @@ def _class_fixed_counts(t: Triple):
     its class, hence among the x.  The enumeration bound caps |H| and |K|;
     G is never listed.
     """
-    by_key = {x.key(): x for sub in (t.H, t.K) for x in cached_classes(sub).reps}
+    by_key = {x.key(): x for sub in (t.H, t.K) for x in conjugacy_classes(sub)}
     reps = [by_key[k] for k in sorted(by_key)]
     counts = []
     for sub in (t.H, t.K):

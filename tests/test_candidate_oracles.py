@@ -8,8 +8,9 @@ conjugation by G.  The oracles canonicalize every involution of H's image
 (``CosetTable.actions_of``) and close every involution of H.  The routine's
 m, its candidate set and its action rows must agree with them on random
 triples with faithful and unfaithful coset actions, on the catalog triples
-and on the type-1/2/3 wreaths.  ``groups.conjugacy_classes``, the union-find
-over G's element rows, is compared with ``bruteforce.brute_classes``.
+and on the type-1/2/3 wreaths.  ``groups.conjugacy_classes``, the lex-least
+member of each class (``groups._class_roots``), is compared with
+``bruteforce.brute_classes``.
 """
 
 import numpy as np
@@ -169,11 +170,5 @@ def test_type3_inv_canonicalizes_only_the_class_roots(wreaths, monkeypatch):
 @settings(SETTINGS, max_examples=40)
 @given(small_triple(max_degree=6, max_order=120))
 def test_conjugacy_classes_match_brute(t):
-    G = t.G
-    cc = conjugacy_classes(G)
-    elements = G.elements()
-    assert [e.key() for e in cc.elements] == [e.key() for e in elements]
-    expected = sorted(brute_classes(elements), key=lambda c: min(x.key() for x in c))
-    assert [r.key() for r in cc.reps] == [min(x.key() for x in c) for c in expected]
-    assert cc.sizes == [len(c) for c in expected]
-    assert cc.class_of == {x.key(): i for i, c in enumerate(expected) for x in c}
+    expected = sorted(brute_classes(t.G.elements()), key=min)
+    assert conjugacy_classes(t.G) == [min(c) for c in expected]

@@ -539,7 +539,8 @@ def test_invalid_cli_input_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["verify", "catalog emit", "gww", "scan"])
 def test_unusable_path_exits_2(command, specdir, tmp_path, capsys):
     # a directory where a file is read or written, or a file where an output
-    # directory goes, is invalid input like a missing file: one line, exit 2
+    # directory goes, is invalid input like a missing file: one line, exit 2,
+    # found before any work, so no stage or result is printed
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = {
@@ -551,6 +552,52 @@ def test_unusable_path_exits_2(command, specdir, tmp_path, capsys):
     }[command]
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("file error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+GWW_A = """tiles: 7
+sides: 3
+side 1: (3 4) (5 7) ; boundary: 1 2 6
+side 2: (2 3) (6 7) ; boundary: 1 4 5
+side 3: (1 2) (4 7) ; boundary: 3 5 6
+"""
+
+KLEIN = """tiles: 4
+sides: 3
+side 1: (1 2) (3 4) ; boundary:
+side 2: (1 3) (2 4) ; boundary:
+side 3: (1 4) (2 3) ; boundary:
+"""
+
+
+@pytest.mark.parametrize("a, b, dimension, isometry", [
+    # gww's side a, and the same with tile i renamed 3i mod 7 (tile 7 kept):
+    # a tree system has no automorphism, so this is the only isometry
+    (GWW_A, """tiles: 7
+sides: 3
+side 1: (1 7) (2 5) ; boundary: 3 4 6
+side 2: (2 6) (4 7) ; boundary: 1 3 5
+side 3: (3 6) (5 7) ; boundary: 1 2 4
+""", 2, "(1 3 2 6 4 5)"),
+    (GWW_A, GWW_A, 2, "()"),
+    # the Klein group on itself by right multiplication, and the same with
+    # tiles 1, 2, 3, 4 renamed 3, 1, 4, 2: four isometries, one per image of
+    # tile 1, and the one printed fixes tile 1, the least image
+    (KLEIN, """tiles: 4
+sides: 3
+side 1: (1 3) (2 4) ; boundary:
+side 2: (1 2) (3 4) ; boundary:
+side 3: (1 4) (2 3) ; boundary:
+""", 4, "(2 3)"),
+])
+def test_transplant_prints_the_isometry_of_least_image(a, b, dimension, isometry, tmp_path,
+                                                       capsys):
+    (tmp_path / "a.ivs").write_text(a)
+    (tmp_path / "b.ivs").write_text(b)
+    assert main(["transplant", "--a", str(tmp_path / "a.ivs"), "--b", str(tmp_path / "b.ivs")]) == 0
+    assert capsys.readouterr().out == (
+        f"{a.splitlines()[0]}\nsolution space dimension: {dimension}\n"
+        f"invertible intertwiner: yes (basis[0])\npermutation intertwiner: {isometry}\n")

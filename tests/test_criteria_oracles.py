@@ -19,9 +19,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from isodrum.catalog import psl_triple
-from isodrum.groups import PermGroup, conjugacy_classes, left_cosets
+from isodrum.groups import PermGroup, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
-from isodrum.transplant import InvolutionSystem, find_transplantation, verify_intertwiner
+from isodrum.transplant import (InvolutionSystem, find_transplantation, involutions_of,
+                                verify_intertwiner)
 from isodrum.triples import (Triple, compress, is_ac, is_ec, property_report, rank,
                              sides_conjugate)
 
@@ -68,8 +69,7 @@ def conjugate_triple(draw, max_degree=6, max_order=360):
     G = PermGroup(n, gens)
     assume(6 <= G.order <= max_order)
     elements = G.elements()
-    classes = conjugacy_classes(G)
-    noncentral = [(size, rep) for size, rep in zip(classes.sizes, classes.reps) if size > 1]
+    noncentral = [(len(c), min(c)) for c in brute_classes(elements) if len(c) > 1]
     x = min(noncentral)[1] if noncentral and rng.random() < 0.9 else rng.choice(elements)
     y = x if rng.random() < 0.8 else rng.choice(elements)
     H = PermGroup(n, [x, y])
@@ -231,7 +231,7 @@ def system_pair(draw, max_tiles=4):
     mode = rng.choice(["random", "relabel", "sunada", "sunada"])
     if mode == "sunada":
         t = flagship_small()
-        invs = [g for g in t.G.elements() if g.order() == 2]
+        invs = involutions_of(t.G)
         gs = rng.sample(invs, 3)
         imgs = [tuple(left_cosets(t.G, sub).action_of(g) for g in gs) for sub in (t.H, t.K)]
         assume(all(PermGroup(7, ps).is_transitive() for ps in imgs))

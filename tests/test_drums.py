@@ -99,12 +99,6 @@ def test_glued_tiles_share_full_edge():
     assert a != b
 
 
-def test_orientation_alternates(gww_domains):
-    da, _ = gww_domains
-    for i, j, _mu in da.adjacency:
-        assert da.orientations[i] == -da.orientations[j]
-
-
 def test_gww_domains_exact_area(gww_domains):
     for d in gww_domains:
         assert not d.overlap_flag
@@ -212,11 +206,11 @@ def test_boundary_needs_no_overlap():
 
 def test_isometry_transport_congruence(gww_domains):
     # relabeling tiles by a detected self-isometry yields a congruent domain
-    from isodrum.transplant import detect_isometry
+    from isodrum.transplant import find_transplantation
 
     da, _ = gww_domains
     sys = da.system
-    q = detect_isometry(sys, sys)
+    q = find_transplantation(sys, sys).permutation_solution
     assert q is not None
     d2 = unfold(sys.relabel(q), da.base)
     assert sorted(polygon_perimeter_sq_multiset(boundary_polygon(d2))) == \

@@ -1,15 +1,17 @@
-"""``detect_isometry`` and ``canonical_key`` against a search over every
-tile bijection (``bruteforce.brute_isomorphisms``).
+"""The permutation solution of ``find_transplantation`` and
+``canonical_key`` against a search over every tile bijection
+(``bruteforce.brute_isomorphisms``).
 
-Both read the one breadth-first labeling routine
-(``InvolutionSystem._labelings``).  The inputs are the gww pair, the 14
-PSL(3,2) census pairs on 7 tiles and two Cayley systems (S3 and the Klein
-group acting on themselves by right multiplication), each with its tiles
-renamed and its colors reordered at random: renaming keeps a system's
-isomorphism class, and reordering the colors of a census system sometimes
-keeps it and sometimes not, so both answers occur.  A census system has no
-automorphism, so it has at most one isomorphism onto another; a Cayley
-system has one per tile, so there the least image of tile 0 is a choice.
+The permutation solution is read off the intertwiner basis and the key off
+a breadth-first labeling, so the two are independent.  The inputs are the
+gww pair, the 14 PSL(3,2) census pairs on 7 tiles and two Cayley systems
+(S3 and the Klein group acting on themselves by right multiplication), each
+with its tiles renamed and its colors reordered at random: renaming keeps a
+system's isomorphism class, and reordering the colors of a census system
+sometimes keeps it and sometimes not, so both answers occur.  A census
+system has no automorphism, so it has at most one isomorphism onto another;
+a Cayley system has one per tile, so there the least image of tile 0 is a
+choice.
 """
 
 import random
@@ -19,7 +21,12 @@ import pytest
 from bruteforce import brute_isomorphisms, mulclose
 from isodrum.groups import left_cosets
 from isodrum.permutations import Permutation, parse_cycles
-from isodrum.transplant import InvolutionSystem, detect_isometry, okada_shudo_scan, verify_intertwiner
+from isodrum.transplant import (
+    InvolutionSystem,
+    find_transplantation,
+    okada_shudo_scan,
+    verify_intertwiner,
+)
 from isodrum.triples import inv_witnesses
 
 
@@ -44,6 +51,13 @@ def cayley_system(involutions, degree):
         Permutation([index[g * s] for g in elements]) for s in gens))
 
 
+def isometry(a, b):
+    """The permutation solution of a to b, or None (also when no intertwiner
+    is nonzero)."""
+    sol = find_transplantation(a, b)
+    return None if sol is None else sol.permutation_solution
+
+
 def scrambled(sys, rng, colors=True):
     """The system with its tiles renamed and, if ``colors``, its colors
     reordered, both at random."""
@@ -65,7 +79,7 @@ def test_isometry_against_keys_and_every_bijection(systems):
         same_size = [y for y in systems if y.n_tiles == x.n_tiles]
         others += [scrambled(y, rng) for y in rng.choices(same_size, k=2)]
         for b in others:
-            iso = detect_isometry(a, b)
+            iso = isometry(a, b)
             brute = brute_isomorphisms(a, b)
             answers.append(iso is not None)
             assert (iso is not None) == (a.canonical_key() == b.canonical_key()) == bool(brute)
@@ -88,11 +102,11 @@ def test_isometry_checks_catch_a_wrong_map(systems):
     # the identity), and both checks above reject it
     a = systems[0]
     b = scrambled(a, random.Random(7), colors=False)
-    images = detect_isometry(a, b).images.tolist()
+    images = isometry(a, b).images.tolist()
     images[0], images[1] = images[1], images[0]
     T = [[int(images[j] == i) for j in range(7)] for i in range(7)]
     assert not verify_intertwiner(T, a, b) and tuple(images) not in brute_isomorphisms(a, b)
     # gww's two sides are not isometric: no bijection, different keys
     a, b = systems[:2]
-    assert detect_isometry(a, b) is None and not brute_isomorphisms(a, b)
+    assert isometry(a, b) is None and not brute_isomorphisms(a, b)
     assert a.canonical_key() != b.canonical_key()

@@ -114,9 +114,9 @@ def test_accept_reject_hits_every_verdict():
     # homomorphism and a map that is no homomorphism
     C6 = PermGroup(6, [parse_cycles("(0 1 2 3 4 5)", 6)])
     gen = C6.generators[0]
-    assert callable(verify_automorphism(C6, [gen ** 5]))
+    assert callable(verify_automorphism(C6, [gen.inverse()]))
     with pytest.raises(ValueError, match="non-bijective"):
-        verify_automorphism(C6, [gen ** 2])
+        verify_automorphism(C6, [gen * gen])
     S3 = PermGroup(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
     with pytest.raises(ValueError, match="homomorphism"):
         verify_automorphism(S3, [parse_cycles("(0 1 2)", 3), parse_cycles("(0 1)", 3)])

@@ -194,9 +194,9 @@ def test_census_of_conjugate_sides_is_empty(psl32_small):
 def test_census_decides_isometry_per_triple(psl32_small, monkeypatch):
     # a generating tuple's isometries are G-set isomorphisms G/H -> G/K, so
     # conjugate sides are refused before any candidate is listed, and no
-    # census runs a per-tuple isometry test
+    # census runs a per-tuple solve or isometry test
     called = []
-    for name in ("detect_isometry", "_tree_candidates"):
+    for name in ("find_transplantation", "_tree_candidates"):
         real = getattr(transplant, name)
         monkeypatch.setattr(transplant, name,
                             lambda *args, name=name, real=real: called.append(name) or real(*args))

@@ -9,7 +9,6 @@ from isodrum.groups import PermGroup, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
     InvolutionSystem,
-    detect_isometry,
     find_transplantation,
     format_involution_system,
     intertwiner_basis,
@@ -214,17 +213,17 @@ def test_combination_certificate_when_no_basis_matrix_is_invertible(gww_pair, mo
     assert fraction_det(sol.T) != 0
 
 
-def test_detect_isometry_identity_and_relabel(gww_pair):
+def test_permutation_solution_identity_and_relabel(gww_pair):
     a, b = gww_pair
-    assert detect_isometry(a, a) is not None
-    assert detect_isometry(a, b) is None
+    assert find_transplantation(a, a).permutation_solution.is_identity()
+    assert find_transplantation(a, b).permutation_solution is None
     rng = random.Random(1)
     img = list(range(7))
     rng.shuffle(img)
     p = Permutation(img)
     relabeled = a.relabel(p)
-    q = detect_isometry(a, relabeled)
-    assert q is not None
+    q = find_transplantation(a, relabeled).permutation_solution
+    assert q == p  # a has no automorphism, so the relabeling is the only isometry
     assert a.relabel(q).perms == relabeled.perms
 
 
@@ -234,11 +233,11 @@ def test_isometry_is_permutation_intertwiner(gww_pair):
     img = list(range(7))
     rng.shuffle(img)
     relabeled = a.relabel(Permutation(img))
-    q = detect_isometry(a, relabeled)
-    T = [[1 if int(q.images[i]) == j else 0 for j in range(7)] for i in range(7)]
-    # T as a permutation matrix must intertwine: T*M == N*T cellwise
-    Tt = [[T[j][i] for j in range(7)] for i in range(7)]
-    assert verify_intertwiner(Tt, a, relabeled) or verify_intertwiner(T, a, relabeled)
+    q = find_transplantation(a, relabeled).permutation_solution
+    # the map j -> q(j) as a matrix, T[i][j] = 1 exactly when i = q(j), intertwines
+    T = [[int(int(q.images[j]) == i) for j in range(7)] for i in range(7)]
+    assert verify_intertwiner(T, a, relabeled)
+    assert not verify_intertwiner([list(row) for row in zip(*T)], a, relabeled)
 
 
 def test_canonical_key_invariant_under_relabel(gww_pair):
