@@ -12,7 +12,11 @@ cells.  Searches that build more than an orbit (Schreier trees, the
 stabilizer transversal, the coset search, the block closure) stay their own.
 A conjugacy class is carried as its lex-least member only
 (``_class_roots``): ``conjugacy_classes`` for simplicity and EC, and the
-involution classes of ``transplant`` for INV and the census.
+involution classes of ``transplant`` for INV and the census.  Beside
+``_orbit_roots``, ``_conjugation_closure`` is the one routine that
+conjugates rows by generators: it closes a set of rows and returns the
+conjugation maps on it, which ``_class_roots`` and the class-first rule of
+``transplant`` read.
 
 The kernels work on raw int32 image rows, and ``Permutation`` objects stay
 at the API boundary.  Schreier-Sims (``_Chain``) builds and sifts Schreier
@@ -423,11 +427,12 @@ def _class_roots(rows, generators) -> np.ndarray:
 
     ``rows`` must be pairwise distinct and closed under the conjugation.
     The classes are the orbits (``_orbit_roots``) of the rows, sorted by
-    key, under the generators' conjugation maps (``_conjugation_maps``), so
+    key, under the maps of their closure (``_conjugation_closure``), so
     each is rooted at its lex-least member.
     """
     rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[_orbit_roots(_conjugation_maps(rows, generators)) == np.arange(len(rows))]
+    maps = _conjugation_closure([rows], [generators])[1]
+    return rows[_orbit_roots(maps) == np.arange(len(rows))]
 
 
 def conjugacy_classes(G: PermGroup) -> list:
@@ -601,17 +606,46 @@ def _rows(images, degree):
     return np.array(images, dtype=np.int32).reshape(len(images), degree)
 
 
-def _conjugation_maps(rows, generators):
-    """Array c with c[j, i] the index in ``rows`` of s^-1 * x * s, for x
-    the element of row i and s that of row j of ``generators``.
+def _conjugation_closure(seeds, generators):
+    """Closure of a set of elements under conjugation by generators, with
+    the conjugation action on it.
 
-    ``rows`` must be pairwise distinct and closed under conjugation by the
-    generators; each conjugate, the row s[x[s^-1]], is matched by its bytes
-    (``_row_keys``).
+    Each element is carried as its image rows in one or more actions side
+    by side: ``seeds[k]`` holds the elements' rows in action k, and
+    ``generators[k]`` the generators' rows in the same action.  Products
+    apply the left factor first, so s^-1 * x * s is the row s[x[s^-1]] in
+    every action.  Elements are told apart by their rows in action 0
+    (``_row_keys``), which must be faithful on the closure.  Returns one
+    array per action, the seeds first and then each new conjugate in the
+    order found, and the maps: ``maps[j, i]`` is the index of
+    s_j^-1 * x_i * s_j.  Raises BoundExceeded when the closure exceeds
+    ``enumeration_bound()`` elements.  No group element outside the closure
+    is built.
     """
-    index = {key: i for i, key in enumerate(_row_keys(rows))}
-    return np.array([[index[key] for key in _row_keys(s[rows[:, np.argsort(s)]])]
-                     for s in generators], dtype=np.intp).reshape(len(generators), len(rows))
+    cap = enumeration_bound()
+    inverses = [np.argsort(g, axis=1).astype(np.int32) for g in generators]
+    index = {key: i for i, key in enumerate(_row_keys(seeds[0]))}
+    found = [[a] for a in seeds]
+    maps = [np.zeros((len(generators[0]), 0), dtype=np.int32)]
+    frontier = seeds
+    while len(frontier[0]):
+        new = [[x[:0]] for x in frontier]
+        images = []
+        for j in range(len(generators[0])):
+            conj = [g[j][x[:, s_inv[j]]] for x, g, s_inv in zip(frontier, generators, inverses)]
+            # conjugation is a bijection, so a batch holds each new row once
+            start = len(index)
+            images.append([index.setdefault(key, len(index)) for key in _row_keys(conj[0])])
+            if len(index) > cap:
+                raise BoundExceeded(f"conjugation closure exceeds bound {cap}")
+            keep = np.array(images[-1], dtype=np.intp) >= start
+            for k, c in enumerate(conj):
+                new[k].append(c[keep])
+        maps.append(_rows(images, len(frontier[0])))
+        frontier = [np.concatenate(parts) for parts in new]
+        for k, rows in enumerate(frontier):
+            found[k].append(rows)
+    return [np.concatenate(parts) for parts in found], np.concatenate(maps, axis=1)
 
 
 def left_cosets(G: PermGroup, H: PermGroup) -> CosetTable:

@@ -1,9 +1,8 @@
 """Default resource bounds; each caps one listing or one search.
 
 ``ENUMERATION_BOUND`` caps the rows listed by ``PermGroup.element_rows``
-and the elements of the conjugation closure
-(``transplant._conjugation_closure``), the only two listings of group
-elements; everything that lists elements (conjugacy classes, the AC and EC
+and the elements of the conjugation closure (``groups._conjugation_closure``,
+the one conjugation routine), the only two listings of group elements; everything that lists elements (conjugacy classes, the AC and EC
 witnesses, PAIR's inner-square search on H, the candidates of INV and of
 the census) goes through one of them.  ``INDEX_BOUND`` caps the cosets of
 a coset table (``groups.left_cosets``), so it alone caps AC, FF and MAX.

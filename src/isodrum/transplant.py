@@ -7,9 +7,10 @@ this module is exact; no floating point.
 
 Orbits come from ``groups._orbit_roots``: the transitivity of a system,
 the involution classes behind the candidates (``groups._class_roots``) and
-the class-first rule, and the intertwiner basis, one 0/1 matrix per orbit
-of the cells (i, j) under (i, j) -> (b(i), a(j)), in the order of their
-least cells.  An isometry, a permutation-matrix intertwiner, is read off
+the class-first rule, on the conjugation maps that the candidates' closure
+returns (``groups._conjugation_closure``), and the intertwiner basis, one
+0/1 matrix per orbit of the cells (i, j) under (i, j) -> (b(i), a(j)), in
+the order of their least cells.  An isometry, a permutation-matrix intertwiner, is read off
 that basis (``find_transplantation``); no second search runs.
 
 ``canonical_key`` labels a system breadth first from each root.  The census
@@ -29,16 +30,15 @@ from .errors import BoundExceeded, SpecFormatError
 from .groups import (
     PermGroup,
     _class_roots,
-    _conjugation_maps,
+    _conjugation_closure,
     _group_of_order_at_most,
     _orbit_roots,
-    _row_keys,
     _rows,
     _take_rows,
     is_transitive_on,
     left_cosets,
 )
-from .limits import INV_SEARCH_BOUND, enumeration_bound
+from .limits import INV_SEARCH_BOUND
 from .permutations import Permutation
 
 
@@ -280,44 +280,6 @@ def involutions_of(G: PermGroup):
     return [Permutation._wrap(r) for r in invs[np.lexsort(invs.T[::-1])]]
 
 
-def _conjugation_closure(seeds, generators):
-    """Closure of a set of elements under conjugation by generators.
-
-    Each element is carried as its image rows in one or more actions side
-    by side: ``seeds[k]`` holds the elements' rows in action k, and
-    ``generators[k]`` the generators' rows in the same action.  Products
-    apply the left factor first, so s^-1 * x * s is the row s[x[s^-1]] in
-    every action.  Elements are told apart by their rows in action 0
-    (``_row_keys``), which must be faithful on the closure.  Returns one
-    array per action, the seeds first and then each new conjugate in the
-    order found; raises BoundExceeded when the closure exceeds
-    ``enumeration_bound()`` elements.  No group element outside the closure
-    is built.
-    """
-    cap = enumeration_bound()
-    inverses = [np.argsort(g, axis=1).astype(np.int32) for g in generators]
-    seen = set(_row_keys(seeds[0]))
-    found = [[a] for a in seeds]
-    frontier = seeds
-    while len(frontier[0]):
-        new = [[] for _ in seeds]
-        for j in range(len(generators[0])):
-            conj = [g[j][x[:, s_inv[j]]] for x, g, s_inv in zip(frontier, generators, inverses)]
-            keep = []
-            for i, key in enumerate(_row_keys(conj[0])):
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(i)
-            if len(seen) > cap:
-                raise BoundExceeded(f"conjugation closure exceeds bound {cap}")
-            for k, c in enumerate(conj):
-                new[k].append(c[keep])
-        frontier = [np.concatenate(parts) for parts in new]
-        for k, rows in enumerate(frontier):
-            found[k].append(rows)
-    return [np.concatenate(parts) for parts in found]
-
-
 def _involution_roots(group, tables):
     """The lex-least involution of each class of ``group`` (``_class_roots``):
     its rows, then its actions on each coset table in ``tables``, the only
@@ -330,53 +292,51 @@ def _involution_roots(group, tables):
 
 def _tree_candidates(G, H, tables, r):
     """The involutions of G that may lie in a gluing tree of r colors on the
-    cosets of H, or None when the fixed-point certificate proves there is no
-    tree.
+    cosets of H, with their conjugation maps, or None when there is no tree.
 
     Returns one array per action, one row per candidate: the rows in G, then
     the actions on each coset table of G in ``tables``, the first H's.  With
     no tables G acts on the cosets itself, H being the stabilizer of point 0,
-    as INV passes the images of an unfaithful action.  The candidates are
-    distinct and closed under conjugation by G, in the order of the forest
-    search (``_forest_search``): by descending fixed count on the cosets of
-    H, then by the row on them, one stable ``np.lexsort`` (rows that an
-    unfaithful action ties keep their closure order).
+    as INV passes the images of an unfaithful action.  Beside them come the
+    maps of their closure (``groups._conjugation_closure``).  The candidates
+    are distinct, closed under conjugation by G and in the order of the
+    forest search (``_forest_search``): by descending fixed count on the
+    cosets of H, then by the row on them, one stable ``np.lexsort`` (rows
+    an unfaithful action ties keep their closure order), the maps re-indexed.
 
     An involution x fixes the coset Hy exactly when y * x * y^-1 lies in H,
-    so every involution with a fixed coset is G-conjugate into H, and fixed
-    counts are class functions.  So m, the largest fixed count of an
-    involution of H (0 if none), is read on one involution per class of H
-    (``_involution_roots``).  A tree on the n cosets needs fixed counts
-    summing to target = (r-2) * n + 2, and there are three cases:
+    so fixed counts are class functions, and an involution of G fixes no
+    coset or as many as a root of H's involution classes
+    (``_involution_roots``); F is the roots' counts.  A tree on the n cosets
+    has r fixed counts summing to target = (r-2) * n + 2 (Buser-Conway-
+    Doyle-Semmler 1994).  So one subset sum decides:
 
-    * r * m < target: no r involutions reach the sum; None.
-    * (r-1) * m < target: every member of a tree fixes at least
-      target - (r-1) * m > 0 cosets, so it is conjugate into H.  The
-      candidates are the closure of H's involutions under conjugation by
-      G's generators (``_conjugation_closure``), which is the union of
-      their G-classes, so it is seeded with the roots alone and carries
-      every action side by side.  These are all involutions but the
-      fixed-point-free ones, which no tree touches.  The enumeration bound
-      caps H and the closure.
-    * otherwise a tree may hold a fixed-point-free involution, and the
-      candidates are all of G's: the closure of the roots of G's involution
-      classes.  The enumeration bound caps G.
+    * no r-multiset of F and 0 sums to target: None.
+    * every one that does avoids 0: the closure of the roots under
+      conjugation by G's generators, every involution of G but the
+      fixed-point-free ones.  These sort last, so the search yields what it
+      would from all of G's.  The enumeration bound caps H and the closure.
+    * otherwise: the closure of the roots of G's involution classes.  The
+      enumeration bound caps G.
     """
     gens = [_rows([g.images for g in G.generators], G.degree)]
     gens += [_rows([a.images for a in table.generator_actions], len(table)) for table in tables]
     side = 1 if tables else 0
     n = gens[side].shape[1]
     seeds = _involution_roots(H, tables)
-    m = int((seeds[side] == np.arange(n)).sum(axis=1).max(initial=0))
+    counts = {0, *(seeds[side] == np.arange(n)).sum(axis=1).tolist()}
     target = (r - 2) * n + 2
-    if r * m < target:
+    sums = {0}  # of (r-1)-multisets of the counts, up to target
+    for _ in range(r - 1):
+        sums = {s + c for s in sums for c in counts if s + c <= target}
+    if not any(target - c in sums for c in counts):
         return None
-    if (r - 1) * m >= target:
+    if target in sums:  # a tree may hold a count of 0
         seeds = _involution_roots(G, tables)
-    found = _conjugation_closure(seeds, gens)
+    found, maps = _conjugation_closure(seeds, gens)
     acts = found[side]
     order = np.lexsort((*acts.T[::-1], -(acts == np.arange(n)).sum(axis=1)))
-    return [a[order] for a in found]
+    return [a[order] for a in found], np.argsort(order)[maps[:, order]]
 
 
 def _forest_search(acts, maps, r, target):
@@ -487,8 +447,9 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
 
     Search.  The census filters INV's search.  ``_tree_candidates`` gives
     the involutions that may lie in an H-side tree, in the search order and
-    with their actions on both coset spaces, or proves by the fixed-point
-    certificate that there is none; ``_forest_search`` yields the H-side
+    with their actions on both coset spaces and G's conjugation maps, or
+    proves by the subset-sum certificate that there is none;
+    ``_forest_search`` yields the H-side
     trees, the least of each orbit under conjugation by G among them.  One
     gather, rank = argsort(lexsort(rows)), takes a yielded tuple and its
     ordered orbit (``_orbit``) to element-key indices; all sets of the
@@ -526,8 +487,7 @@ def okada_shudo_scan(t, n_max: int, r: int = 3):
     found = _tree_candidates(G, t.H, [table_h, table_k], r)
     if found is None:
         return []
-    rows, acts_h, acts_k = found
-    maps = _conjugation_maps(rows, _rows([g.images for g in G.generators], G.degree))
+    (rows, acts_h, acts_k), maps = found
     by_key = np.lexsort(rows.T[::-1])
     rank = np.argsort(by_key)
 

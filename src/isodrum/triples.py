@@ -24,10 +24,11 @@ the fixed counts of the class representatives of H and of K on the two
 coset tables (``_class_fixed_counts``); G's conjugacy classes are never
 built here, only by ``groups.is_simple``.
 PAIR verifies the swap automorphism by the order of its graph subgroup and
-lists only H.  INV takes its candidates from H's involutions and lists G's
-only when a witness may contain a fixed-point-free involution; one forest
-search over the candidates, pruned by the fixed-point identity and by G's
-conjugation classes, yields the witnesses.
+lists H only when the swap's square moves a generator of H.  INV is ruled
+out by a subset sum over the fixed counts of H's involution classes, or
+takes H's involutions as candidates, and G's only when a witness may hold
+a fixed-point-free one; one forest search over them, pruned by the
+fixed-point identity and by G's conjugation classes, yields the witnesses.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from .groups import (
     PermGroup,
-    _conjugation_maps,
     _group_of_order_at_most,
     _orbit_roots,
     _rows,
@@ -249,11 +249,11 @@ def verify_automorphism(G: PermGroup, images):
 def check_pair(t: Triple, candidate=None) -> PairStatus:
     """PAIR: confirmed via a verified swap automorphism, else the order test.
 
-    The search for an inner square lists H only, so the enumeration bound
-    caps |H|: sigma^2 is inner on H when some h0 in H has h0^-1 * h * h0 ==
-    sigma^2(h) for every generator h of H.  All h0 are tested at once on
-    H's element rows: their inverses are one scatter, and the conjugates of
-    each generator one gather.
+    sigma^2 is inner on H when some h0 in H has h0^-1 * h * h0 == sigma^2(h)
+    for every generator h of H: h0 = 1 when sigma^2 fixes them all, else the
+    search lists H only (the enumeration bound caps |H|), testing all h0 at
+    once on H's element rows: inverses by one scatter, conjugates of each
+    generator by one gather.
     """
     if candidate is None:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
@@ -262,14 +262,17 @@ def check_pair(t: Triple, candidate=None) -> PairStatus:
                    and all(sigma(h) in t.K for h in t.H.generators))
     if not maps_h_to_k:
         return PairStatus.WEAK_EVIDENCE if t.H.order == t.K.order else PairStatus.FAILED
+    squares = [sigma(sigma(h)) for h in t.H.generators]
+    if squares == list(t.H.generators):
+        return PairStatus.CONFIRMED
     rows = t.H.element_rows()
     count, n = rows.shape
     inverses = np.empty_like(rows)
     inverses[np.arange(count)[:, None], rows] = np.arange(n, dtype=np.int32)
     inner = np.ones(count, dtype=bool)
-    for h in t.H.generators:
+    for h, square in zip(t.H.generators, squares):
         # row i of the gather is h0^-1 * h * h0 for h0 = rows[i]
-        inner &= (_take_rows(rows, h.images[inverses]) == sigma(sigma(h)).images).all(axis=1)
+        inner &= (_take_rows(rows, h.images[inverses]) == square.images).all(axis=1)
     return PairStatus.CONFIRMED if inner.any() else PairStatus.WEAK_EVIDENCE
 
 
@@ -280,9 +283,10 @@ def inv_witnesses(t: Triple, r: int = 3):
     Yields (G-involution tuple, system on the coset space) in a fixed order:
     the candidates of ``transplant._tree_candidates`` in its order (by
     descending fixed-point count in the action, then by action row), subsets
-    lexicographically.  That routine holds the fixed-point certificate and
+    lexicographically.  That routine holds the subset-sum certificate and
     the three cases of candidates with their proof; the candidates act by
-    pairwise distinct rows and are closed under conjugation by G.  For a
+    pairwise distinct rows, are closed under conjugation by G, and come with
+    G's conjugation maps on them, which the class-first rule reads.  For a
     faithful action they are involutions of G, which keeps preimages
     available; otherwise the same routine runs on G's image on the cosets,
     with H's image as the stabilizer, and the preimage slot is None.
@@ -323,8 +327,8 @@ def inv_witnesses(t: Triple, r: int = 3):
         preimage = lambda row: None
     if found is None:
         return
-    rows, acts = found[0], found[-1]
-    maps = _conjugation_maps(acts, _rows([a.images for a in table.generator_actions], lam))
+    candidates, maps = found
+    rows, acts = candidates[0], candidates[-1]
     for combo in _forest_search(acts, maps, r, (r - 2) * lam + 2):
         sys = InvolutionSystem(lam, r, tuple(Permutation._wrap(acts[i]) for i in combo))
         yield tuple(preimage(rows[i]) for i in combo), sys
@@ -333,12 +337,12 @@ def inv_witnesses(t: Triple, r: int = 3):
 def check_inv(t: Triple, r: int = 3):
     """First INV witness system, or None when there is none.
 
-    None is proved by the fixed-point certificate (r times the largest
-    fixed count of an involution of H's image below (r-2) * n + 2) or by an
-    exhausted search over the candidates; see ``transplant._tree_candidates``
-    for the three cases of candidates and ``inv_witnesses`` for the tree
-    identity and the class-first rule, under which the answer is the first
-    witness of the full lexicographic sequence.
+    None is proved by the subset-sum certificate (no r fixed counts of
+    involutions of H's image and 0 sum to (r-2) * n + 2, as on psl(5,2))
+    or by an exhausted search over the candidates; see
+    ``transplant._tree_candidates`` for the three cases of candidates and
+    ``inv_witnesses`` for the tree identity and the class-first rule, under
+    which the answer is the first witness of the full lexicographic sequence.
     """
     for _, sys in inv_witnesses(t, r):
         return sys

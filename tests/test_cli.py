@@ -80,8 +80,9 @@ def test_verify_bound_hit_in_inv_exits_3(specdir, tmp_path, capsys, monkeypatch)
 
 
 def test_verify_props_skip_pair_and_inv(specdir, capsys, monkeypatch):
-    # AC, EC, FF and MAX list no elements on this AC triple; PAIR and INV,
-    # which list H (24 elements), run only when requested
+    # AC, EC, FF and MAX list no elements on this AC triple; PAIR and INV
+    # run only when requested.  PAIR lists nothing either, as the duality
+    # squares to 1; INV lists H (24 elements)
     monkeypatch.setenv("GF_BOUND", "20")
     spec = str(specdir / "psl32.spec")
     rc = main(["verify", spec, "--props", "ac,ec,ff,max"])
@@ -92,6 +93,10 @@ def test_verify_props_skip_pair_and_inv(specdir, capsys, monkeypatch):
     data = json.loads(capsys.readouterr().out)
     assert rc == 0 and data["pair"] == data["inv"] == "not checked"
     rc = main(["verify", spec, "--props", "ac,pair"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert "PAIR: confirmed" in captured.out and "INV:  not checked" in captured.out
+    rc = main(["verify", spec, "--props", "ac,inv"])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.err == "resource bound exceeded: group order 24 exceeds bound 20\n"

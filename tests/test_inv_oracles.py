@@ -2,8 +2,8 @@
 involution of G.
 
 ``triples.inv_witnesses`` answers INV without listing G when it can: by the
-fixed-point certificate r * m < target, or by the closure of H's involutions
-under conjugation.  It walks the subsets in one search that keeps the
+fixed-point identity, when no r fixed counts of H's involutions and 0 sum to
+the target, or by the closure of H's involutions under conjugation.  It walks the subsets in one search that keeps the
 gluing graph a forest and tries only the first candidate of each G-class as
 the first member.  ``bruteforce.brute_inv_witnesses`` lists every
 involution of G, searches subsets by fixed-point sum alone and tests each
@@ -31,9 +31,9 @@ from isodrum.catalog import duality_automorphism, psl_triple
 from isodrum.cli import main
 from isodrum.constructions import add_kernel
 from isodrum.errors import BoundExceeded
-from isodrum.groups import PermGroup, left_cosets
+from isodrum.groups import PermGroup, _conjugation_closure, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
-from isodrum.transplant import _conjugation_closure, format_involution_system, involutions_of
+from isodrum.transplant import format_involution_system, involutions_of
 from isodrum.triples import PairStatus, Triple, check_pair, inv_witnesses
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -161,7 +161,7 @@ def test_closure_is_the_involutions_with_a_fixed_coset(monkeypatch):
     gens = [np.array([a.images for a in table.generator_actions]),
             np.array([g.images for g in t.G.generators])]
     monkeypatch.setenv("GF_BOUND", "21")
-    acts, rows = _conjugation_closure(seeds, gens)
+    (acts, rows), maps = _conjugation_closure(seeds, gens)
     monkeypatch.setenv("GF_BOUND", "20")
     with pytest.raises(BoundExceeded, match="closure exceeds bound 20"):
         _conjugation_closure(seeds, gens)
@@ -170,6 +170,10 @@ def test_closure_is_the_involutions_with_a_fixed_coset(monkeypatch):
     assert len(rows) == len(every) == 21
     assert sorted(Permutation(r).key() for r in rows) == sorted(p.key() for p in every)
     assert (acts == table.actions_of([Permutation(r) for r in rows])).all()
+    # the maps are the conjugation action, in both actions alike
+    for j, images in enumerate(maps):
+        assert (gens[0][j][acts[:, np.argsort(gens[0][j])]] == acts[images]).all()
+        assert (gens[1][j][rows[:, np.argsort(gens[1][j])]] == rows[images]).all()
 
 
 def test_catalog_verify_never_lists_g(tmp_path, capsys, monkeypatch):

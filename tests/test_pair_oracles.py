@@ -157,15 +157,33 @@ def test_sigma_rejects_non_members():
 
 
 def test_pair_bound_caps_h_only(monkeypatch):
-    # PAIR lists H alone (the inner-square search), never G
+    # PAIR lists H alone (the inner-square search), never G.  The duality
+    # sigma squares to 1, which confirms without a search; sigma followed
+    # by conjugation by c in H and K still swaps H and K, and its square
+    # is conjugation by sigma(c) * c in H, which moves a generator of H
     t = psl_triple(3, 4)
-    cand = duality_automorphism(3, 4)
+    duality = duality_automorphism(3, 4)
+    sigma = verify_automorphism(t.G, duality)
+    c = next(c for c in t.H.elements() if c in t.K and not (sigma(c) * c).is_identity())
+    cand = [im.conjugate_by(c) for im in duality]
+    twisted = verify_automorphism(t.G, cand)
+    assert any(twisted(twisted(h)) != h for h in t.H.generators)
     assert t.H.order == 960 < t.G.order
+    monkeypatch.setenv("GF_BOUND", str(t.H.order - 1))
+    assert check_pair(t, duality) == PairStatus.CONFIRMED
     monkeypatch.setenv("GF_BOUND", str(t.H.order))
     assert check_pair(t, cand) == PairStatus.CONFIRMED
     monkeypatch.setenv("GF_BOUND", str(t.H.order - 1))
     with pytest.raises(BoundExceeded):
         check_pair(t, cand)
+
+
+def test_psl62_pair_confirms_without_listing_h():
+    # |H| = 319,979,520 is above the enumeration bound, but the duality
+    # squares to 1 on H's generators
+    t = psl_triple(6, 2)
+    assert t.H.order == 319_979_520
+    assert check_pair(t, duality_automorphism(6, 2)) == PairStatus.CONFIRMED
 
 
 @SETTINGS

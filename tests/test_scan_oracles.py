@@ -21,10 +21,9 @@ import pytest
 from bruteforce import brute_scan, closure_orbit, mulclose
 from isodrum import transplant
 from isodrum.catalog import psl_triple
-from isodrum.groups import CosetTable, PermGroup, left_cosets
+from isodrum.groups import CosetTable, PermGroup, _conjugation_closure, left_cosets
 from isodrum.permutations import Permutation, parse_cycles
 from isodrum.transplant import (
-    _conjugation_maps,
     _orbit,
     _rows,
     find_transplantation,
@@ -47,8 +46,12 @@ def file_digest(pairs):
 
 
 def conjugation_maps(G, invs):
-    return _conjugation_maps(_rows([p.images for p in invs], G.degree),
-                             _rows([g.images for g in G.generators], G.degree))
+    """The conjugation maps of G's generators on ``invs``, which must be
+    closed under conjugation: the closure's maps, the closure adding none."""
+    found, maps = _conjugation_closure([_rows([p.images for p in invs], G.degree)],
+                                       [_rows([g.images for g in G.generators], G.degree)])
+    assert len(found[0]) == len(invs)
+    return maps
 
 
 def relabeled(t, seed):
@@ -222,6 +225,14 @@ def test_conjugation_maps_against_conjugate_by(psl32_small):
     assert len(_orbit(maps, (0,))) == len(invs) == 21
     ordered = {tuple(x.conjugate_by(g) for x in invs[:3]) for g in mulclose(list(G.generators))}
     assert {tuple(invs[i] for i in u) for u in _orbit(maps, (0, 1, 2)).tolist()} == ordered
+    # grown from one seed, the closure is its class, and the maps of the
+    # rows it found are the conjugations too
+    found, grown = _conjugation_closure([_rows([invs[5].images], G.degree)],
+                                        [_rows([g.images for g in G.generators], G.degree)])
+    elements = [Permutation(x) for x in found[0]]
+    assert elements[0] == invs[5] and sorted(elements) == invs
+    for s, images in zip(G.generators, grown):
+        assert [elements[j] for j in images] == [x.conjugate_by(s) for x in elements]
 
 
 def test_psl33_census_pinned():
@@ -309,6 +320,6 @@ def test_census_canonicalizes_only_class_roots(spied_census, name):
     t, _, _, batches = spied_census(name)
     roots = len(transplant._involution_roots(t.H, [])[0])
     candidates = len(transplant._tree_candidates(
-        t.G, t.H, [left_cosets(t.G, t.H)], 3)[0])
+        t.G, t.H, [left_cosets(t.G, t.H)], 3)[0][0])
     assert (roots, candidates) == {"psl33": (2, 117), "psl42": (3, 315)}[name]
     assert [b for b in batches if b > 1] == [roots, roots]
